@@ -15,16 +15,14 @@ from vertexnim import (
     MoveRule,
     Position,
     grundy_value,
+    MAX_VERTICES,
     iter_bits,
-    max_feasible_k,
     tower_size,
     witness,
     witness_record,
-    WitnessSizeCapError,
 )
 
-print(f"tower sizes: {[tower_size(k) for k in range(5)]} vertices")
-print(f"largest value fitting the 63-vertex solver cap: {max_feasible_k()}")
+print(f"tower sizes: {[tower_size(k) for k in range(8)]} vertices")
 print()
 
 for k in range(5):
@@ -53,7 +51,10 @@ print("the recipe is a machine-readable audit record:")
 print(json.dumps(witness_record(witness(2)), indent=2, sort_keys=True))
 
 print()
+for k in (5, 6):
+    w = witness(k)
+    print(f"witness({k}): {w.graph.n} vertices, certified grundy {w.k}")
 try:
-    witness(5)
-except WitnessSizeCapError as exc:
-    print(f"witness(5) is refused: {exc}")
+    witness(7)
+except ValueError as exc:
+    print(f"witness(7) is refused at the {MAX_VERTICES}-vertex input limit: {exc}")

@@ -15,10 +15,8 @@ from .construction import (
     ConstructionSoundnessError,
     RecipePart,
     Witness,
-    WitnessSizeCapError,
     certify,
     construct_next,
-    max_feasible_k,
     tower_size,
     witness,
     witness_record,
@@ -42,6 +40,7 @@ from .families import (
     star_graph,
 )
 from .formats import (
+    MAX_VERTICES,
     GraphFormatError,
     from_graph6,
     load_graph,
@@ -63,7 +62,6 @@ from .graph import (
 )
 from .solver import (
     DEFAULT_NODE_BUDGET,
-    MAX_SOLVER_VERTICES,
     MemoTable,
     NodeBudgetExceeded,
     SolveReport,
@@ -73,6 +71,7 @@ from .solver import (
     grundy_value,
     mex,
     nim_sum,
+    solve,
 )
 from .theorems import (
     CheckFailure,

@@ -1,9 +1,12 @@
 """Command-line interface: solve, generate, verify, census, convert.
 
 Exit codes: 0 success; 1 a check failed or a counterexample exists; 2 usage
-or input error; 3 budget or size-cap exhaustion. With ``--records`` every
-command emits line-delimited JSON instead of human-readable text; output
-bytes are deterministic for fixed inputs and seeds.
+or input error, including a graph or witness above the vertex limit
+:data:`~vertexnim.formats.MAX_VERTICES`; 3 budget exhaustion. ``solve``
+prints the report of :func:`vertexnim.solver.solve`, which picks the method.
+With ``--records`` every command emits line-delimited JSON instead of
+human-readable text; output bytes are deterministic for fixed inputs and
+seeds.
 """
 
 import argparse
@@ -11,24 +14,25 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .construction import WitnessSizeCapError, witness, witness_record
-from .exhaustive import SWEEP_MAX_N, census
+from .construction import witness, witness_record
+from .exhaustive import census
 from .formats import (
     GraphFormatError,
     from_graph6,
     load_graph,
     parse_graph,
     serialize_graph,
+    sniff_format,
     to_graph6,
 )
-from .graph import Graph, MoveRule, iter_bits
+from .graph import Graph, MoveRule
 from .solver import (
     DEFAULT_NODE_BUDGET,
-    MAX_SOLVER_VERTICES,
+    SEARCH_METHOD,
     MemoTable,
     NodeBudgetExceeded,
     grundy,
-    grundy_even_even,
+    solve,
 )
 from .theorems import TheoremBudgetError, TheoremId, verify_theorem
 
@@ -49,10 +53,6 @@ class CommandOutcome:
     records: list = field(default_factory=list)
 
 
-class CliInputError(ValueError):
-    """Bad input on an otherwise well-formed command line."""
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -68,62 +68,29 @@ def _load(text: str, fmt: str) -> Graph:
     return load_graph(text)
 
 
-def _sniff_format(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return "edgelist" if len(line.split()) >= 2 else "graph6"
-    return "edgelist"
-
-
 def _budget(args) -> int:
     return args.budget if args.budget is not None else DEFAULT_NODE_BUDGET
 
 
 def cmd_solve(args) -> CommandOutcome:
-    text = _read_text(args.graph)
-    g = _load(text, args.format)
-    if g.n > MAX_SOLVER_VERTICES:
-        raise CliInputError(
-            f"solve supports at most {MAX_SOLVER_VERTICES} vertices, got {g.n}"
-        )
+    g = _load(_read_text(args.graph), args.format)
     rule = MoveRule.ODD if args.rule == "odd" else MoveRule.EVEN
-    position = g.full_position()
-    movable = position.movable_vertices(rule)
-
-    fast_value = None
-    if rule is MoveRule.EVEN:
-        fast_value = grundy_even_even(g)
-        method = "vertex-parity closed form"
-    elif g.is_bipartite():
-        fast_value = g.edge_count() & 1
-        method = "bipartite edge-parity fast path"
-
-    report = None
-    if fast_value is None or args.verify:
-        report = grundy(position, rule, MemoTable(_budget(args)))
+    memo = MemoTable(_budget(args))
+    report = solve(g, rule, memo)
+    value, move, method = report.grundy, report.optimal_move, report.method
+    nodes, distinct = report.nodes_visited, report.distinct_positions
+    fast = method != SEARCH_METHOD
 
     outcome = CommandOutcome()
-    if fast_value is None:
-        method = "brute-force search"
-        value = report.grundy
-        move = report.optimal_move
-        nodes, distinct = report.nodes_visited, report.distinct_positions
-    else:
-        value = fast_value
-        # every move from a positive fast-path position wins, so the lowest
-        # removable vertex is also the search engine's deterministic choice
-        move = min(iter_bits(movable)) if value > 0 else None
-        nodes = distinct = 0
-        if args.verify:
-            nodes, distinct = report.nodes_visited, report.distinct_positions
-            if report.grundy != value:
-                outcome.exit_code = EXIT_CHECK_FAILED
-                outcome.lines.append(
-                    f"MISMATCH: fast path says {value}, brute force says "
-                    f"{report.grundy}"
-                )
+    if fast and args.verify:
+        check = grundy(g, rule, memo)
+        nodes, distinct = check.nodes_visited, check.distinct_positions
+        if check.grundy != value:
+            outcome.exit_code = EXIT_CHECK_FAILED
+            outcome.lines.append(
+                f"MISMATCH: fast path says {value}, brute force says "
+                f"{check.grundy}"
+            )
 
     outcome.lines.extend(
         [
@@ -135,13 +102,14 @@ def cmd_solve(args) -> CommandOutcome:
             f"distinct positions: {distinct}",
         ]
     )
+    terminal = g.full_position().is_terminal(rule)
     if move is not None:
         outcome.lines.append(f"optimal move: remove vertex {move}")
-    elif movable == 0:
+    elif terminal:
         outcome.lines.append("optimal move: none (terminal position)")
     else:
         outcome.lines.append("optimal move: none (every move loses)")
-    if args.verify and fast_value is not None and outcome.exit_code == EXIT_OK:
+    if args.verify and fast and outcome.exit_code == EXIT_OK:
         outcome.lines.append(f"verification: brute force agrees (grundy {value})")
 
     outcome.records.append(
@@ -155,8 +123,8 @@ def cmd_solve(args) -> CommandOutcome:
             "nodes_visited": nodes,
             "distinct_positions": distinct,
             "optimal_move": move,
-            "terminal": movable == 0,
-            "verified": bool(args.verify) if fast_value is not None else None,
+            "terminal": terminal,
+            "verified": bool(args.verify) if fast else None,
         }
     )
     return outcome
@@ -220,8 +188,6 @@ def cmd_verify(args) -> CommandOutcome:
 
 
 def cmd_census(args) -> CommandOutcome:
-    if args.max_n > SWEEP_MAX_N:
-        raise CliInputError(f"census supports at most n={SWEEP_MAX_N}")
     report = census(args.max_n, graph_budget=args.budget)
     outcome = CommandOutcome()
     outcome.lines.append("grundy    n  edges      count")
@@ -268,7 +234,7 @@ def cmd_census(args) -> CommandOutcome:
 
 def cmd_convert(args) -> CommandOutcome:
     text = _read_text(args.graph)
-    in_fmt = args.format if args.format != "auto" else _sniff_format(text)
+    in_fmt = args.format if args.format != "auto" else sniff_format(text)
     g = _load(text, in_fmt)
     out_fmt = args.to
     if out_fmt is None:
@@ -366,7 +332,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         outcome = args.func(args)
-    except (NodeBudgetExceeded, TheoremBudgetError, WitnessSizeCapError) as exc:
+    except (NodeBudgetExceeded, TheoremBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphFormatError, OSError, ValueError) as exc:

@@ -11,21 +11,18 @@ unchanged. The root value is therefore mex{0, 1, ..., K} = K + 1.
 
 The canonical witness tower starts from the 3-path (value 0) and the single
 edge (value 1) and feeds each new witness back in as a part. Every witness
-within the solver's vertex cap is certified by an independent brute-force
-solve; a mismatch is a soundness error and must never occur.
+is certified by an independent brute-force solve; a mismatch is a soundness
+error and must never occur. The tower's size grows about twofold per value,
+so :func:`witness` stops where it would exceed the input limit
+:data:`~vertexnim.formats.MAX_VERTICES`.
 """
 
 from dataclasses import dataclass, replace
 
 from .families import complete_graph, path_graph
-from .formats import to_graph6
+from .formats import MAX_VERTICES, to_graph6
 from .graph import Graph, MoveRule, iter_bits
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    MAX_SOLVER_VERTICES,
-    MemoTable,
-    grundy_value,
-)
+from .solver import DEFAULT_NODE_BUDGET, MemoTable, grundy_value
 
 
 class ConstructionError(ValueError):
@@ -42,18 +39,6 @@ class ConstructionSoundnessError(RuntimeError):
         )
         self.witness = witness
         self.got = got
-
-
-class WitnessSizeCapError(ValueError):
-    """The requested witness exceeds the solver's vertex cap."""
-
-    def __init__(self, requested_k: int, max_feasible: int):
-        super().__init__(
-            f"witness({requested_k}) would exceed {MAX_SOLVER_VERTICES} vertices; "
-            f"largest feasible value is {max_feasible}"
-        )
-        self.requested_k = requested_k
-        self.max_feasible = max_feasible
 
 
 @dataclass(frozen=True)
@@ -260,26 +245,21 @@ def tower_size(k: int) -> int:
     return sizes[k]
 
 
-def max_feasible_k(vertex_cap: int = MAX_SOLVER_VERTICES) -> int:
-    """Largest k whose canonical tower witness fits the vertex cap."""
-    k = 0
-    while tower_size(k + 1) <= vertex_cap:
-        k += 1
-    return k if tower_size(k) <= vertex_cap else -1
-
-
 def witness(k: int, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Witness:
     """Certified connected witness of Grundy value ``k`` (canonical tower).
 
     The tower is deterministic: value 0 is the 3-path, value 1 the single
     edge, and each later witness assembles all earlier ones. Raises
-    :class:`WitnessSizeCapError` beyond the solver's vertex cap.
+    ValueError when the tower would exceed
+    :data:`~vertexnim.formats.MAX_VERTICES` vertices.
     """
     if k < 0:
         raise ValueError(f"witness value must be nonnegative, got {k}")
-    feasible = max_feasible_k()
-    if k > feasible:
-        raise WitnessSizeCapError(k, feasible)
+    # the tower for k has more than k vertices: a huge k is refused unsized
+    if k > MAX_VERTICES or tower_size(k) > MAX_VERTICES:
+        raise ValueError(
+            f"witness({k}) would exceed the limit of {MAX_VERTICES} vertices"
+        )
     tower = []
     for j in range(k + 1):
         if j == 0:

@@ -20,6 +20,8 @@ SWEEP_MAX_N = 7
 
 _CHUNK = 7
 _CHUNK_MASK = (1 << _CHUNK) - 1
+# chunks per edge mask: three hold the 21 edge slots of SWEEP_MAX_N = 7
+_CHUNKS = 3
 
 # mex of a child-value presence mask; level-7 children have values < 8
 _MEX = []
@@ -34,18 +36,18 @@ _BITS = [tuple(i for i in range(_CHUNK) if m >> i & 1) for m in range(1 << _CHUN
 
 @lru_cache(maxsize=16)
 def _level_tables(k: int):
-    """Chunked lookup tables for level ``k``.
+    """Chunked lookup tables for level ``k``, always :data:`_CHUNKS` chunks.
 
     ``parity[c][x]``: degree-parity vector contributed by chunk ``c`` holding
     value ``x``. ``extract[v][c][x]``: the child-slot bits that chunk value
     ``x`` contributes after deleting vertex ``v`` (slot order is preserved by
     the order-preserving relabeling, so this is a plain parallel extract).
+    Chunks past the level's last slot contribute nothing.
     """
     pairs = edge_slots(k)
     nslots = len(pairs)
-    nchunks = (nslots + _CHUNK - 1) // _CHUNK
     parity = []
-    for c in range(nchunks):
+    for c in range(_CHUNKS):
         tab = [0] * (1 << _CHUNK)
         for x in range(1 << _CHUNK):
             pv = 0
@@ -63,7 +65,7 @@ def _level_tables(k: int):
             if i != v and j != v:
                 kept_rank[s] = len(kept_rank)
         vtabs = []
-        for c in range(nchunks):
+        for c in range(_CHUNKS):
             tab = [0] * (1 << _CHUNK)
             for x in range(1 << _CHUNK):
                 out = 0
@@ -104,53 +106,22 @@ def grundy_tables(
         full = (1 << k) - 1
         mex = _MEX
         bits = _BITS
-        if nslots == 0:
-            # k == 1: a lone vertex has even degree 0
-            cur[0] = 0 if want_odd else 1
-        elif nslots <= _CHUNK:
-            (p0,), extract = _level_tables(k)
-            x0 = [extract[v][0] for v in range(k)]
-            for mask in range(size):
-                pv = p0[mask]
-                movable = pv if want_odd else full ^ pv
-                if not movable:
-                    continue
-                seen = 0
-                for v in bits[movable]:
-                    seen |= 1 << prev[x0[v][mask]]
-                cur[mask] = mex[seen]
-        elif nslots <= 2 * _CHUNK:
-            (p0, p1), extract = _level_tables(k)
-            x0 = [extract[v][0] for v in range(k)]
-            x1 = [extract[v][1] for v in range(k)]
-            for mask in range(size):
-                c0 = mask & _CHUNK_MASK
-                c1 = mask >> _CHUNK
-                pv = p0[c0] ^ p1[c1]
-                movable = pv if want_odd else full ^ pv
-                if not movable:
-                    continue
-                seen = 0
-                for v in bits[movable]:
-                    seen |= 1 << prev[x0[v][c0] + x1[v][c1]]
-                cur[mask] = mex[seen]
-        else:
-            (p0, p1, p2), extract = _level_tables(k)
-            x0 = [extract[v][0] for v in range(k)]
-            x1 = [extract[v][1] for v in range(k)]
-            x2 = [extract[v][2] for v in range(k)]
-            for mask in range(size):
-                c0 = mask & _CHUNK_MASK
-                c1 = (mask >> _CHUNK) & _CHUNK_MASK
-                c2 = mask >> 14
-                pv = p0[c0] ^ p1[c1] ^ p2[c2]
-                movable = pv if want_odd else full ^ pv
-                if not movable:
-                    continue
-                seen = 0
-                for v in bits[movable]:
-                    seen |= 1 << prev[x0[v][c0] + x1[v][c1] + x2[v][c2]]
-                cur[mask] = mex[seen]
+        (p0, p1, p2), extract = _level_tables(k)
+        x0 = [extract[v][0] for v in range(k)]
+        x1 = [extract[v][1] for v in range(k)]
+        x2 = [extract[v][2] for v in range(k)]
+        for mask in range(size):
+            c0 = mask & _CHUNK_MASK
+            c1 = (mask >> _CHUNK) & _CHUNK_MASK
+            c2 = mask >> 14
+            pv = p0[c0] ^ p1[c1] ^ p2[c2]
+            movable = pv if want_odd else full ^ pv
+            if not movable:
+                continue
+            seen = 0
+            for v in bits[movable]:
+                seen |= 1 << prev[x0[v][c0] + x1[v][c1] + x2[v][c2]]
+            cur[mask] = mex[seen]
         tables.append(cur)
     return tables
 
@@ -215,8 +186,11 @@ def census(
 ) -> CensusReport:
     """Tabulate Grundy values of every labeled graph with at most ``max_n``
     vertices: counts per (value, n, edge count) plus minimal examples."""
-    if max_n > SWEEP_MAX_N:
-        raise ValueError(f"census capped at n={SWEEP_MAX_N}, got {max_n}")
+    if not 0 <= max_n <= SWEEP_MAX_N:
+        raise ValueError(
+            f"census is capped at n={SWEEP_MAX_N}: max_n must be from 0 to at "
+            f"most {SWEEP_MAX_N}, got {max_n}"
+        )
     feasible_n = max_n
     if graph_budget is not None:
         evaluated = 0

@@ -9,13 +9,48 @@ graph6 is the standard ASCII encoding used by graph-enumeration tools: the
 vertex count, then the upper triangle of the adjacency matrix in column-major
 order, packed six bits per character with offset 63. Our edge-mask slot order
 is exactly that bit order.
+
+Both readers refuse graphs above :data:`MAX_VERTICES` before allocating them.
 """
 
 from .graph import Graph, edge_slots, to_edge_mask
 
+# Largest vertex count accepted from text. Nothing in the solver depends on a
+# word size (alive sets are Python ints); the limit keeps a few input bytes
+# from committing the process to more than the node budget can bound.
+# Measured on a 2-vCPU Xeon, Python 3.11, with no limit:
+# - recursion: a search nests at most 2n + 2 Python frames, inside the
+#   default limit of 1000. A path plus a triangle solves at n = 255 in 2.4 s
+#   (32,386 nodes) and raises RecursionError at n = 1200.
+# - memo memory: a memo entry (dict slot plus key) takes about 102 B at
+#   n = 255 against 78 B at n = 63 (1M entries each), so the node budget
+#   still bounds the memo.
+# - adjacency: at most n * n / 8 bytes, about 8 kB at n = 255.
+MAX_VERTICES = 255
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text; the message names the offending line."""
+
+
+def _first_data_line(text: str) -> str:
+    """The first line that is neither blank nor a ``#`` comment, stripped;
+    empty when there is none."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            return line
+    return ""
+
+
+def sniff_format(text: str) -> str:
+    """``"graph6"`` or ``"edgelist"``: which format ``text`` is in.
+
+    A graph6 line contains no whitespace, so a first data line of two or more
+    fields is an edge-list header and a single field is a graph6 string.
+    Empty input counts as an edge list, whose parser names the problem.
+    """
+    return "graph6" if len(_first_data_line(text).split()) == 1 else "edgelist"
 
 
 def parse_graph(text: str) -> Graph:
@@ -42,6 +77,10 @@ def parse_graph(text: str) -> Graph:
                 ) from None
             if n < 0 or m < 0:
                 raise GraphFormatError(f"line {lineno}: negative count in header")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}"
+                )
             header_line = lineno
             rows = [0] * n
             continue
@@ -111,8 +150,12 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line; tolerates the ``>>graph6<<`` header."""
-    s = text.strip()
+    """Decode the first graph6 line of ``text``.
+
+    Blank lines and ``#`` comments before it are skipped, as in the edge-list
+    format, and the ``>>graph6<<`` header is tolerated.
+    """
+    s = _first_data_line(text)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
@@ -136,6 +179,10 @@ def from_graph6(text: str) -> Graph:
         for ch in s[1:4]:
             n = (n << 6) | (ord(ch) - 63)
         body = s[4:]
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"graph6 vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
     nslots = n * (n - 1) // 2
     expected = (nslots + 5) // 6
     if len(body) != expected:
@@ -163,16 +210,7 @@ def from_graph6(text: str) -> Graph:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse either supported format, sniffing which one applies.
-
-    A graph6 line contains no whitespace, so any line with two fields is
-    treated as an edge list; a single-field first line is decoded as graph6.
-    """
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(line.split()) >= 2:
-            return parse_graph(text)
-        return from_graph6(line)
-    raise GraphFormatError("line 1: empty input, expected header 'n m'")
+    """Parse either supported format, as :func:`sniff_format` tells."""
+    if sniff_format(text) == "graph6":
+        return from_graph6(text)
+    return parse_graph(text)

@@ -3,8 +3,8 @@
 The engine recurses on alive-vertex subsets of one host graph, splitting into
 connected components at every level and combining component values with the
 nim-sum, so positions that factor into independent subgames stay tractable.
-One engine serves both rules; the closed-form fast paths live in
-:mod:`vertexnim.theorems`.
+One engine serves both rules. :func:`solve` puts the proved closed forms in
+front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,7 @@ from .graph import Graph, MoveRule, Position, from_edge_mask, iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
-# alive sets must fit a machine word for portable memo keys
-MAX_SOLVER_VERTICES = 63
+SEARCH_METHOD = "brute-force search"
 
 GRUNDY_VALUE_BOUND = 1 << 16
 
@@ -36,9 +35,8 @@ class NodeBudgetExceeded(RuntimeError):
 class MemoTable:
     """Cache from alive-subset keys to Grundy values for one host graph.
 
-    Entries are write-once; a conflicting rewrite would mean the engine is
-    unsound and raises immediately. ``nodes_visited`` accumulates across
-    solves sharing the table and is checked against ``node_budget``.
+    ``nodes_visited`` accumulates across solves sharing the table and is
+    checked against ``node_budget``.
     """
 
     __slots__ = ("entries", "nodes_visited", "node_budget")
@@ -51,21 +49,13 @@ class MemoTable:
     def get(self, key: int):
         return self.entries.get(key)
 
-    def record(self, key: int, value: int) -> None:
-        old = self.entries.get(key)
-        if old is not None and old != value:
-            raise RuntimeError(
-                f"memo corruption: key {key:#x} rewritten from {old} to {value}"
-            )
-        self.entries[key] = value
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: the value plus search counters.
+    """Outcome of one solve: the value, search counters and the method used.
 
     ``optimal_move`` is the lowest-index removable vertex leading to a child
     of value 0; it is present exactly when ``grundy > 0``.
@@ -75,6 +65,7 @@ class SolveReport:
     nodes_visited: int
     distinct_positions: int
     optimal_move: int | None
+    method: str = SEARCH_METHOD
 
 
 def mex(values) -> int:
@@ -111,10 +102,6 @@ def grundy(
     if isinstance(position, Graph):
         position = position.full_position()
     g = position.graph
-    if g.n > MAX_SOLVER_VERTICES:
-        raise ValueError(
-            f"solver supports at most {MAX_SOLVER_VERTICES} vertices, got {g.n}"
-        )
     if memo is None:
         memo = MemoTable()
     adj = g.adj
@@ -206,6 +193,32 @@ def grundy_value(
 def grundy_even_even(g: Graph) -> int:
     """Closed form for the even/even rule: vertex-count parity."""
     return g.n & 1
+
+
+def solve(
+    graph: Graph,
+    rule: MoveRule = MoveRule.ODD,
+    memo: MemoTable | None = None,
+) -> SolveReport:
+    """Solve a whole graph by the cheapest proved method.
+
+    Under the even rule the value is the vertex-count parity; under the odd
+    rule a bipartite graph's value is its edge-count parity; anything else
+    goes to :func:`grundy` with ``memo``. A closed form visits no positions,
+    and ``method`` names the one taken.
+    """
+    if rule is MoveRule.EVEN:
+        value, method = grundy_even_even(graph), "vertex-parity closed form"
+    elif graph.is_bipartite():
+        value, method = graph.edge_count() & 1, "bipartite edge-parity fast path"
+    else:
+        return grundy(graph, rule, memo)
+    move = None
+    if value > 0:
+        # every move from a positive closed-form position wins, so the lowest
+        # removable vertex is also the search engine's deterministic choice
+        move = min(iter_bits(graph.full_position().movable_vertices(rule)))
+    return SolveReport(value, 0, 0, move, method)
 
 
 def enumerate_labeled_graphs(n: int, max_n: int = ENUMERATION_MAX_N):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from vertexnim import grundy_value, parse_graph, path_graph
+from vertexnim import grid_graph, grundy_value, parse_graph, path_graph, serialize_graph
 from vertexnim.cli import main
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
@@ -99,10 +99,20 @@ class TestSolve:
 
     def test_oversized_graph(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
-        path.write_text("64 0\n")
+        path.write_text("256 0\n")
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 2
-        assert "63" in err
+        assert "limit of 255" in err
+
+    def test_large_grid_fast_path(self, capsys, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text(serialize_graph(grid_graph(10, 10)))
+        code, out, _ = run_cli(capsys, "solve", str(path), "--records")
+        assert code == 0
+        record = json.loads(out)
+        assert record["n"] == 100 and record["edges"] == 180
+        assert record["method"] == "bipartite edge-parity fast path"
+        assert record["grundy"] == 0 and record["nodes_visited"] == 0
 
     def test_budget_exhaustion(self, capsys, tmp_path):
         path = tmp_path / "paw.txt"
@@ -138,9 +148,10 @@ class TestGenerate:
         assert record["k"] == 1 and record["base_case"]
 
     def test_size_cap(self, capsys):
-        code, _, err = run_cli(capsys, "generate", "30", "-")
-        assert code == 3
-        assert "largest feasible value is 4" in err
+        for k in ("7", "30"):
+            code, _, err = run_cli(capsys, "generate", k, "-")
+            assert code == 2
+            assert "limit of 255 vertices" in err
 
     def test_negative_k(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--", "-1", "-")
@@ -238,6 +249,11 @@ class TestCensus:
         assert code == 2
         assert "at most" in err
 
+    def test_negative_max_n(self, capsys):
+        code, out, err = run_cli(capsys, "census", "--max-n", "-1")
+        assert code == 2
+        assert out == "" and "got -1" in err
+
     def test_budget_partial(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--max-n", "6", "--budget", "100")
         assert code == 3
@@ -261,6 +277,20 @@ class TestConvert:
         code, out, _ = run_cli(capsys, "convert", p4_file, "--to", "edgelist")
         assert code == 0
         assert out.startswith("4 3")
+
+    def test_graph6_after_comment(self, capsys, tmp_path):
+        # sniffed and explicit formats accept the same texts
+        path = tmp_path / "p4.g6"
+        path.write_text("# the path on four vertices\nCh\n")
+        outputs = [
+            run_cli(capsys, "convert", str(path), *flag)
+            for flag in ((), ("--format", "graph6"))
+        ]
+        assert outputs[0] == outputs[1]
+        code, out, _ = outputs[0]
+        assert code == 0 and parse_graph(out) == path_graph(4)
+        code, out, _ = run_cli(capsys, "solve", str(path), "--format", "graph6")
+        assert code == 0 and "grundy: 1" in out
 
     def test_output_file(self, capsys, p4_file, tmp_path):
         out_path = tmp_path / "converted.g6"

@@ -10,14 +10,12 @@ from vertexnim import (
     NodeBudgetExceeded,
     Position,
     Witness,
-    WitnessSizeCapError,
     certify,
     complete_graph,
     construct_next,
     cycle_graph,
     grundy_value,
     iter_bits,
-    max_feasible_k,
     path_graph,
     tower_size,
     witness,
@@ -146,11 +144,13 @@ class TestWitnessTower:
             witness(-1)
 
     def test_size_cap(self):
-        assert max_feasible_k() == 4
-        for k in (5, 30):
-            with pytest.raises(WitnessSizeCapError) as info:
+        # the tower stops at the input vertex limit, not at a solver cap
+        w = witness(6)
+        assert w.certified and w.k == 6
+        assert w.graph.n == tower_size(6) == 147
+        for k in (7, 30, 10**12):
+            with pytest.raises(ValueError, match="limit of 255 vertices"):
                 witness(k)
-            assert info.value.max_feasible == 4
 
     def test_budget_too_small(self):
         with pytest.raises(NodeBudgetExceeded):

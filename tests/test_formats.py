@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +64,21 @@ class TestParseGraph:
         with pytest.raises(GraphFormatError, match="empty input"):
             parse_graph("   \n# nothing\n")
 
+    def test_vertex_limit(self):
+        assert parse_graph("255 0\n") == Graph(255)
+        with pytest.raises(GraphFormatError, match="line 2: 256 vertices exceed"):
+            parse_graph("# big\n256 0\n")
+
+    def test_huge_header_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="limit of 255"):
+                parse_graph("1000000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 @given(graphs(max_n=8))
 def test_edge_list_round_trip(g):
@@ -114,6 +131,14 @@ class TestGraph6:
         encoded = to_graph6(g)
         assert encoded.startswith("~")
         assert from_graph6(encoded) == g
+
+    def test_vertex_limit(self):
+        assert from_graph6(to_graph6(Graph(255))) == Graph(255)
+        with pytest.raises(GraphFormatError, match="count 256 exceeds the limit"):
+            from_graph6(to_graph6(Graph(256)))
+
+    def test_comment_before_graph6(self):
+        assert from_graph6("# comment\n\nCh\n") == path_graph(4)
 
     @given(graphs(max_n=8))
     def test_round_trip(self, g):

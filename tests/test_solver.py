@@ -13,6 +13,7 @@ from vertexnim import (
     NodeBudgetExceeded,
     complete_bipartite_graph,
     complete_graph,
+    disjoint_union,
     enumerate_labeled_graphs,
     from_edge_mask,
     grundy,
@@ -22,6 +23,7 @@ from vertexnim import (
     mex,
     nim_sum,
     path_graph,
+    solve,
     to_edge_mask,
 )
 from vertexnim.theorems import random_graph
@@ -183,13 +185,6 @@ class TestSolveReport:
 
 
 class TestMemoTable:
-    def test_write_once(self):
-        memo = MemoTable()
-        memo.record(5, 1)
-        memo.record(5, 1)
-        with pytest.raises(RuntimeError, match="memo corruption"):
-            memo.record(5, 2)
-
     def test_budget_error_carries_counts(self):
         g = complete_bipartite_graph(3, 4)
         memo = MemoTable(node_budget=3)
@@ -244,9 +239,34 @@ def test_engine_matches_naive_dp_sampled(rule):
         assert grundy_value(g, rule) == naive_subset_dp(g, rule)
 
 
-def test_vertex_cap():
-    with pytest.raises(ValueError, match="at most 63"):
-        grundy(Graph(64))
+def test_no_vertex_cap():
+    assert grundy(Graph(64)).grundy == 0
+    # paw (value 2) beside a 66-vertex path (value 1): 70 vertices, searched
+    paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    assert grundy(disjoint_union(paw, path_graph(66))).grundy == 2 ^ 1
+
+
+class TestSolve:
+    def test_methods(self):
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        assert solve(paw).method == "brute-force search"
+        assert solve(path_graph(4)).method == "bipartite edge-parity fast path"
+        assert solve(paw, MoveRule.EVEN).method == "vertex-parity closed form"
+
+    def test_closed_forms_visit_nothing(self):
+        report = solve(path_graph(200))
+        assert (report.grundy, report.nodes_visited, report.optimal_move) == (1, 0, 0)
+
+    def test_search_uses_the_memo(self):
+        memo = MemoTable(node_budget=2)
+        with pytest.raises(NodeBudgetExceeded):
+            solve(complete_graph(6), memo=memo)
+
+    @given(graphs(max_n=7), rules)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_search(self, g, rule):
+        fast, slow = solve(g, rule), grundy(g, rule)
+        assert (fast.grundy, fast.optimal_move) == (slow.grundy, slow.optimal_move)
 
 
 @given(graphs(max_n=6), rules)
