@@ -13,11 +13,11 @@ from vertexnim import (
     complete_bipartite_graph,
     complete_graph,
     grid_graph,
-    grundy_bipartite_fast,
     grundy_even_even,
     grundy_value,
     path_graph,
     replace_isolated_with_p3,
+    solve,
     star_graph,
     add_isolated_vertices,
 )
@@ -52,10 +52,11 @@ for name, g in [
     ("path on 9", path_graph(9)),
     ("K_{2,5}", complete_bipartite_graph(2, 5)),
 ]:
-    fast = grundy_bipartite_fast(g)
+    fast = solve(g)
     brute = grundy_value(g)
-    print(f"  {name:<10} |E|={g.edge_count():>2}  fast={fast}  brute={brute}")
-    assert fast == brute
+    print(f"  {name:<10} |E|={g.edge_count():>2}  fast={fast.grundy}  brute={brute}")
+    assert fast.grundy == brute == g.edge_count() % 2
+    assert fast.method == "bipartite edge-parity fast path"
 
 print()
 print("== isolated vertices are interchangeable with 3-paths ==")

@@ -91,7 +91,6 @@ from .theorems import (
     closed_form_complete_bipartite,
     closed_form_path,
     closed_form_star,
-    grundy_bipartite_fast,
     random_bipartite_graph,
     random_graph,
     replace_isolated_with_p3,

@@ -90,8 +90,11 @@ def grundy_tables(
     indexed by edge mask. The optional budget counts graph evaluations and is
     checked before each level so a refusal is explicit, never a wrong answer.
     """
-    if max_n > SWEEP_MAX_N:
-        raise ValueError(f"exhaustive sweep capped at n={SWEEP_MAX_N}, got {max_n}")
+    if not 0 <= max_n <= SWEEP_MAX_N:
+        raise ValueError(
+            f"exhaustive sweep is capped at n={SWEEP_MAX_N}: max_n must be from 0 "
+            f"to at most {SWEEP_MAX_N}, got {max_n}"
+        )
     want_odd = rule is MoveRule.ODD
     tables = [bytearray([0])]
     evaluated = 1
@@ -133,8 +136,11 @@ def bipartite_table(n: int) -> bytearray:
     vertex subset. Independent of the breadth-first coloring in
     :meth:`Graph.bipartition`, which makes the two usable as cross-checks.
     """
-    if n > SWEEP_MAX_N:
-        raise ValueError(f"bipartite table capped at n={SWEEP_MAX_N}, got {n}")
+    if not 0 <= n <= SWEEP_MAX_N:
+        raise ValueError(
+            f"bipartite table is capped at n={SWEEP_MAX_N}: n must be from 0 to "
+            f"at most {SWEEP_MAX_N}, got {n}"
+        )
     pairs = edge_slots(n)
     flags = bytearray(1 << len(pairs))
     for cut in range(1 << n):

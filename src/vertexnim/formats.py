@@ -15,7 +15,8 @@ Both readers refuse graphs above :data:`MAX_VERTICES` before allocating them.
 
 from .graph import Graph, edge_slots, to_edge_mask
 
-# Largest vertex count accepted from text. Nothing in the solver depends on a
+# Largest vertex count accepted from text, and the most alive vertices
+# solver.grundy will search (it refuses more). Nothing in the solver depends on a
 # word size (alive sets are Python ints); the limit keeps a few input bytes
 # from committing the process to more than the node budget can bound.
 # Measured on a 2-vCPU Xeon, Python 3.11, with no limit:

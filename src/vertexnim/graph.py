@@ -254,6 +254,8 @@ class Position:
 
 def from_edge_mask(n: int, mask: int) -> Graph:
     """Graph for an edge-mask encoding (see module docstring)."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     slots = edge_slots(n)
     if mask >> len(slots):
         raise ValueError(f"edge mask {mask:#x} too large for n={n}")

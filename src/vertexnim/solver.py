@@ -9,6 +9,7 @@ front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 
 from dataclasses import dataclass
 
+from .formats import MAX_VERTICES
 from .graph import Graph, MoveRule, Position, from_edge_mask, iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -98,9 +99,17 @@ def grundy(
     Accepts a Graph as shorthand for its full position. The memo may be
     reused across solves of positions of the same host graph and rule;
     reuse changes the counters but never the value or the optimal move.
+    Positions above :data:`~vertexnim.formats.MAX_VERTICES` alive vertices
+    are refused with ``ValueError`` before the recursion can overflow.
     """
     if isinstance(position, Graph):
         position = position.full_position()
+    alive_count = position.alive.bit_count()
+    if alive_count > MAX_VERTICES:
+        raise ValueError(
+            f"search is limited to {MAX_VERTICES} alive vertices, got "
+            f"{alive_count}; its recursion nests up to 2n + 2 frames"
+        )
     g = position.graph
     if memo is None:
         memo = MemoTable()

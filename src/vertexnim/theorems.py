@@ -8,7 +8,7 @@ of aborting, so a failure report alone reproduces the offending graph.
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .exhaustive import SWEEP_MAX_N, bipartite_table, grundy_tables
 from .families import (
@@ -30,6 +30,7 @@ from .graph import (
 )
 from .solver import (
     DEFAULT_NODE_BUDGET,
+    SEARCH_METHOD,
     MemoTable,
     NodeBudgetExceeded,
     enumerate_labeled_graphs,
@@ -37,6 +38,7 @@ from .solver import (
     grundy_value,
     mex,
     nim_sum,
+    solve,
 )
 
 FAILURE_CAP = 1000
@@ -73,12 +75,7 @@ class CheckFailure:
     note: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "expected": self.expected,
-            "got": self.got,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -98,6 +95,17 @@ class TheoremCheckResult:
             self.failures.append(failure)
         else:
             self.truncated = True
+
+    def fail(self, graph: Graph, expected, got, note: str = "") -> None:
+        """Record a counterexample without counting an instance, for loops that
+        compare inline so a passing instance encodes no graph6 for its note."""
+        self.add_failure(CheckFailure(to_graph6(graph), expected, got, note))
+
+    def check(self, graph: Graph, expected, got, note: str = "") -> None:
+        """Count one instance on ``graph``; record it if ``got != expected``."""
+        self.instances_checked += 1
+        if got != expected:
+            self.fail(graph, expected, got, note)
 
     def to_record(self) -> dict:
         return {
@@ -159,17 +167,6 @@ def closed_form_complete_bipartite(n: int, m: int) -> int:
     return 1 if n % 2 == 1 and m % 2 == 1 else 0
 
 
-def grundy_bipartite_fast(g: Graph) -> int:
-    """Grundy value of a bipartite graph: its edge-count parity.
-
-    The caller owns the bipartiteness check; non-bipartite input is an error,
-    never a silently wrong value.
-    """
-    if not g.is_bipartite():
-        raise ValueError("bipartite fast path called on a non-bipartite graph")
-    return g.edge_count() & 1
-
-
 def replace_isolated_with_p3(g: Graph) -> Graph:
     """Grow every degree-0 vertex into a fresh 3-vertex path component.
 
@@ -213,14 +210,13 @@ def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
 def check_closed_forms(
     max_n: int = 12,
     max_side: int = 5,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Solver versus the closed forms for paths, complete graphs, stars, and
     complete bipartite graphs."""
     result = TheoremCheckResult(
         TheoremId.CLOSED_FORMS, scale={"max_n": max_n, "max_side": max_side}
     )
-    node_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
     families = (
         ("path", path_graph, closed_form_path),
         ("complete", complete_graph, closed_form_complete),
@@ -229,29 +225,19 @@ def check_closed_forms(
     for n in range(1, max_n + 1):
         for name, build, formula in families:
             g = build(n)
-            got = grundy_value(g, memo=MemoTable(node_budget))
-            expected = formula(n)
-            result.instances_checked += 1
-            if got != expected:
-                result.add_failure(
-                    CheckFailure(to_graph6(g), expected, got, f"{name} n={n}")
-                )
+            got = grundy_value(g, memo=MemoTable(budget))
+            result.check(g, formula(n), got, f"{name} n={n}")
     for a in range(1, max_side + 1):
         for b in range(1, max_side + 1):
             g = complete_bipartite_graph(a, b)
-            got = grundy_value(g, memo=MemoTable(node_budget))
-            expected = closed_form_complete_bipartite(a, b)
-            result.instances_checked += 1
-            if got != expected:
-                result.add_failure(
-                    CheckFailure(to_graph6(g), expected, got, f"K_{{{a},{b}}}")
-                )
+            got = grundy_value(g, memo=MemoTable(budget))
+            result.check(g, closed_form_complete_bipartite(a, b), got, f"K_{{{a},{b}}}")
     return result
 
 
 def check_bipartite_parity(
     max_n: int = SWEEP_MAX_N,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Every bipartite labeled graph's value equals its edge-count parity,
     exhaustively up to ``max_n`` vertices, plus grid spot checks."""
@@ -268,28 +254,17 @@ def check_bipartite_parity(
             got = table[mask]
             result.instances_checked += 1
             if got != expected:
-                result.add_failure(
-                    CheckFailure(to_graph6(from_edge_mask(k, mask)), expected, got)
-                )
+                result.fail(from_edge_mask(k, mask), expected, got)
             if result.instances_checked % ENGINE_CROSSCHECK_STRIDE == 0:
                 g = from_edge_mask(k, mask)
-                direct = grundy_value(g)
+                direct = grundy_value(g, memo=MemoTable(budget))
                 crosschecks += 1
                 if direct != got:
-                    result.add_failure(
-                        CheckFailure(
-                            to_graph6(g), got, direct, "sweep vs per-graph engine"
-                        )
-                    )
+                    result.fail(g, got, direct, "sweep vs per-graph engine")
     for rows, cols in ((2, 2), (2, 3), (3, 3)):
         g = grid_graph(rows, cols)
-        expected = g.edge_count() & 1
-        got = grundy_value(g)
-        result.instances_checked += 1
-        if got != expected:
-            result.add_failure(
-                CheckFailure(to_graph6(g), expected, got, f"grid {rows}x{cols}")
-            )
+        got = grundy_value(g, memo=MemoTable(budget))
+        result.check(g, g.edge_count() & 1, got, f"grid {rows}x{cols}")
     result.scale["engine_crosschecks"] = crosschecks
     return result
 
@@ -342,13 +317,8 @@ def check_terminal_edge_parity(max_n: int = 6) -> TheoremCheckResult:
                     continue
                 result.instances_checked += 1
                 if (edges2 // 2) % 2 != 0:
-                    result.add_failure(
-                        CheckFailure(
-                            to_graph6(g),
-                            "even edge count",
-                            edges2 // 2,
-                            f"terminal alive set {alive:#x}",
-                        )
+                    result.fail(
+                        g, "even edge count", edges2 // 2, f"terminal alive set {alive:#x}"
                     )
     return result
 
@@ -384,13 +354,11 @@ def check_euler_terminal(
         eulerian = p.has_eulerian_components()
         result.instances_checked += 1
         if not (terminal == all_even == eulerian):
-            result.add_failure(
-                CheckFailure(
-                    to_graph6(p.graph),
-                    "terminal == all-even == eulerian",
-                    (terminal, all_even, eulerian),
-                    f"alive set {alive:#x}",
-                )
+            result.fail(
+                p.graph,
+                "terminal == all-even == eulerian",
+                (terminal, all_even, eulerian),
+                f"alive set {alive:#x}",
             )
 
     for n in range(max_n + 1):
@@ -405,7 +373,7 @@ def check_euler_terminal(
 
 def check_even_even(
     max_n: int = SWEEP_MAX_N,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """The even-rule engine value equals the vertex-count parity for every
     labeled graph up to ``max_n`` vertices."""
@@ -420,19 +388,13 @@ def check_even_even(
         if table.count(expected) != size:
             for mask, got in enumerate(table):
                 if got != expected:
-                    result.add_failure(
-                        CheckFailure(to_graph6(from_edge_mask(k, mask)), expected, got)
-                    )
+                    result.fail(from_edge_mask(k, mask), expected, got)
         for mask in range(0, size, ENGINE_CROSSCHECK_STRIDE):
             g = from_edge_mask(k, mask)
-            direct = grundy_value(g, MoveRule.EVEN)
+            direct = grundy_value(g, MoveRule.EVEN, MemoTable(budget))
             crosschecks += 1
             if direct != table[mask]:
-                result.add_failure(
-                    CheckFailure(
-                        to_graph6(g), table[mask], direct, "sweep vs per-graph engine"
-                    )
-                )
+                result.fail(g, table[mask], direct, "sweep vs per-graph engine")
     result.scale["engine_crosschecks"] = crosschecks
     return result
 
@@ -441,34 +403,26 @@ def check_nim_sum(
     pairs: int = 500,
     max_n: int = 9,
     seed: int = NIM_SUM_SEED,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Value of a disjoint union equals the nim-sum of the parts' values, on
     seeded random graph pairs."""
     result = TheoremCheckResult(
         TheoremId.NIM_SUM, scale={"pairs": pairs, "max_n": max_n, "seed": seed}
     )
-    node_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
     rng = random.Random(seed)
     for _ in range(pairs):
         g = random_graph(rng, rng.randint(0, max_n))
         h = random_graph(rng, rng.randint(0, max_n))
         union = disjoint_union(g, h)
         expected = nim_sum(
-            grundy_value(g, memo=MemoTable(node_budget)),
-            grundy_value(h, memo=MemoTable(node_budget)),
+            grundy_value(g, memo=MemoTable(budget)),
+            grundy_value(h, memo=MemoTable(budget)),
         )
-        got = grundy_value(union, memo=MemoTable(node_budget))
+        got = grundy_value(union, memo=MemoTable(budget))
         result.instances_checked += 1
         if got != expected:
-            result.add_failure(
-                CheckFailure(
-                    to_graph6(union),
-                    expected,
-                    got,
-                    f"parts {to_graph6(g)} and {to_graph6(h)}",
-                )
-            )
+            result.fail(union, expected, got, f"parts {to_graph6(g)} and {to_graph6(h)}")
     return result
 
 
@@ -477,7 +431,7 @@ def check_isolated_substitution(
     max_n: int = 8,
     max_padding: int = 3,
     seed: int = SUBSTITUTION_SEED,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Replacing isolated vertices with 3-paths preserves the Grundy value,
     on seeded random graphs padded with extra isolated vertices."""
@@ -490,21 +444,16 @@ def check_isolated_substitution(
             "seed": seed,
         },
     )
-    node_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
     rng = random.Random(seed)
     for _ in range(count):
         g = random_graph(rng, rng.randint(0, max_n))
         g = add_isolated_vertices(g, rng.randint(0, max_padding))
         replaced = replace_isolated_with_p3(g)
-        expected = grundy_value(g, memo=MemoTable(node_budget))
-        got = grundy_value(replaced, memo=MemoTable(node_budget))
+        expected = grundy_value(g, memo=MemoTable(budget))
+        got = grundy_value(replaced, memo=MemoTable(budget))
         result.instances_checked += 1
         if got != expected:
-            result.add_failure(
-                CheckFailure(
-                    to_graph6(g), expected, got, f"replaced: {to_graph6(replaced)}"
-                )
-            )
+            result.fail(g, expected, got, f"replaced: {to_graph6(replaced)}")
     return result
 
 
@@ -512,29 +461,27 @@ def check_bipartite_fast_path(
     count: int = 500,
     max_n: int = 12,
     seed: int = FAST_PATH_SEED,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
-    """The bipartite fast path agrees with the engine on seeded random
-    bipartite graphs beyond the exhaustive range."""
+    """:func:`~vertexnim.solver.solve` takes a closed form on seeded random
+    bipartite graphs beyond the exhaustive range and agrees with the engine."""
     result = TheoremCheckResult(
         TheoremId.BIPARTITE_PARITY,
         scale={"count": count, "max_n": max_n, "seed": seed, "check": "fast-path"},
     )
-    node_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
     rng = random.Random(seed)
     for _ in range(count):
         g = random_bipartite_graph(rng, rng.randint(1, max_n))
-        expected = grundy_bipartite_fast(g)
-        got = grundy_value(g, memo=MemoTable(node_budget))
-        result.instances_checked += 1
-        if got != expected:
-            result.add_failure(CheckFailure(to_graph6(g), expected, got))
+        report = solve(g)
+        # a solve that fell back to search is a failure even with the right value
+        got = report.grundy if report.method != SEARCH_METHOD else report.method
+        result.check(g, grundy_value(g, memo=MemoTable(budget)), got)
     return result
 
 
 def check_witness_construction(
     max_k: int = 4,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Witness graphs certify to their target values, their apex children
     realize exactly the claimed component values, and the root value is the
@@ -542,59 +489,39 @@ def check_witness_construction(
     from .construction import witness
 
     result = TheoremCheckResult(TheoremId.WITNESS_CONSTRUCTION, scale={"max_k": max_k})
-    node_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
     for k in range(max_k + 1):
-        w = witness(k, node_budget=node_budget)
-        g6 = to_graph6(w.graph)
+        w = witness(k, node_budget=budget)
+        g = w.graph
         result.instances_checked += 1
         if not w.certified:
-            result.add_failure(
-                CheckFailure(g6, "certified", False, f"witness({k})")
-            )
+            result.fail(g, "certified", False, f"witness({k})")
             continue
         result.instances_checked += 1
-        if not w.graph.is_connected():
-            result.add_failure(
-                CheckFailure(g6, "connected", False, f"witness({k})")
-            )
+        if not g.is_connected():
+            result.fail(g, "connected", False, f"witness({k})")
         if w.recipe is None:
             continue
         recipe = w.recipe
-        memo = MemoTable(node_budget)
-        full = (1 << w.graph.n) - 1
+        memo = MemoTable(budget)
+        full = (1 << g.n) - 1
         child_values = []
         for part in recipe.parts:
             apex = recipe.apex_vertex(part.index)
-            got = grundy_value(
-                Position(w.graph, full ^ (1 << apex)), memo=memo
-            )
+            got = grundy_value(Position(g, full ^ (1 << apex)), memo=memo)
             child_values.append(got)
-            result.instances_checked += 1
-            if got != part.claimed_grundy:
-                result.add_failure(
-                    CheckFailure(
-                        g6,
-                        part.claimed_grundy,
-                        got,
-                        f"witness({k}) child at apex {apex}",
-                    )
-                )
-        result.instances_checked += 1
-        if mex(child_values) != k:
-            result.add_failure(
-                CheckFailure(g6, k, mex(child_values), f"witness({k}) root mex")
+            result.check(
+                g, part.claimed_grundy, got, f"witness({k}) child at apex {apex}"
             )
+        result.check(g, k, mex(child_values), f"witness({k}) root mex")
         apex_set = recipe.apex_set()
-        movable = w.graph.full_position().movable_vertices(MoveRule.ODD)
+        movable = g.full_position().movable_vertices(MoveRule.ODD)
         result.instances_checked += 1
         if movable != apex_set:
-            result.add_failure(
-                CheckFailure(
-                    g6,
-                    f"movable set {apex_set:#x}",
-                    f"{movable:#x}",
-                    f"witness({k}) root movable vertices",
-                )
+            result.fail(
+                g,
+                f"movable set {apex_set:#x}",
+                f"{movable:#x}",
+                f"witness({k}) root movable vertices",
             )
     return result
 
@@ -635,7 +562,7 @@ def verify_theorem(
         if theorem is TheoremId.BIPARTITE_PARITY:
             parity_max_n = max_n if max_n is not None else SWEEP_MAX_N
             parts = [
-                check_bipartite_parity(max_n=parity_max_n, budget=budget),
+                check_bipartite_parity(**args(max_n=parity_max_n, budget=budget)),
                 check_terminal_edge_parity(max_n=min(parity_max_n, 6)),
                 check_bipartite_fast_path(
                     **args(count=count, seed=seed, budget=budget)

@@ -209,6 +209,15 @@ class TestVerify:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_bounds_every_solve(self, capsys):
+        # the sweep and the sample fit in 30, the 3x3 grid spot check does not
+        code, _, err = run_cli(
+            capsys, "verify", "bipartite-parity", "--max-n", "2", "--count", "1",
+            "--budget", "30",
+        )
+        assert code == 3
+        assert "budget" in err
+
     def test_records_are_byte_deterministic(self, capsys):
         argv = ("verify", "nim-sum", "--count", "30", "--seed", "11", "--records")
         _, first, _ = run_cli(capsys, *argv)

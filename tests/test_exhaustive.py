@@ -62,6 +62,10 @@ class TestGrundyTables:
         with pytest.raises(ValueError, match="capped"):
             grundy_tables(8)
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="from 0 to at most 7, got -3"):
+            grundy_tables(-3)
+
     def test_budget(self):
         with pytest.raises(NodeBudgetExceeded):
             grundy_tables(7, graph_budget=1000)
@@ -81,6 +85,10 @@ class TestBipartiteTable:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             bipartite_table(8)
+
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="from 0 to at most 7, got -2"):
+            bipartite_table(-2)
 
 
 class TestCensus:

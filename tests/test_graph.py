@@ -247,6 +247,11 @@ def test_add_isolated_vertices():
         add_isolated_vertices(g, -1)
 
 
+def test_from_edge_mask_negative_n():
+    with pytest.raises(ValueError, match="nonnegative"):
+        from_edge_mask(-1, 0)
+
+
 def test_position_alive_out_of_range():
     with pytest.raises(ValueError, match="alive"):
         Position(path_graph(3), 0b1000)

@@ -13,9 +13,11 @@ from vertexnim import (
     NodeBudgetExceeded,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     enumerate_labeled_graphs,
     from_edge_mask,
+    grid_graph,
     grundy,
     grundy_even_even,
     grundy_value,
@@ -142,6 +144,19 @@ class TestEnumeration:
             next(enumerate_labeled_graphs(8))
 
 
+class TestSearchSizeLimit:
+    def test_deep_search_refused(self):
+        # path plus triangle: the recursion would nest about 2n frames
+        g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(0, 2)])
+        with pytest.raises(ValueError, match="limited to 255 alive vertices"):
+            grundy_value(g)
+
+    def test_limit_counts_alive_vertices(self):
+        assert grundy_value(Position(Graph(1000), (1 << 255) - 1)) == 0
+        with pytest.raises(ValueError, match="got 256"):
+            grundy_value(Position(Graph(1000), (1 << 256) - 1))
+
+
 class TestSolveReport:
     def test_optimal_move_present_iff_positive(self):
         rng = random.Random(7)
@@ -252,6 +267,20 @@ class TestSolve:
         assert solve(paw).method == "brute-force search"
         assert solve(path_graph(4)).method == "bipartite edge-parity fast path"
         assert solve(paw, MoveRule.EVEN).method == "vertex-parity closed form"
+
+    @pytest.mark.parametrize(
+        "g,value",
+        [
+            pytest.param(cycle_graph(6), 0, id="C6"),
+            pytest.param(path_graph(4), 1, id="P4"),
+            pytest.param(grid_graph(2, 3), 1, id="grid2x3"),
+            # far above the search limit: closed forms have none
+            pytest.param(path_graph(1000), 1, id="P1000"),
+        ],
+    )
+    def test_bipartite_values(self, g, value):
+        report = solve(g)
+        assert (report.grundy, report.method) == (value, "bipartite edge-parity fast path")
 
     def test_closed_forms_visit_nothing(self):
         report = solve(path_graph(200))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -25,8 +26,6 @@ from vertexnim import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    grid_graph,
-    grundy_bipartite_fast,
     grundy_value,
     path_graph,
     random_bipartite_graph,
@@ -34,6 +33,7 @@ from vertexnim import (
     replace_isolated_with_p3,
     verify_theorem,
 )
+from vertexnim.solver import grundy, solve
 from vertexnim.theorems import CheckFailure, _reachable_masks
 
 
@@ -52,23 +52,6 @@ class TestClosedForms:
                 formula(0)
         with pytest.raises(ValueError):
             closed_form_complete_bipartite(0, 3)
-
-
-class TestBipartiteFastPath:
-    def test_even_cycle(self):
-        assert grundy_bipartite_fast(cycle_graph(6)) == 0
-
-    def test_path(self):
-        assert grundy_bipartite_fast(path_graph(4)) == 1
-
-    def test_grid_2x3(self):
-        g = grid_graph(2, 3)
-        assert g.edge_count() == 7
-        assert grundy_bipartite_fast(g) == 1
-
-    def test_non_bipartite_rejected(self):
-        with pytest.raises(ValueError, match="non-bipartite"):
-            grundy_bipartite_fast(complete_graph(3))
 
 
 class TestReplaceIsolated:
@@ -162,6 +145,22 @@ class TestCheckSuites:
     def test_fast_path_small(self):
         result = check_bipartite_fast_path(count=25, max_n=9, seed=3)
         assert result.passed
+
+    def test_fast_path_checks_solve_value(self, monkeypatch):
+        def wrong(g, *args, **kwargs):
+            report = solve(g, *args, **kwargs)
+            return dataclasses.replace(report, grundy=report.grundy ^ 1)
+
+        monkeypatch.setattr("vertexnim.theorems.solve", wrong)
+        result = check_bipartite_fast_path(count=5, max_n=6, seed=3)
+        assert result.instances_checked == 5
+        assert len(result.failures) == 5 and not result.passed
+
+    def test_fast_path_requires_a_closed_form(self, monkeypatch):
+        # the right value from search is still a failure of the fast path
+        monkeypatch.setattr("vertexnim.theorems.solve", lambda g: grundy(g))
+        result = check_bipartite_fast_path(count=3, max_n=6, seed=3)
+        assert [f.got for f in result.failures] == ["brute-force search"] * 3
 
     def test_witness_small(self):
         result = check_witness_construction(max_k=2)
