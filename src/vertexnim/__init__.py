@@ -28,13 +28,11 @@ from .exhaustive import (
     bipartite_table,
     census,
     grundy_tables,
-    minimal_example,
 )
 from .families import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    empty_graph,
     grid_graph,
     path_graph,
     star_graph,
@@ -57,7 +55,6 @@ from .graph import (
     edge_slots,
     from_edge_mask,
     iter_bits,
-    slot_index,
     to_edge_mask,
 )
 from .solver import (

@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     convert.set_defaults(func=cmd_convert)
 
-    for p in (solve, generate, verify, census_cmd, convert):
+    for p in (solve, generate, verify, census_cmd):
         p.add_argument("--budget", type=int, help="position/graph evaluation cap")
+    for p in (solve, generate, verify, census_cmd, convert):
         p.add_argument(
             "--records",
             action="store_true",

@@ -65,9 +65,6 @@ class ConstructionRecipe:
     apex_edges: tuple
     clique_edges: tuple
 
-    def index_set(self) -> tuple:
-        return tuple(p.index for p in self.parts)
-
     def part_offset(self, index: int) -> int:
         offset = 0
         for p in self.parts:
@@ -211,20 +208,14 @@ def construct_next(
     return Witness(K + 1, graph, recipe, certified=False)
 
 
-def certify(
-    w: Witness,
-    node_budget: int | None = DEFAULT_NODE_BUDGET,
-    memo: MemoTable | None = None,
-) -> Witness:
+def certify(w: Witness, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Witness:
     """Solve the witness graph and confirm the claimed value.
 
     Returns a certified copy on success; a mismatch raises
     :class:`ConstructionSoundnessError`. Budget exhaustion propagates as
     :class:`~vertexnim.solver.NodeBudgetExceeded`.
     """
-    if memo is None:
-        memo = MemoTable(node_budget)
-    got = grundy_value(w.graph, memo=memo)
+    got = grundy_value(w.graph, memo=MemoTable(node_budget))
     if got != w.k:
         raise ConstructionSoundnessError(w, got)
     return replace(w, certified=True)

@@ -13,7 +13,7 @@ isomorphism reduction: every labeled graph is enumerated and valued.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graph import Graph, MoveRule, from_edge_mask, edge_slots
+from .graph import MoveRule, from_edge_mask, edge_slots
 from .solver import NodeBudgetExceeded
 
 SWEEP_MAX_N = 7
@@ -239,8 +239,3 @@ def census(
         value: from_edge_mask(k, mask) for value, (k, e, mask) in sorted(minima.items())
     }
     return report
-
-
-def minimal_example(value: int, max_n: int = SWEEP_MAX_N) -> Graph | None:
-    """First labeled graph of Grundy value ``value`` by (n, edge count, mask)."""
-    return census(max_n).minimal_examples.get(value)

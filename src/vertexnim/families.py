@@ -3,10 +3,6 @@
 from .graph import Graph
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def path_graph(n: int) -> Graph:
     """Path on ``n`` vertices, edges ``i -- i+1``."""
     return Graph(n, [(i, i + 1) for i in range(n - 1)])

@@ -13,7 +13,7 @@ is exactly that bit order.
 Both readers refuse graphs above :data:`MAX_VERTICES` before allocating them.
 """
 
-from .graph import Graph, edge_slots, to_edge_mask
+from .graph import Graph, from_edge_mask, to_edge_mask
 
 # Largest vertex count accepted from text, and the most alive vertices
 # solver.grundy will search (it refuses more). Nothing in the solver depends on a
@@ -137,17 +137,13 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError(f"graph6 encoding for n={n} not supported (max {_G6_MAX_LONG})")
-    mask = to_edge_mask(g)
-    nslots = n * (n - 1) // 2
-    chars = []
-    for group in range((nslots + 5) // 6):
-        val = 0
-        for t in range(6):
-            s = 6 * group + t
-            if s < nslots and mask >> s & 1:
-                val |= 1 << (5 - t)
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # the edge-mask bits, slot 0 first; a sentinel bit above the last slot
+    # keeps bin() from dropping empty high slots and is cut off with "0b"
+    bits = bin(to_edge_mask(g) | 1 << n * (n - 1) // 2)[:2:-1]
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(
+        chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6)
+    )
 
 
 def from_graph6(text: str) -> Graph:
@@ -190,24 +186,10 @@ def from_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(body)} characters, expected {expected} for n={n}"
         )
-    mask = 0
-    for group, ch in enumerate(body):
-        val = ord(ch) - 63
-        for t in range(6):
-            if val >> (5 - t) & 1:
-                s_idx = 6 * group + t
-                if s_idx >= nslots:
-                    raise GraphFormatError("nonzero padding bits in graph6 body")
-                mask |= 1 << s_idx
-    slots = edge_slots(n)
-    rows = [0] * n
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        i, j = slots[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph._from_adj(n, tuple(rows))
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[nslots:]:
+        raise GraphFormatError("nonzero padding bits in graph6 body")
+    return from_edge_mask(n, int(bits[:nslots][::-1] or "0", 2))
 
 
 def load_graph(text: str) -> Graph:

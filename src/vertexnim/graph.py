@@ -42,13 +42,6 @@ def edge_slots(n: int) -> tuple:
     return tuple((i, j) for j in range(n) for i in range(j))
 
 
-def slot_index(i: int, j: int) -> int:
-    """Slot number of the edge ``{i, j}`` (any order, ``i != j``)."""
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
-
-
 class Graph:
     """A simple undirected graph with a fixed vertex count.
 
@@ -271,9 +264,10 @@ def from_edge_mask(n: int, mask: int) -> Graph:
 
 def to_edge_mask(g: Graph) -> int:
     """Inverse of :func:`from_edge_mask`."""
+    # column j's slots i < j start at slot j(j-1)/2, in the order of bits i
     mask = 0
-    for u, v in g.edges():
-        mask |= 1 << slot_index(u, v)
+    for j, row in enumerate(g.adj):
+        mask |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
     return mask
 
 

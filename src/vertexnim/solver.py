@@ -47,9 +47,6 @@ class MemoTable:
         self.nodes_visited = 0
         self.node_budget = node_budget
 
-    def get(self, key: int):
-        return self.entries.get(key)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -230,10 +227,12 @@ def solve(
     return SolveReport(value, 0, 0, move, method)
 
 
-def enumerate_labeled_graphs(n: int, max_n: int = ENUMERATION_MAX_N):
+def enumerate_labeled_graphs(n: int):
     """Yield every labeled simple graph on ``n`` vertices, in edge-mask order."""
-    if n > max_n:
-        raise ValueError(f"full enumeration capped at n={max_n}, got {n}")
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}"
+        )
     nslots = n * (n - 1) // 2
     for mask in range(1 << nslots):
         yield from_edge_mask(n, mask)

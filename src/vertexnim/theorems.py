@@ -7,6 +7,7 @@ of aborting, so a failure report alone reproduces the offending graph.
 """
 
 import enum
+import inspect
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -333,7 +334,14 @@ def check_euler_terminal(
     Full alive sets are checked for every labeled graph; positions with dead
     vertices relabel to smaller enumerated graphs, and are additionally
     checked directly for every alive subset up to ``all_subsets_max_n``.
+    That part does not shrink with ``max_n``: at ``max_n=3`` it still checks
+    every alive subset of every graph on up to 5 vertices.
     """
+    if max_n > SWEEP_MAX_N:
+        raise ValueError(
+            f"euler-terminal is capped at n={SWEEP_MAX_N}: max_n must be at most "
+            f"{SWEEP_MAX_N}, got {max_n}"
+        )
     result = TheoremCheckResult(
         TheoremId.EULER_TERMINAL,
         scale={"max_n": max_n, "all_subsets_max_n": all_subsets_max_n},
@@ -400,18 +408,18 @@ def check_even_even(
 
 
 def check_nim_sum(
-    pairs: int = 500,
+    count: int = 500,
     max_n: int = 9,
     seed: int = NIM_SUM_SEED,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Value of a disjoint union equals the nim-sum of the parts' values, on
-    seeded random graph pairs."""
+    ``count`` seeded random graph pairs."""
     result = TheoremCheckResult(
-        TheoremId.NIM_SUM, scale={"pairs": pairs, "max_n": max_n, "seed": seed}
+        TheoremId.NIM_SUM, scale={"pairs": count, "max_n": max_n, "seed": seed}
     )
     rng = random.Random(seed)
-    for _ in range(pairs):
+    for _ in range(count):
         g = random_graph(rng, rng.randint(0, max_n))
         h = random_graph(rng, rng.randint(0, max_n))
         union = disjoint_union(g, h)
@@ -526,6 +534,47 @@ def check_witness_construction(
     return result
 
 
+def _bipartite_parity_suite(
+    max_n: int = SWEEP_MAX_N,
+    count: int = 500,
+    seed: int = FAST_PATH_SEED,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> TheoremCheckResult:
+    """The edge-parity law three ways, as one result: the exhaustive sweep up
+    to ``max_n`` vertices, terminal positions up to ``min(max_n, 6)``, and
+    :func:`solve`'s fast path on ``count`` seeded random bipartite graphs."""
+    parts = [
+        check_bipartite_parity(max_n, budget),
+        check_terminal_edge_parity(min(max_n, 6)),
+        check_bipartite_fast_path(count, seed=seed, budget=budget),
+    ]
+    merged = TheoremCheckResult(
+        TheoremId.BIPARTITE_PARITY, scale={"parts": [p.scale for p in parts]}
+    )
+    for p in parts:
+        merged.instances_checked += p.instances_checked
+        for f in p.failures:
+            merged.add_failure(f)
+        merged.truncated = merged.truncated or p.truncated
+    return merged
+
+
+# each suite's keyword parameters are the scale flags it takes
+SUITES = {
+    TheoremId.NIM_SUM: check_nim_sum,
+    TheoremId.EVEN_EVEN: check_even_even,
+    TheoremId.CLOSED_FORMS: check_closed_forms,
+    TheoremId.EULER_TERMINAL: check_euler_terminal,
+    TheoremId.BIPARTITE_PARITY: _bipartite_parity_suite,
+    TheoremId.ISOLATED_SUBSTITUTION: check_isolated_substitution,
+    TheoremId.WITNESS_CONSTRUCTION: check_witness_construction,
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def verify_theorem(
     theorem: TheoremId,
     *,
@@ -537,47 +586,26 @@ def verify_theorem(
 ) -> TheoremCheckResult:
     """Run the verification suite for one theorem at the given scale.
 
-    Omitted scale parameters take each suite's documented defaults. Budget
-    exhaustion raises :class:`TheoremBudgetError`.
+    Omitted scale parameters take each suite's documented defaults. A
+    parameter the suite does not take, a ``count`` below 1 or a negative
+    ``max_n`` or ``max_k`` raises ``ValueError``; budget exhaustion raises
+    :class:`TheoremBudgetError`.
     """
-
-    def args(**pairs):
-        return {k: v for k, v in pairs.items() if v is not None}
-
+    theorem = TheoremId(theorem)
+    suite = SUITES[theorem]
+    scale = dict(max_n=max_n, count=count, seed=seed, max_k=max_k, budget=budget)
+    scale = {name: value for name, value in scale.items() if value is not None}
+    ignored = sorted(scale.keys() - inspect.signature(suite).parameters.keys())
+    if ignored:
+        flags = ", ".join(map(_flag, ignored))
+        raise ValueError(f"{theorem.value} does not take {flags}")
+    for name, least in (("count", 1), ("max_n", 0), ("max_k", 0)):
+        if scale.get(name, least) < least:
+            raise ValueError(
+                f"{theorem.value}: {_flag(name)} must be at least {least}, "
+                f"got {scale[name]}"
+            )
     try:
-        if theorem is TheoremId.NIM_SUM:
-            return check_nim_sum(**args(pairs=count, max_n=max_n, seed=seed, budget=budget))
-        if theorem is TheoremId.EVEN_EVEN:
-            return check_even_even(**args(max_n=max_n, budget=budget))
-        if theorem is TheoremId.CLOSED_FORMS:
-            return check_closed_forms(**args(max_n=max_n, budget=budget))
-        if theorem is TheoremId.EULER_TERMINAL:
-            return check_euler_terminal(**args(max_n=max_n))
-        if theorem is TheoremId.ISOLATED_SUBSTITUTION:
-            return check_isolated_substitution(
-                **args(count=count, max_n=max_n, seed=seed, budget=budget)
-            )
-        if theorem is TheoremId.WITNESS_CONSTRUCTION:
-            return check_witness_construction(**args(max_k=max_k, budget=budget))
-        if theorem is TheoremId.BIPARTITE_PARITY:
-            parity_max_n = max_n if max_n is not None else SWEEP_MAX_N
-            parts = [
-                check_bipartite_parity(**args(max_n=parity_max_n, budget=budget)),
-                check_terminal_edge_parity(max_n=min(parity_max_n, 6)),
-                check_bipartite_fast_path(
-                    **args(count=count, seed=seed, budget=budget)
-                ),
-            ]
-            merged = TheoremCheckResult(
-                TheoremId.BIPARTITE_PARITY,
-                scale={"parts": [p.scale for p in parts]},
-            )
-            for p in parts:
-                merged.instances_checked += p.instances_checked
-                for f in p.failures:
-                    merged.add_failure(f)
-                merged.truncated = merged.truncated or p.truncated
-            return merged
+        return suite(**scale)
     except NodeBudgetExceeded as exc:
         raise TheoremBudgetError(theorem, exc) from exc
-    raise ValueError(f"unknown theorem id: {theorem!r}")

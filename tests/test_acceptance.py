@@ -78,7 +78,7 @@ def test_criterion_4_even_even_law():
 
 
 def test_criterion_5_sum_law():
-    result = check_nim_sum(pairs=500, max_n=9)
+    result = check_nim_sum(count=500, max_n=9)
     assert result.instances_checked == 500
     report(5, "disjoint-union value is the nim-sum (500 random pairs)", result)
 

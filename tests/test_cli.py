@@ -224,6 +224,63 @@ class TestVerify:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "theorem,flag",
+        [
+            ("nim-sum", "--max-k"),
+            ("even-even", "--count"),
+            ("even-even", "--seed"),
+            ("even-even", "--max-k"),
+            ("closed-forms", "--count"),
+            ("closed-forms", "--seed"),
+            ("closed-forms", "--max-k"),
+            ("euler-terminal", "--count"),
+            ("euler-terminal", "--seed"),
+            ("euler-terminal", "--max-k"),
+            ("euler-terminal", "--budget"),
+            ("isolated-substitution", "--max-k"),
+            ("witness-construction", "--max-n"),
+            ("witness-construction", "--count"),
+            ("witness-construction", "--seed"),
+            ("bipartite-parity", "--max-k"),
+        ],
+    )
+    def test_refuses_a_flag_the_suite_ignores(self, capsys, theorem, flag):
+        code, out, err = run_cli(capsys, "verify", theorem, flag, "2")
+        assert code == 2
+        assert out == ""
+        assert f"error: {theorem} does not take {flag}\n" == err
+
+    def test_names_every_ignored_flag(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "euler-terminal", "--max-n", "3", "--count", "5",
+            "--seed", "9", "--budget", "1",
+        )
+        assert code == 2
+        assert err == "error: euler-terminal does not take --budget, --count, --seed\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("nim-sum", "--count", "0"), "--count must be at least 1, got 0"),
+            (
+                ("witness-construction", "--max-k", "-1"),
+                "--max-k must be at least 0, got -1",
+            ),
+            (
+                ("nim-sum", "--max-n", "-1", "--count", "3"),
+                "--max-n must be at least 0, got -1",
+            ),
+            (("closed-forms", "--max-n", "-2"), "--max-n must be at least 0, got -2"),
+            (("euler-terminal", "--max-n", "9"), "at most 7, got 9"),
+        ],
+    )
+    def test_bad_scale_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestCensus:
     def test_minimal_grundy_2_fixture(self, capsys):
@@ -306,6 +363,13 @@ class TestConvert:
         code, _, _ = run_cli(capsys, "convert", p4_file, "--out", str(out_path))
         assert code == 0
         assert out_path.read_text().strip() == "Ch"
+
+    def test_budget_refused(self, capsys, p4_file):
+        # convert does no search, so it takes no budget
+        code, out, err = run_cli(capsys, "convert", p4_file, "--budget", "1")
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
 
 
 class TestExitCodeOne:

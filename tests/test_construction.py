@@ -42,7 +42,7 @@ class TestConstructNext:
         assert w.graph.n == 7
         assert w.graph.edge_count() == 8
         assert not w.recipe.padding_used
-        assert w.recipe.index_set() == (0, 1)
+        assert [p.index for p in w.recipe.parts] == [0, 1]
         assert not w.certified
         assert certify(w).certified
         assert grundy_value(w.graph) == 2
@@ -51,7 +51,7 @@ class TestConstructNext:
         w = construct_next([path_graph(3)])
         assert w.graph.n == 8
         assert w.recipe.padding_used
-        assert w.recipe.index_set() == (-1, 0)
+        assert [p.index for p in w.recipe.parts] == [-1, 0]
         assert grundy_value(w.graph) == 1
 
     def test_apex_degrees_are_odd(self):

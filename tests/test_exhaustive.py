@@ -8,7 +8,6 @@ from vertexnim import (
     from_edge_mask,
     grundy_tables,
     grundy_value,
-    minimal_example,
     to_graph6,
 )
 
@@ -144,10 +143,6 @@ class TestCensus:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             census(8)
-
-    def test_minimal_example_helper(self):
-        assert minimal_example(2, max_n=4) == from_edge_mask(4, 15)
-        assert minimal_example(9, max_n=4) is None
 
 
 def test_paw_value_across_engines(odd_tables):

@@ -34,7 +34,7 @@ from vertexnim import (
     verify_theorem,
 )
 from vertexnim.solver import grundy, solve
-from vertexnim.theorems import CheckFailure, _reachable_masks
+from vertexnim.theorems import SUITES, CheckFailure, _reachable_masks
 
 
 class TestClosedForms:
@@ -134,7 +134,7 @@ class TestCheckSuites:
         assert result.instances_checked == 1 + 1 + 2 + 8 + 64 + 1024
 
     def test_nim_sum_small(self):
-        result = check_nim_sum(pairs=25, max_n=6, seed=1)
+        result = check_nim_sum(count=25, max_n=6, seed=1)
         assert result.passed
         assert result.instances_checked == 25
 
@@ -193,6 +193,22 @@ class TestVerifyTheorem:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             verify_theorem("not-a-theorem")
+
+    def test_suites_cover_every_theorem(self):
+        assert list(SUITES) == list(TheoremId)
+
+    def test_nim_sum_keeps_the_pairs_scale_key(self):
+        result = verify_theorem(TheoremId.NIM_SUM, count=3, max_n=4)
+        assert result.scale == {"pairs": 3, "max_n": 4, "seed": 1009}
+        assert result.instances_checked == 3
+
+    def test_euler_terminal_refuses_large_n_before_enumerating(self, monkeypatch):
+        def never(n):
+            raise AssertionError("enumerated before refusing")
+
+        monkeypatch.setattr("vertexnim.theorems.enumerate_labeled_graphs", never)
+        with pytest.raises(ValueError, match="got 8"):
+            check_euler_terminal(max_n=8)
 
 
 class TestTheoremCheckResult:
