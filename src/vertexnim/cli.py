@@ -68,6 +68,17 @@ def _load(text: str, fmt: str) -> Graph:
     return load_graph(text)
 
 
+def _budget_arg(text: str) -> int:
+    """``--budget`` value: a nonnegative int (0 still refuses any work)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _budget(args) -> int:
     return args.budget if args.budget is not None else DEFAULT_NODE_BUDGET
 
@@ -315,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     convert.set_defaults(func=cmd_convert)
 
     for p in (solve, generate, verify, census_cmd):
-        p.add_argument("--budget", type=int, help="position/graph evaluation cap")
+        p.add_argument(
+            "--budget", type=_budget_arg, help="position/graph evaluation cap"
+        )
     for p in (solve, generate, verify, census_cmd, convert):
         p.add_argument(
             "--records",

@@ -79,6 +79,11 @@ def _level_tables(k: int):
     return parity, extract
 
 
+def _check_graph_budget(graph_budget: int | None) -> None:
+    if graph_budget is not None and graph_budget < 0:
+        raise ValueError(f"graph budget must be nonnegative, got {graph_budget}")
+
+
 def grundy_tables(
     max_n: int,
     rule: MoveRule = MoveRule.ODD,
@@ -95,6 +100,7 @@ def grundy_tables(
             f"exhaustive sweep is capped at n={SWEEP_MAX_N}: max_n must be from 0 "
             f"to at most {SWEEP_MAX_N}, got {max_n}"
         )
+    _check_graph_budget(graph_budget)
     want_odd = rule is MoveRule.ODD
     tables = [bytearray([0])]
     evaluated = 1
@@ -197,6 +203,7 @@ def census(
             f"census is capped at n={SWEEP_MAX_N}: max_n must be from 0 to at "
             f"most {SWEEP_MAX_N}, got {max_n}"
         )
+    _check_graph_budget(graph_budget)
     feasible_n = max_n
     if graph_budget is not None:
         evaluated = 0

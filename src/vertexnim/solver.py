@@ -3,10 +3,17 @@
 The engine recurses on alive-vertex subsets of one host graph, splitting into
 connected components at every level and combining component values with the
 nim-sum, so positions that factor into independent subgames stay tractable.
-One engine serves both rules. :func:`solve` puts the proved closed forms in
-front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
+Each position carries a degree-parity vector, bit ``v`` set when ``v`` has odd
+degree within the alive set: the root XORs its alive rows, a child removing
+``v`` flips ``v``'s neighbours, and a component keeps its own bits, so the
+movable set is one mask operation under either rule. Every child and
+component is looked up in the memo by its caller, once, and the recursion
+runs only on a miss. One engine serves both rules. :func:`solve` puts the
+proved closed forms in front of the engine; their cross-checks live in
+:mod:`vertexnim.theorems`.
 """
 
+import math
 from dataclasses import dataclass
 
 from .formats import MAX_VERTICES
@@ -37,12 +44,15 @@ class MemoTable:
     """Cache from alive-subset keys to Grundy values for one host graph.
 
     ``nodes_visited`` accumulates across solves sharing the table and is
-    checked against ``node_budget``.
+    checked against ``node_budget``; ``None`` means no budget, and a negative
+    budget is refused with ``ValueError``.
     """
 
     __slots__ = ("entries", "nodes_visited", "node_budget")
 
     def __init__(self, node_budget: int | None = DEFAULT_NODE_BUDGET):
+        if node_budget is not None and node_budget < 0:
+            raise ValueError(f"node budget must be nonnegative, got {node_budget}")
         self.entries: dict = {}
         self.nodes_visited = 0
         self.node_budget = node_budget
@@ -101,90 +111,96 @@ def grundy(
     """
     if isinstance(position, Graph):
         position = position.full_position()
-    alive_count = position.alive.bit_count()
+    alive = position.alive
+    alive_count = alive.bit_count()
     if alive_count > MAX_VERTICES:
         raise ValueError(
             f"search is limited to {MAX_VERTICES} alive vertices, got "
             f"{alive_count}; its recursion nests up to 2n + 2 frames"
         )
-    g = position.graph
     if memo is None:
         memo = MemoTable()
-    adj = g.adj
-    parity = rule.value
+    # adjacency keyed by the vertex's bit, so no bit_length() per lookup
+    rows = {1 << v: row for v, row in enumerate(position.graph.adj)}
+    even = rule is MoveRule.EVEN
     entries = memo.entries
+    get = entries.get
     budget = memo.node_budget
     base = memo.nodes_visited
+    # refuse the visit that would break nodes_visited <= node_budget
+    limit = budget - base if budget is not None else math.inf
     visited = 0
-    created = 0
 
-    def solve(mask: int) -> int:
-        nonlocal visited, created
-        cached = entries.get(mask)
-        if cached is not None:
-            return cached
-        # refuse the visit that would break nodes_visited <= node_budget
-        if budget is not None and base + visited + 1 > budget:
+    def search(mask: int, odd: int) -> int:
+        # a memo miss; bit v of odd is set when v has odd degree within mask
+        nonlocal visited
+        if visited >= limit:
             raise NodeBudgetExceeded(base + visited, budget)
         visited += 1
-        comps = []
+        value = 0
         rem = mask
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
+        while True:
+            # the component of rem's lowest vertex; most masks are connected,
+            # so stop growing as soon as it is all of rem
+            comp = frontier = rem & -rem
+            while frontier and comp != rem:
                 reach = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    f ^= low
-                    reach |= adj[low.bit_length() - 1]
-                frontier = reach & mask & ~comp
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= rows[low]
+                frontier = reach & rem & ~comp
                 comp |= frontier
-            comps.append(comp)
-            rem &= ~comp
-        if len(comps) > 1:
-            value = 0
-            for comp in comps:
-                value ^= solve(comp)
-        else:
-            movable = 0
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                if (adj[low.bit_length() - 1] & mask).bit_count() & 1 == parity:
-                    movable |= low
-            if movable == 0:
-                value = 0
-            else:
-                seen = 0
-                while movable:
-                    low = movable & -movable
-                    movable ^= low
-                    seen |= 1 << solve(mask ^ low)
-                value = 0
-                while seen >> value & 1:
-                    value += 1
+            if comp == mask:
+                break
+            # no edge leaves a component, so its degrees are those in mask
+            part = get(comp)
+            if part is None:
+                part = search(comp, odd & comp)
+            value ^= part
+            rem ^= comp
+            if not rem:
+                entries[mask] = value
+                return value
+        movable = mask ^ odd if even else odd
+        seen = 0
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            child = mask ^ low
+            got = get(child)
+            if got is None:
+                got = search(child, (odd ^ rows[low]) & child)
+            seen |= 1 << got
+        value = (~seen & (seen + 1)).bit_length() - 1
         entries[mask] = value
-        created += 1
         return value
 
+    def lookup(mask: int) -> int:
+        value = get(mask)
+        if value is not None:
+            return value
+        odd = 0
+        for bit, row in rows.items():
+            if mask & bit:
+                odd ^= row
+        return search(mask, odd & mask)
+
     try:
-        value = solve(position.alive)
+        value = lookup(alive)
         move = None
         if value > 0:
             # a move to a 0-child exists from any positive position; take the
             # lowest-index one for determinism
             for v in iter_bits(position.movable_vertices(rule)):
-                if solve(position.alive ^ (1 << v)) == 0:
+                if lookup(alive ^ (1 << v)) == 0:
                     move = v
                     break
     finally:
         memo.nodes_visited = base + visited
     if value >= GRUNDY_VALUE_BOUND:
         raise AssertionError(f"grundy value {value} exceeds the sanity bound")
-    return SolveReport(value, visited, created, move)
+    return SolveReport(value, visited, visited, move)
 
 
 def grundy_value(

@@ -326,6 +326,30 @@ class TestCensus:
         assert "PARTIAL" in out
 
 
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (("verify", "nim-sum", "--budget", "-5", "--count", "2"), -5),
+        (("generate", "2", "-", "--budget", "-3"), -3),
+        (("census", "--max-n", "3", "--budget", "-1"), -1),
+    ],
+    ids=["verify", "generate", "census"],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument --budget: must be nonnegative, got {value}\n" in err
+
+
+def test_zero_budget_still_refuses_work(capsys, tmp_path):
+    path = tmp_path / "paw.txt"
+    path.write_text(PAW_TEXT)
+    code, _, err = run_cli(capsys, "solve", str(path), "--budget", "0")
+    assert code == 3
+    assert "after 0 positions (budget 0)" in err
+
+
 class TestConvert:
     def test_edgelist_to_graph6(self, capsys, p4_file):
         code, out, _ = run_cli(capsys, "convert", p4_file)

@@ -69,6 +69,10 @@ class TestGrundyTables:
         with pytest.raises(NodeBudgetExceeded):
             grundy_tables(7, graph_budget=1000)
 
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            grundy_tables(3, graph_budget=-1)
+
 
 class TestBipartiteTable:
     def test_matches_coloring_exhaustively(self):
@@ -139,6 +143,14 @@ class TestCensus:
         assert report.partial
         assert report.completed_n == 5
         assert not report.minimal_examples.get(3)
+
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            census(3, graph_budget=-1)
+
+    def test_zero_budget_is_an_empty_partial_report(self):
+        report = census(3, graph_budget=0)
+        assert (report.partial, report.completed_n, report.rows) == (True, -1, [])
 
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from vertexnim import (
     solve,
     to_edge_mask,
 )
+from vertexnim.formats import MAX_VERTICES
 from vertexnim.theorems import random_graph
 
 
@@ -145,6 +147,22 @@ class TestEnumeration:
 
 
 class TestSearchSizeLimit:
+    def test_largest_search_nests_within_its_frame_bound(self):
+        # path plus triangle on exactly MAX_VERTICES alive vertices, solved
+        # under a recursion limit of 2n + 2 frames above this one
+        n = MAX_VERTICES
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, 2)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 2 * n + 2)
+        try:
+            report = grundy(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (report.grundy, report.nodes_visited) == (1, 32386)
+
     def test_deep_search_refused(self):
         # path plus triangle: the recursion would nest about 2n frames
         g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(0, 2)])
@@ -222,21 +240,122 @@ class TestMemoTable:
         memo = MemoTable(node_budget=None)
         assert grundy(path_graph(6), memo=memo).grundy == 1
 
+    def test_negative_budget_refused(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            MemoTable(node_budget=-1)
 
-def naive_subset_dp(g, rule):
+
+def pinned_positions():
+    """40 seeded positions, n from 6 to 13: every other one has about a
+    quarter of its vertices removed at random, and rules alternate in pairs."""
+    rng = random.Random(20131)
+    out = []
+    for i in range(40):
+        n = rng.randint(6, 13)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+        full = (1 << n) - 1
+        removed = rng.getrandbits(n) & rng.getrandbits(n) if i % 2 else 0
+        alive = full ^ removed
+        rule = MoveRule.ODD if i % 4 < 2 else MoveRule.EVEN
+        out.append((Position(Graph(n, edges), alive), rule))
+    return out
+
+
+# (grundy, nodes_visited, distinct_positions, optimal_move) with a fresh memo;
+# the engine's traversal order fixes every counter, so a rewrite that keeps
+# the order keeps these
+PINNED_REPORTS = [
+    (0, 48, 48, None),  # n=7 alive=7 ODD
+    (1, 51, 51, 0),  # n=8 alive=7 ODD
+    (0, 23, 23, None),  # n=6 alive=6 EVEN
+    (0, 30, 30, None),  # n=10 alive=6 EVEN
+    (2, 378, 378, 4),  # n=10 alive=10 ODD
+    (2, 78, 78, 0),  # n=9 alive=8 ODD
+    (1, 303, 303, 0),  # n=13 alive=13 EVEN
+    (1, 7, 7, 2),  # n=7 alive=5 EVEN
+    (0, 1664, 1664, None),  # n=13 alive=13 ODD
+    (2, 25, 25, 3),  # n=9 alive=6 ODD
+    (0, 35, 35, None),  # n=8 alive=8 EVEN
+    (1, 93, 93, 0),  # n=10 alive=9 EVEN
+    (1, 9, 9, 1),  # n=6 alive=6 ODD
+    (0, 9, 9, None),  # n=6 alive=5 ODD
+    (1, 191, 191, 0),  # n=9 alive=9 EVEN
+    (1, 19, 19, 3),  # n=7 alive=5 EVEN
+    (1, 1557, 1557, 1),  # n=12 alive=12 ODD
+    (1, 14, 14, 1),  # n=7 alive=6 ODD
+    (0, 476, 476, None),  # n=10 alive=10 EVEN
+    (0, 10, 10, None),  # n=7 alive=6 EVEN
+    (1, 105, 105, 0),  # n=8 alive=8 ODD
+    (1, 6, 6, 5),  # n=7 alive=3 ODD
+    (0, 13, 13, None),  # n=10 alive=10 EVEN
+    (0, 11, 11, None),  # n=11 alive=8 EVEN
+    (0, 219, 219, None),  # n=9 alive=9 ODD
+    (1, 8, 8, 1),  # n=9 alive=5 ODD
+    (0, 1620, 1620, None),  # n=12 alive=12 EVEN
+    (1, 23, 23, 3),  # n=9 alive=5 EVEN
+    (0, 10, 10, None),  # n=6 alive=6 ODD
+    (0, 14, 14, None),  # n=10 alive=7 ODD
+    (0, 26, 26, None),  # n=8 alive=8 EVEN
+    (0, 23, 23, None),  # n=7 alive=6 EVEN
+    (1, 295, 295, 0),  # n=11 alive=11 ODD
+    (2, 25, 25, 1),  # n=8 alive=6 ODD
+    (1, 341, 341, 0),  # n=13 alive=13 EVEN
+    (1, 19, 19, 0),  # n=6 alive=5 EVEN
+    (0, 72, 72, None),  # n=7 alive=7 ODD
+    (0, 19, 19, None),  # n=7 alive=5 ODD
+    (1, 24, 24, 4),  # n=7 alive=7 EVEN
+    (1, 963, 963, 0),  # n=13 alive=11 EVEN
+]
+
+
+def test_counters_pinned():
+    got = []
+    for position, rule in pinned_positions():
+        r = grundy(position, rule)
+        got.append((r.grundy, r.nodes_visited, r.distinct_positions, r.optimal_move))
+    assert got == PINNED_REPORTS
+
+
+@pytest.mark.parametrize(
+    "rule,budget,visited,entries",
+    [
+        (MoveRule.ODD, 0, 0, 0),
+        (MoveRule.ODD, 37, 37, 26),
+        (MoveRule.ODD, 1000, 1000, 991),
+        (MoveRule.ODD, 3984, 3984, 3981),
+        (MoveRule.EVEN, 37, 37, 26),
+        (MoveRule.EVEN, 1000, 1000, 990),
+        (MoveRule.EVEN, 3389, 3389, 3386),
+    ],
+)
+def test_budget_refusals_pinned(rule, budget, visited, entries):
+    # the densest pinned host graph: 13 vertices, 42 edges; a full solve visits
+    # 3,985 positions under the odd rule and 3,390 under the even rule
+    g = pinned_positions()[39][0].graph
+    assert (g.n, g.edge_count()) == (13, 42)
+    memo = MemoTable(budget)
+    with pytest.raises(NodeBudgetExceeded) as info:
+        grundy(g, rule, memo)
+    assert (info.value.nodes_visited, memo.nodes_visited, len(memo)) == (
+        visited, visited, entries
+    )
+
+
+def naive_subset_dp(g, rule, alive=None):
     """Independent oracle: bottom-up table over all alive subsets, straight
     from the game's definition, with no recursion, memo reuse, or component
-    decomposition."""
+    decomposition. Returns the value of ``alive`` (default: every vertex)."""
     adj = g.adj
     parity = rule.value
     table = [0] * (1 << g.n)
-    for alive in range(1, 1 << g.n):
+    for mask in range(1, 1 << g.n):
         child_values = set()
-        for v in iter_bits(alive):
-            if (adj[v] & alive).bit_count() % 2 == parity:
-                child_values.add(table[alive ^ (1 << v)])
-        table[alive] = mex(child_values)
-    return table[(1 << g.n) - 1]
+        for v in iter_bits(mask):
+            if (adj[v] & mask).bit_count() % 2 == parity:
+                child_values.add(table[mask ^ (1 << v)])
+        table[mask] = mex(child_values)
+    return table[(1 << g.n) - 1 if alive is None else alive]
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
@@ -296,6 +415,27 @@ class TestSolve:
     def test_matches_search(self, g, rule):
         fast, slow = solve(g, rule), grundy(g, rule)
         assert (fast.grundy, fast.optimal_move) == (slow.grundy, slow.optimal_move)
+
+
+@given(graphs(max_n=7), rules)
+@settings(max_examples=80, deadline=None)
+def test_children_through_a_filled_memo(g, rule):
+    # ranking moves through the memo the root solve filled. A connected root
+    # visits every child, so a child's value is a memo hit; a positive child
+    # may still visit positions to find its own optimal move, because a
+    # component split never visits the grandchildren
+    memo = MemoTable()
+    grundy(g, rule, memo)
+    p = g.full_position()
+    connected = g.is_connected()
+    for v in iter_bits(p.movable_vertices(rule)):
+        child = p.remove_vertex(v)
+        if connected:
+            assert child.alive in memo.entries
+        report = grundy(child, rule, memo)
+        assert report.grundy == naive_subset_dp(g, rule, child.alive)
+        if connected and report.grundy == 0:
+            assert report.nodes_visited == 0
 
 
 @given(graphs(max_n=6), rules)
