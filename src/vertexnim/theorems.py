@@ -51,6 +51,12 @@ FAST_PATH_SEED = 1021
 
 ER_EDGE_PROBS = (0.2, 0.5, 0.8)
 
+# fixed parts of the suites' scale, reported in their scale records
+CLOSED_FORMS_MAX_SIDE = 5
+EULER_ALL_SUBSETS_MAX_N = 5
+SUBSTITUTION_MAX_PADDING = 3
+FAST_PATH_MAX_N = 12
+
 # every graph solved at this stride is re-solved with the per-graph engine,
 # tying the sweep tables back to the reference recursion
 ENGINE_CROSSCHECK_STRIDE = 9973
@@ -210,13 +216,14 @@ def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
 
 def check_closed_forms(
     max_n: int = 12,
-    max_side: int = 5,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
-    """Solver versus the closed forms for paths, complete graphs, stars, and
-    complete bipartite graphs."""
+    """Solver versus the closed forms for paths, complete graphs and stars up
+    to ``max_n`` vertices, and complete bipartite graphs with sides up to
+    :data:`CLOSED_FORMS_MAX_SIDE`."""
     result = TheoremCheckResult(
-        TheoremId.CLOSED_FORMS, scale={"max_n": max_n, "max_side": max_side}
+        TheoremId.CLOSED_FORMS,
+        scale={"max_n": max_n, "max_side": CLOSED_FORMS_MAX_SIDE},
     )
     families = (
         ("path", path_graph, closed_form_path),
@@ -228,8 +235,8 @@ def check_closed_forms(
             g = build(n)
             got = grundy_value(g, memo=MemoTable(budget))
             result.check(g, formula(n), got, f"{name} n={n}")
-    for a in range(1, max_side + 1):
-        for b in range(1, max_side + 1):
+    for a in range(1, CLOSED_FORMS_MAX_SIDE + 1):
+        for b in range(1, CLOSED_FORMS_MAX_SIDE + 1):
             g = complete_bipartite_graph(a, b)
             got = grundy_value(g, memo=MemoTable(budget))
             result.check(g, closed_form_complete_bipartite(a, b), got, f"K_{{{a},{b}}}")
@@ -270,25 +277,26 @@ def check_bipartite_parity(
     return result
 
 
-def _reachable_masks(g: Graph, rule: MoveRule):
-    """Depth-first walk of the game tree; yields every reachable alive set."""
-    adj = g.adj
-    parity = rule.value
+def _terminal_masks(g: Graph):
+    """Depth-first walk of the odd-rule game tree; yields every reachable
+    terminal alive set. Each alive set carries its degree-parity vector, as
+    in the search engine; under the odd rule it is the movable set."""
+    rows = {1 << v: row for v, row in enumerate(g.adj)}
     full = (1 << g.n) - 1
     seen = {full}
-    stack = [full]
+    stack = [(full, g.odd_degree_vertices())]
     while stack:
-        mask = stack.pop()
-        yield mask
-        m = mask
+        mask, odd = stack.pop()
+        if not odd:
+            yield mask
+        m = odd
         while m:
             low = m & -m
             m ^= low
-            if (adj[low.bit_length() - 1] & mask).bit_count() & 1 == parity:
-                child = mask ^ low
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
+            child = mask ^ low
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, (odd ^ rows[low]) & child))
 
 
 def check_terminal_edge_parity(max_n: int = 6) -> TheoremCheckResult:
@@ -303,19 +311,13 @@ def check_terminal_edge_parity(max_n: int = 6) -> TheoremCheckResult:
                 continue
             g = from_edge_mask(k, mask)
             adj = g.adj
-            for alive in _reachable_masks(g, MoveRule.ODD):
-                movable = 0
+            for alive in _terminal_masks(g):
                 edges2 = 0
                 m = alive
                 while m:
                     low = m & -m
                     m ^= low
-                    d = (adj[low.bit_length() - 1] & alive).bit_count()
-                    if d & 1:
-                        movable |= low
-                    edges2 += d
-                if movable:
-                    continue
+                    edges2 += (adj[low.bit_length() - 1] & alive).bit_count()
                 result.instances_checked += 1
                 if (edges2 // 2) % 2 != 0:
                     result.fail(
@@ -324,18 +326,16 @@ def check_terminal_edge_parity(max_n: int = 6) -> TheoremCheckResult:
     return result
 
 
-def check_euler_terminal(
-    max_n: int = SWEEP_MAX_N,
-    all_subsets_max_n: int = 5,
-) -> TheoremCheckResult:
+def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     """Terminality under the odd rule, all-even degrees, and the
     componentwise Eulerian condition agree on every graph up to ``max_n``.
 
     Full alive sets are checked for every labeled graph; positions with dead
     vertices relabel to smaller enumerated graphs, and are additionally
-    checked directly for every alive subset up to ``all_subsets_max_n``.
-    That part does not shrink with ``max_n``: at ``max_n=3`` it still checks
-    every alive subset of every graph on up to 5 vertices.
+    checked directly for every alive subset up to
+    :data:`EULER_ALL_SUBSETS_MAX_N` vertices. That part does not shrink with
+    ``max_n``: at ``max_n=3`` it still checks every alive subset of every
+    graph on up to 5 vertices.
     """
     if max_n > SWEEP_MAX_N:
         raise ValueError(
@@ -344,7 +344,7 @@ def check_euler_terminal(
         )
     result = TheoremCheckResult(
         TheoremId.EULER_TERMINAL,
-        scale={"max_n": max_n, "all_subsets_max_n": all_subsets_max_n},
+        scale={"max_n": max_n, "all_subsets_max_n": EULER_ALL_SUBSETS_MAX_N},
     )
 
     def check_position(p: Position) -> None:
@@ -372,7 +372,7 @@ def check_euler_terminal(
     for n in range(max_n + 1):
         for g in enumerate_labeled_graphs(n):
             check_position(g.full_position())
-    for n in range(all_subsets_max_n + 1):
+    for n in range(EULER_ALL_SUBSETS_MAX_N + 1):
         for g in enumerate_labeled_graphs(n):
             for alive in range(1 << n):
                 check_position(Position(g, alive))
@@ -437,25 +437,25 @@ def check_nim_sum(
 def check_isolated_substitution(
     count: int = 1000,
     max_n: int = 8,
-    max_padding: int = 3,
     seed: int = SUBSTITUTION_SEED,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Replacing isolated vertices with 3-paths preserves the Grundy value,
-    on seeded random graphs padded with extra isolated vertices."""
+    on seeded random graphs padded with up to
+    :data:`SUBSTITUTION_MAX_PADDING` extra isolated vertices."""
     result = TheoremCheckResult(
         TheoremId.ISOLATED_SUBSTITUTION,
         scale={
             "count": count,
             "max_n": max_n,
-            "max_padding": max_padding,
+            "max_padding": SUBSTITUTION_MAX_PADDING,
             "seed": seed,
         },
     )
     rng = random.Random(seed)
     for _ in range(count):
         g = random_graph(rng, rng.randint(0, max_n))
-        g = add_isolated_vertices(g, rng.randint(0, max_padding))
+        g = add_isolated_vertices(g, rng.randint(0, SUBSTITUTION_MAX_PADDING))
         replaced = replace_isolated_with_p3(g)
         expected = grundy_value(g, memo=MemoTable(budget))
         got = grundy_value(replaced, memo=MemoTable(budget))
@@ -467,19 +467,24 @@ def check_isolated_substitution(
 
 def check_bipartite_fast_path(
     count: int = 500,
-    max_n: int = 12,
     seed: int = FAST_PATH_SEED,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """:func:`~vertexnim.solver.solve` takes a closed form on seeded random
-    bipartite graphs beyond the exhaustive range and agrees with the engine."""
+    bipartite graphs of up to :data:`FAST_PATH_MAX_N` vertices, beyond the
+    exhaustive range, and agrees with the engine."""
     result = TheoremCheckResult(
         TheoremId.BIPARTITE_PARITY,
-        scale={"count": count, "max_n": max_n, "seed": seed, "check": "fast-path"},
+        scale={
+            "count": count,
+            "max_n": FAST_PATH_MAX_N,
+            "seed": seed,
+            "check": "fast-path",
+        },
     )
     rng = random.Random(seed)
     for _ in range(count):
-        g = random_bipartite_graph(rng, rng.randint(1, max_n))
+        g = random_bipartite_graph(rng, rng.randint(1, FAST_PATH_MAX_N))
         report = solve(g)
         # a solve that fell back to search is a failure even with the right value
         got = report.grundy if report.method != SEARCH_METHOD else report.method

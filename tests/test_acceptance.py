@@ -48,7 +48,7 @@ def report(criterion: int, name: str, result) -> None:
 
 def test_criterion_1_closed_forms():
     start = time.time()
-    result = check_closed_forms(max_n=12, max_side=5)
+    result = check_closed_forms(max_n=12)
     elapsed = time.time() - start
     assert result.instances_checked == 12 * 3 + 25
     assert elapsed < 60, f"expected < 60 s, took {elapsed:.1f} s"
@@ -63,7 +63,7 @@ def test_criterion_2_bipartite_parity():
 
 
 def test_criterion_3_euler_terminal_equivalence():
-    result = check_euler_terminal(max_n=7, all_subsets_max_n=5)
+    result = check_euler_terminal(max_n=7)
     assert (
         result.instances_checked
         == LABELED_GRAPHS_UP_TO_7 + ALL_SUBSET_POSITIONS_UP_TO_5

@@ -166,13 +166,17 @@ class TestSearchSizeLimit:
     def test_deep_search_refused(self):
         # path plus triangle: the recursion would nest about 2n frames
         g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(0, 2)])
-        with pytest.raises(ValueError, match="limited to 255 alive vertices"):
-            grundy_value(g)
+        memo = MemoTable()
+        with pytest.raises(ValueError, match="1200 alive vertices .* recursion limit"):
+            grundy(g, memo=memo)
+        # the refused search left only completed entries behind
+        small = Position(g, (1 << 40) - 1)
+        assert grundy_value(small, memo=memo) == grundy_value(small)
 
-    def test_limit_counts_alive_vertices(self):
-        assert grundy_value(Position(Graph(1000), (1 << 255) - 1)) == 0
-        with pytest.raises(ValueError, match="got 256"):
-            grundy_value(Position(Graph(1000), (1 << 256) - 1))
+    def test_shallow_positions_above_255_alive_vertices_solve(self):
+        assert grundy_value(Graph(1000)) == 0
+        matching = Graph(600, [(2 * i, 2 * i + 1) for i in range(300)])
+        assert grundy_value(matching) == 0
 
 
 class TestSolveReport:
@@ -232,13 +236,13 @@ class TestMemoTable:
         memo = MemoTable(node_budget=3)
         with pytest.raises(NodeBudgetExceeded):
             grundy(g, memo=memo)
-        memo.node_budget = None
+        memo.node_budget = 10_000
         report = grundy(g, memo=memo)
         assert report.grundy == grundy_value(g)
 
-    def test_unlimited_budget(self):
-        memo = MemoTable(node_budget=None)
-        assert grundy(path_graph(6), memo=memo).grundy == 1
+    def test_no_budget_refused(self):
+        with pytest.raises(TypeError):
+            MemoTable(node_budget=None)
 
     def test_negative_budget_refused(self):
         with pytest.raises(ValueError, match="nonnegative, got -1"):

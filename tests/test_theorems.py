@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import random
 
@@ -6,7 +7,6 @@ import pytest
 
 from vertexnim import (
     Graph,
-    MoveRule,
     TheoremCheckResult,
     TheoremId,
     add_isolated_vertices,
@@ -34,7 +34,7 @@ from vertexnim import (
     verify_theorem,
 )
 from vertexnim.solver import grundy, solve
-from vertexnim.theorems import SUITES, CheckFailure, _reachable_masks
+from vertexnim.theorems import SUITES, CheckFailure, _terminal_masks
 
 
 class TestClosedForms:
@@ -94,18 +94,17 @@ class TestRandomGenerators:
 
 class TestReachableMasks:
     def test_path_3(self):
-        reachable = set(_reachable_masks(path_graph(3), MoveRule.ODD))
-        assert reachable == {0b111, 0b110, 0b011, 0b100, 0b010, 0b001}
+        assert set(_terminal_masks(path_graph(3))) == {0b100, 0b010, 0b001}
 
     def test_terminal_start(self):
-        assert set(_reachable_masks(cycle_graph(4), MoveRule.ODD)) == {0b1111}
+        assert set(_terminal_masks(cycle_graph(4))) == {0b1111}
 
 
 class TestCheckSuites:
     def test_closed_forms_small(self):
-        result = check_closed_forms(max_n=6, max_side=3)
+        result = check_closed_forms(max_n=6)
         assert result.passed
-        assert result.instances_checked == 6 * 3 + 9
+        assert result.instances_checked == 6 * 3 + 25
 
     def test_bipartite_parity_small(self):
         result = check_bipartite_parity(max_n=5)
@@ -124,9 +123,9 @@ class TestCheckSuites:
         assert result.instances_checked == 1175528
 
     def test_euler_terminal_small(self):
-        result = check_euler_terminal(max_n=4, all_subsets_max_n=3)
+        result = check_euler_terminal(max_n=4)
         assert result.passed
-        assert result.instances_checked == (1 + 1 + 2 + 8 + 64) + (1 + 2 + 8 + 64)
+        assert result.instances_checked == 76 + 33867
 
     def test_even_even_small(self):
         result = check_even_even(max_n=5)
@@ -143,7 +142,7 @@ class TestCheckSuites:
         assert result.passed
 
     def test_fast_path_small(self):
-        result = check_bipartite_fast_path(count=25, max_n=9, seed=3)
+        result = check_bipartite_fast_path(count=25, seed=3)
         assert result.passed
 
     def test_fast_path_checks_solve_value(self, monkeypatch):
@@ -152,14 +151,14 @@ class TestCheckSuites:
             return dataclasses.replace(report, grundy=report.grundy ^ 1)
 
         monkeypatch.setattr("vertexnim.theorems.solve", wrong)
-        result = check_bipartite_fast_path(count=5, max_n=6, seed=3)
+        result = check_bipartite_fast_path(count=5, seed=3)
         assert result.instances_checked == 5
         assert len(result.failures) == 5 and not result.passed
 
     def test_fast_path_requires_a_closed_form(self, monkeypatch):
         # the right value from search is still a failure of the fast path
         monkeypatch.setattr("vertexnim.theorems.solve", lambda g: grundy(g))
-        result = check_bipartite_fast_path(count=3, max_n=6, seed=3)
+        result = check_bipartite_fast_path(count=3, seed=3)
         assert [f.got for f in result.failures] == ["brute-force search"] * 3
 
     def test_witness_small(self):
@@ -196,6 +195,11 @@ class TestVerifyTheorem:
 
     def test_suites_cover_every_theorem(self):
         assert list(SUITES) == list(TheoremId)
+
+    def test_suites_take_only_scale_flags(self):
+        flags = {"max_n", "count", "seed", "max_k", "budget"}
+        for suite in SUITES.values():
+            assert inspect.signature(suite).parameters.keys() <= flags, suite
 
     def test_nim_sum_keeps_the_pairs_scale_key(self):
         result = verify_theorem(TheoremId.NIM_SUM, count=3, max_n=4)
