@@ -199,7 +199,7 @@ def cmd_verify(args) -> CommandOutcome:
 
 
 def cmd_census(args) -> CommandOutcome:
-    report = census(args.max_n, graph_budget=args.budget)
+    report = census(args.max_n, graph_budget=_budget(args))
     outcome = CommandOutcome()
     outcome.lines.append("grundy    n  edges      count")
     for row in report.rows:

@@ -9,6 +9,10 @@ exactly the removable vertices; removing the apex of part ``i`` freezes
 everything else (all even degrees, value 0) and revives part ``i``
 unchanged. The root value is therefore mex{0, 1, ..., K} = K + 1.
 
+A :class:`ConstructionRecipe` records only the parts; the vertex layout,
+the apex attachments and the clique are derived from them, so the graph and
+its audit record cannot disagree.
+
 The canonical witness tower starts from the 3-path (value 0) and the single
 edge (value 1) and feeds each new witness back in as a part. Every witness
 is certified by an independent brute-force solve; a mismatch is a soundness
@@ -52,67 +56,54 @@ class RecipePart:
 
 @dataclass(frozen=True)
 class ConstructionRecipe:
-    """Audit record of how a witness graph was assembled.
+    """Audit record of how a witness graph was assembled: its parts, and
+    everything else derived from them.
 
     Parts are laid out in index order (padding part -1 first when present),
-    apex vertices come after all part vertices in the same order, and
-    ``apex_edges``/``clique_edges`` use final vertex numbers.
+    then one apex vertex per part in the same order. Offsets, apex vertices,
+    attachments and the apex clique are all computed from ``parts``.
     """
 
     k: int
     parts: tuple
-    padding_used: bool
-    apex_edges: tuple
-    clique_edges: tuple
+
+    @property
+    def padding_used(self) -> bool:
+        return self.parts[0].index < 0
+
+    def _placed(self):
+        """Yield ``(part, offset, apex vertex)`` for each part in layout order."""
+        offset = 0
+        apex = sum(p.graph.n for p in self.parts)
+        for p in self.parts:
+            yield p, offset, apex
+            offset += p.graph.n
+            apex += 1
+
+    def _find(self, index: int) -> tuple:
+        for placed in self._placed():
+            if placed[0].index == index:
+                return placed
+        raise KeyError(f"no part with index {index}")
 
     def part_offset(self, index: int) -> int:
-        offset = 0
-        for p in self.parts:
-            if p.index == index:
-                return offset
-            offset += p.graph.n
-        raise KeyError(f"no part with index {index}")
+        return self._find(index)[1]
 
     def apex_vertex(self, index: int) -> int:
-        base = sum(p.graph.n for p in self.parts)
-        for t, p in enumerate(self.parts):
-            if p.index == index:
-                return base + t
-        raise KeyError(f"no part with index {index}")
+        return self._find(index)[2]
 
     def apex_set(self) -> int:
-        base = sum(p.graph.n for p in self.parts)
-        return ((1 << len(self.parts)) - 1) << base
+        return sum(1 << apex for _p, _offset, apex in self._placed())
 
-    def validate(self) -> None:
-        if len(self.parts) % 2 != 0:
-            raise ConstructionError(
-                f"recipe must use an even number of parts, got {len(self.parts)}"
-            )
-        claimed = sorted(p.claimed_grundy for p in self.parts if p.index >= 0)
-        if claimed != list(range(self.k)):
-            raise ConstructionError(
-                f"claimed values {claimed} are not exactly 0..{self.k - 1}"
-            )
-        for p in self.parts:
-            if p.index < 0 and p.claimed_grundy != 0:
-                raise ConstructionError("padding part must claim value 0")
-        if self.padding_used != any(p.index < 0 for p in self.parts):
-            raise ConstructionError("padding flag disagrees with the part list")
-        attach_counts: dict = {}
-        for apex, _v in self.apex_edges:
-            attach_counts[apex] = attach_counts.get(apex, 0) + 1
-        apexes = sorted(iter_bits(self.apex_set()))
-        for apex in apexes:
-            if attach_counts.get(apex, 0) < 2:
-                raise ConstructionError(
-                    f"apex {apex} has fewer than 2 attachments"
-                )
-        expected_clique = {
-            (a, b) for i, a in enumerate(apexes) for b in apexes[i + 1 :]
-        }
-        if set(self.clique_edges) != expected_clique:
-            raise ConstructionError("clique edges do not form a complete graph")
+    def _clique_edges(self) -> list:
+        apexes = [apex for _p, _offset, apex in self._placed()]
+        return [(a, b) for i, a in enumerate(apexes) for b in apexes[i + 1 :]]
+
+
+def _attached(part: RecipePart, offset: int) -> list:
+    """Final vertex numbers of a part's odd-degree vertices, its apex's
+    neighbours within the part."""
+    return [offset + v for v in iter_bits(part.graph.odd_degree_vertices())]
 
 
 @dataclass(frozen=True)
@@ -125,17 +116,13 @@ class Witness:
     certified: bool
 
 
-def construct_next(
-    parts,
-    verify_parts: bool = False,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Witness:
+def construct_next(parts) -> Witness:
     """Assemble a witness of value ``len(parts)`` from parts of values 0..K.
 
     Every part must be connected with at least one odd-degree vertex (then it
     has at least two); grow isolated vertices into 3-paths first if needed.
-    With ``verify_parts`` each part's claimed value is solved and checked
-    instead of trusted. The result is not yet certified.
+    The parts' values are trusted, not solved; the result is not yet
+    certified, and :func:`certify` checks its root value.
     """
     parts = list(parts)
     if not parts:
@@ -152,59 +139,29 @@ def construct_next(
                 f"part {i} has no odd-degree vertex; replace it "
                 "(e.g. by a 3-path) before assembly"
             )
-        if verify_parts:
-            got = grundy_value(g, memo=MemoTable(node_budget))
-            if got != i:
-                raise ConstructionError(f"part {i} has Grundy value {got}, not {i}")
 
-    indexed = [(i, g) for i, g in enumerate(parts)]
-    padding_used = K % 2 == 0
-    if padding_used:
+    indexed = list(enumerate(parts))
+    if K % 2 == 0:
         indexed.insert(0, (-1, path_graph(3)))
-
-    offsets = []
-    offset = 0
-    edges = []
-    odd_lists = []
-    for _idx, g in indexed:
-        offsets.append(offset)
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        odd_lists.append([offset + v for v in iter_bits(g.odd_degree_vertices())])
-        offset += g.n
-    apexes = list(range(offset, offset + len(indexed)))
-    apex_edges = []
-    for apex, odd in zip(apexes, odd_lists):
-        for v in odd:
-            apex_edges.append((apex, v))
-    clique_edges = [
-        (a, b) for i, a in enumerate(apexes) for b in apexes[i + 1 :]
-    ]
-    graph = Graph(offset + len(apexes), edges + apex_edges + clique_edges)
-
-    # structural postconditions; violations indicate an assembly bug
-    for v in range(offset):
-        if graph.degree(v) % 2 != 0:
-            raise ConstructionError(f"original vertex {v} has odd degree")
-    for apex in apexes:
-        if graph.degree(apex) % 2 != 1:
-            raise ConstructionError(f"apex {apex} has even degree")
-    if not graph.is_connected():
-        raise ConstructionError("assembled graph is not connected")
-    movable = graph.full_position().movable_vertices(MoveRule.ODD)
-    apex_mask = 0
-    for apex in apexes:
-        apex_mask |= 1 << apex
-    if movable != apex_mask:
-        raise ConstructionError("removable vertices at the root are not the apexes")
-
     recipe = ConstructionRecipe(
         k=K + 1,
         parts=tuple(RecipePart(idx, g, max(idx, 0)) for idx, g in indexed),
-        padding_used=padding_used,
-        apex_edges=tuple(apex_edges),
-        clique_edges=tuple(clique_edges),
     )
-    recipe.validate()
+    edges = []
+    for p, offset, apex in recipe._placed():
+        edges.extend((u + offset, v + offset) for u, v in p.graph.edges())
+        edges.extend((apex, v) for v in _attached(p, offset))
+    # the last apex is the last vertex
+    graph = Graph(apex + 1, edges + recipe._clique_edges())
+
+    # structural postconditions; violations indicate an assembly bug
+    apexes = recipe.apex_set()
+    if graph.odd_degree_vertices() != apexes:
+        raise ConstructionError("odd-degree vertices are not exactly the apexes")
+    if not graph.is_connected():
+        raise ConstructionError("assembled graph is not connected")
+    if graph.full_position().movable_vertices(MoveRule.ODD) != apexes:
+        raise ConstructionError("removable vertices at the root are not the apexes")
     return Witness(K + 1, graph, recipe, certified=False)
 
 
@@ -258,7 +215,7 @@ def witness(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Witness:
         elif j == 1:
             w = Witness(1, complete_graph(2), None, certified=False)
         else:
-            w = construct_next([t.graph for t in tower], node_budget=node_budget)
+            w = construct_next([t.graph for t in tower])
         tower.append(certify(w, node_budget=node_budget))
     return tower[k]
 
@@ -275,28 +232,21 @@ def witness_record(w: Witness) -> dict:
     if w.recipe is None:
         record["base_case"] = True
         return record
-    recipe = w.recipe
-    attached: dict = {}
-    for apex, v in recipe.apex_edges:
-        attached.setdefault(apex, []).append(v)
-    record["padding_used"] = recipe.padding_used
+    placed = list(w.recipe._placed())
+    record["padding_used"] = w.recipe.padding_used
     record["parts"] = [
         {
             "index": p.index,
             "claimed_grundy": p.claimed_grundy,
-            "offset": recipe.part_offset(p.index),
+            "offset": offset,
             "size": p.graph.n,
             "graph6": to_graph6(p.graph),
         }
-        for p in recipe.parts
+        for p, offset, _apex in placed
     ]
     record["apexes"] = [
-        {
-            "index": p.index,
-            "vertex": recipe.apex_vertex(p.index),
-            "attached": sorted(attached.get(recipe.apex_vertex(p.index), [])),
-        }
-        for p in recipe.parts
+        {"index": p.index, "vertex": apex, "attached": _attached(p, offset)}
+        for p, offset, apex in placed
     ]
-    record["clique_edges"] = [list(e) for e in recipe.clique_edges]
+    record["clique_edges"] = [list(e) for e in w.recipe._clique_edges()]
     return record

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graph import MoveRule, from_edge_mask, edge_slots
-from .solver import NodeBudgetExceeded
+from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
 
 SWEEP_MAX_N = 7
 
@@ -80,21 +80,21 @@ def _level_tables(k: int):
     return parity, extract
 
 
-def _check_graph_budget(graph_budget: int | None) -> None:
-    if graph_budget is not None and graph_budget < 0:
+def _check_graph_budget(graph_budget: int) -> None:
+    if graph_budget < 0:
         raise ValueError(f"graph budget must be nonnegative, got {graph_budget}")
 
 
 def grundy_tables(
     max_n: int,
     rule: MoveRule = MoveRule.ODD,
-    graph_budget: int | None = None,
+    graph_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list:
     """Grundy value of every labeled graph with at most ``max_n`` vertices.
 
     Returns a list indexed by vertex count ``k``; entry ``k`` is a bytearray
-    indexed by edge mask. The optional budget counts graph evaluations and is
-    checked before each level so a refusal is explicit, never a wrong answer.
+    indexed by edge mask. The budget counts graph evaluations and is checked
+    before each level so a refusal is explicit, never a wrong answer.
     """
     if not 0 <= max_n <= SWEEP_MAX_N:
         raise ValueError(
@@ -108,7 +108,7 @@ def grundy_tables(
     for k in range(1, max_n + 1):
         nslots = k * (k - 1) // 2
         size = 1 << nslots
-        if graph_budget is not None and evaluated + size > graph_budget:
+        if evaluated + size > graph_budget:
             raise NodeBudgetExceeded(evaluated, graph_budget)
         evaluated += size
         prev = tables[k - 1]
@@ -180,7 +180,7 @@ class CensusReport:
 
     ``minimal_examples[v]`` is the first graph of value ``v`` by vertex
     count, then edge count, then edge mask. ``completed_n`` trails ``max_n``
-    only when a budget stopped the sweep early (``partial`` set).
+    only when a budget stopped the sweep early (``partial``).
     """
 
     max_n: int
@@ -188,10 +188,15 @@ class CensusReport:
     minimal_examples: dict = field(default_factory=dict)
     graphs_evaluated: int = 0
     completed_n: int = -1
-    partial: bool = False
+
+    @property
+    def partial(self) -> bool:
+        return self.completed_n < self.max_n
 
 
-def census(max_n: int = SWEEP_MAX_N, graph_budget: int | None = None) -> CensusReport:
+def census(
+    max_n: int = SWEEP_MAX_N, graph_budget: int = DEFAULT_NODE_BUDGET
+) -> CensusReport:
     """Tabulate odd-rule Grundy values of every labeled graph with at most
     ``max_n`` vertices: counts per (value, n, edge count) plus minimal
     examples."""
@@ -201,17 +206,15 @@ def census(max_n: int = SWEEP_MAX_N, graph_budget: int | None = None) -> CensusR
             f"most {SWEEP_MAX_N}, got {max_n}"
         )
     _check_graph_budget(graph_budget)
-    feasible_n = max_n
-    if graph_budget is not None:
-        evaluated = 0
-        feasible_n = -1
-        for k in range(max_n + 1):
-            size = 1 << (k * (k - 1) // 2)
-            if evaluated + size > graph_budget:
-                break
-            evaluated += size
-            feasible_n = k
-    report = CensusReport(max_n=max_n, partial=feasible_n < max_n)
+    evaluated = 0
+    feasible_n = -1
+    for k in range(max_n + 1):
+        size = 1 << (k * (k - 1) // 2)
+        if evaluated + size > graph_budget:
+            break
+        evaluated += size
+        feasible_n = k
+    report = CensusReport(max_n=max_n)
     if feasible_n < 0:
         return report
     tables = grundy_tables(feasible_n)

@@ -22,8 +22,6 @@ DEFAULT_NODE_BUDGET = 50_000_000
 
 SEARCH_METHOD = "brute-force search"
 
-GRUNDY_VALUE_BOUND = 1 << 16
-
 ENUMERATION_MAX_N = 7
 
 
@@ -201,8 +199,6 @@ def grundy(
         ) from None
     finally:
         memo.nodes_visited = base + visited
-    if value >= GRUNDY_VALUE_BOUND:
-        raise AssertionError(f"grundy value {value} exceeds the sanity bound")
     return SolveReport(value, visited, visited, move)
 
 

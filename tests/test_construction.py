@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from vertexnim import (
     complete_graph,
     construct_next,
     cycle_graph,
+    from_graph6,
     grundy_value,
     iter_bits,
     path_graph,
@@ -91,15 +93,16 @@ class TestConstructNext:
         with pytest.raises(ConstructionError, match="not a Graph"):
             construct_next(["nope"])
 
-    def test_verify_parts_catches_wrong_order(self):
-        with pytest.raises(ConstructionError, match="Grundy value"):
-            construct_next(
-                [complete_graph(2), path_graph(3)], verify_parts=True
-            )
-
-    def test_verify_parts_accepts_correct_order(self):
-        w = construct_next([path_graph(3), complete_graph(2)], verify_parts=True)
-        assert w.k == 2
+    def test_wrong_part_values_build_but_fail_certification(self):
+        # part values are trusted at assembly and certify checks the root,
+        # the mex of the part values: swapped parts [K2, P3] still give
+        # mex{1, 0} = 2, but a repeated value does not
+        assert certify(construct_next([complete_graph(2), path_graph(3)])).k == 2
+        w = construct_next([complete_graph(2), complete_graph(2)])
+        assert w.k == 2 and w.graph.n == 6
+        with pytest.raises(ConstructionSoundnessError) as info:
+            certify(w)
+        assert info.value.got == 0
 
 
 class TestWitnessTower:
@@ -194,17 +197,9 @@ class TestRecipe:
             (3, 3),
         ]
 
-    def test_validate_rejects_odd_part_count(self):
-        recipe = witness(2).recipe
-        broken = type(recipe)(
-            k=recipe.k,
-            parts=recipe.parts[:1],
-            padding_used=recipe.padding_used,
-            apex_edges=recipe.apex_edges,
-            clique_edges=recipe.clique_edges,
-        )
-        with pytest.raises(ConstructionError, match="even number of parts"):
-            broken.validate()
+    def test_records_only_its_parts(self):
+        recipe = witness(3).recipe
+        assert [f.name for f in dataclasses.fields(recipe)] == ["k", "parts"]
 
 
 class TestWitnessRecord:
@@ -224,3 +219,45 @@ class TestWitnessRecord:
         assert [a["attached"] for a in record["apexes"]] == [[0, 2], [3, 4]]
         assert record["clique_edges"] == [[5, 6]]
         json.dumps(record)
+
+    def test_padded_tower_record(self):
+        record = witness_record(witness(3))
+        assert record["vertices"] == 19 and record["edges"] == 27
+        assert record["padding_used"] is True
+        assert [
+            (p["index"], p["claimed_grundy"], p["offset"], p["size"], p["graph6"])
+            for p in record["parts"]
+        ] == [
+            (-1, 0, 0, 3, "Bg"),
+            (0, 0, 3, 3, "Bg"),
+            (1, 1, 6, 2, "A_"),
+            (2, 2, 8, 7, "FgE_w"),
+        ]
+        assert [(a["index"], a["vertex"], a["attached"]) for a in record["apexes"]] == [
+            (-1, 15, [0, 2]),
+            (0, 16, [3, 5]),
+            (1, 17, [6, 7]),
+            (2, 18, [13, 14]),
+        ]
+        assert record["clique_edges"] == [
+            [15, 16],
+            [15, 17],
+            [15, 18],
+            [16, 17],
+            [16, 18],
+            [17, 18],
+        ]
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_record_rebuilds_the_graph(self, k):
+        w = witness(k)
+        record = witness_record(w)
+        edges = []
+        for part in record["parts"]:
+            offset = part["offset"]
+            g = from_graph6(part["graph6"])
+            edges += [(u + offset, v + offset) for u, v in g.edges()]
+        for apex in record["apexes"]:
+            edges += [(apex["vertex"], v) for v in apex["attached"]]
+        edges += [tuple(e) for e in record["clique_edges"]]
+        assert Graph(record["vertices"], edges) == w.graph
