@@ -15,17 +15,17 @@ its audit record cannot disagree.
 
 The canonical witness tower starts from the 3-path (value 0) and the single
 edge (value 1) and feeds each new witness back in as a part. Every witness
-is certified by an independent brute-force solve; a mismatch is a soundness
-error and must never occur. The tower's size grows about twofold per value,
-so :func:`witness` stops where it would exceed the input limit
-:data:`~vertexnim.formats.MAX_VERTICES`.
+is certified by an independent brute-force solve of its root and of each
+part's apex child; a mismatch is a soundness error and must never occur.
+The tower's size grows about twofold per value, so :func:`witness` stops
+where it would exceed the input limit :data:`~vertexnim.formats.MAX_VERTICES`.
 """
 
 from dataclasses import dataclass, replace
 
 from .families import complete_graph, path_graph
 from .formats import MAX_VERTICES, to_graph6
-from .graph import Graph, MoveRule, iter_bits
+from .graph import Graph, MoveRule, Position, iter_bits
 from .solver import DEFAULT_NODE_BUDGET, MemoTable, grundy_value
 
 
@@ -34,15 +34,21 @@ class ConstructionError(ValueError):
 
 
 class ConstructionSoundnessError(RuntimeError):
-    """Certification contradicted a recipe; indicates a bug, must never fire."""
+    """Certification contradicted a recipe; indicates a bug, must never fire.
 
-    def __init__(self, witness: "Witness", got: int):
+    ``part`` is the recipe part whose apex child solved to ``got``, or None
+    when the root did.
+    """
+
+    def __init__(self, witness: "Witness", got: int, part=None):
+        where = "" if part is None else f"the apex child of part {part.index} of the "
         super().__init__(
-            f"witness for value {witness.k} solved to {got}; "
+            f"{where}witness for value {witness.k} solved to {got}; "
             f"recipe: {witness.recipe!r}"
         )
         self.witness = witness
         self.got = got
+        self.part = part
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ def construct_next(parts) -> Witness:
     Every part must be connected with at least one odd-degree vertex (then it
     has at least two); grow isolated vertices into 3-paths first if needed.
     The parts' values are trusted, not solved; the result is not yet
-    certified, and :func:`certify` checks its root value.
+    certified, and :func:`certify` checks its root and part values.
     """
     parts = list(parts)
     if not parts:
@@ -166,15 +172,25 @@ def construct_next(parts) -> Witness:
 
 
 def certify(w: Witness, node_budget: int = DEFAULT_NODE_BUDGET) -> Witness:
-    """Solve the witness graph and confirm the claimed value.
+    """Solve the witness graph and confirm the claimed value, then confirm
+    that each recipe part's apex child has the part's claimed value.
 
-    Returns a certified copy on success; a mismatch raises
-    :class:`ConstructionSoundnessError`. Budget exhaustion propagates as
-    :class:`~vertexnim.solver.NodeBudgetExceeded`.
+    The child solves share the root solve's memo. The root is connected,
+    so its solve stored every apex child's value; only a child's own
+    optimal-move search can visit new positions. Returns a certified copy on
+    success; a mismatch raises :class:`ConstructionSoundnessError`. Budget
+    exhaustion propagates as :class:`~vertexnim.solver.NodeBudgetExceeded`.
     """
-    got = grundy_value(w.graph, memo=MemoTable(node_budget))
+    memo = MemoTable(node_budget)
+    got = grundy_value(w.graph, memo=memo)
     if got != w.k:
         raise ConstructionSoundnessError(w, got)
+    if w.recipe is not None:
+        full = (1 << w.graph.n) - 1
+        for part, _offset, apex in w.recipe._placed():
+            got = grundy_value(Position(w.graph, full ^ 1 << apex), memo=memo)
+            if got != part.claimed_grundy:
+                raise ConstructionSoundnessError(w, got, part)
     return replace(w, certified=True)
 
 

@@ -10,8 +10,9 @@ import enum
 import inspect
 import random
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 
-from .exhaustive import SWEEP_MAX_N, bipartite_table, grundy_tables
+from .exhaustive import SWEEP_MAX_N, _level_tables, bipartite_table, grundy_tables
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -34,7 +35,6 @@ from .solver import (
     SEARCH_METHOD,
     MemoTable,
     NodeBudgetExceeded,
-    enumerate_labeled_graphs,
     grundy_even_even,
     grundy_value,
     mex,
@@ -326,9 +326,99 @@ def check_terminal_edge_parity(max_n: int = 6) -> TheoremCheckResult:
     return result
 
 
+def _cycle_space(n: int) -> bytearray:
+    """Flag per edge mask of K_n: does the edge set lie in the cycle space?
+
+    By Veblen's theorem these are exactly the edge-disjoint unions of cycles.
+    The C(n-1, 2) triangles {0, i, j} form a basis of the space (each holds
+    the one edge (i, j) no other does), so XOR-ing them in Gray-code order
+    visits each of its 2^C(n-1, 2) members once.
+    """
+    slots = edge_slots(n)
+    slot = {pair: s for s, pair in enumerate(slots)}
+    triangles = [
+        1 << slot[0, i] | 1 << slot[0, j] | 1 << slot[i, j]
+        for j in range(2, n)
+        for i in range(1, j)
+    ]
+    flags = bytearray(1 << len(slots))
+    flags[0] = 1
+    member = 0
+    for step in range(1, 1 << len(triangles)):
+        member ^= triangles[(step & -step).bit_length() - 1]
+        flags[member] = 1
+    return flags
+
+
+def _terminal_flags(n: int) -> bytes:
+    """Flag per edge mask of level ``n``: no vertex is movable under the odd
+    rule, i.e. the sweep's degree-parity chunks XOR to zero."""
+    (p0, p1, p2), _extract = _level_tables(n)
+    width = len(p0)
+    # within a run of ``width`` masks only chunk 0 varies, so the run's flags
+    # mark the chunk-0 values that cancel chunks 1 and 2
+    cancels = [bytes(x == t for x in p0) for t in range(1 << n)]
+    size = 1 << n * (n - 1) // 2
+    runs = range(-(-size // width))
+    return b"".join(cancels[p1[r % width] ^ p2[r // width]] for r in runs)[:size]
+
+
+def _closed_trails(slots: tuple, incident: list, mask: int) -> list:
+    """Hierholzer's algorithm on an edge mask: one trail per component with
+    edges, as a vertex list; ``incident[v]`` is the mask of the slots at
+    ``v``. The trails are closed and use each edge once exactly when every
+    degree is even; :func:`_covers_once` checks that from the lists alone."""
+    trails = []
+    rest = mask
+    while rest:
+        stack = [slots[(rest & -rest).bit_length() - 1][0]]
+        trail = []
+        while stack:
+            v = stack[-1]
+            out = rest & incident[v]
+            if out:
+                low = out & -out
+                rest ^= low
+                i, j = slots[low.bit_length() - 1]
+                stack.append(i ^ j ^ v)
+            else:
+                trail.append(stack.pop())
+        trails.append(trail)
+    return trails
+
+
+def _covers_once(mask: int, trails: list) -> bool:
+    """Every trail is closed, and together they use each edge of ``mask``
+    exactly once."""
+    used = 0
+    for trail in trails:
+        if trail[0] != trail[-1]:
+            return False
+        for u, v in zip(trail, trail[1:]):
+            if u == v:
+                return False
+            if u > v:
+                u, v = v, u
+            bit = 1 << v * (v - 1) // 2 + u
+            if used & bit:
+                return False
+            used |= bit
+    return used == mask
+
+
 def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
-    """Terminality under the odd rule, all-even degrees, and the
-    componentwise Eulerian condition agree on every graph up to ``max_n``.
+    """A position is terminal under the odd rule exactly when every component
+    is Eulerian, on every graph up to ``max_n`` vertices.
+
+    Both sides are read off edge masks, without a graph per instance.
+    "Terminal" comes from degree-parity vectors: the sweep's chunk tables
+    for full alive sets, and the search engine's deletion update
+    ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
+    the cycle space of K_n (:func:`_cycle_space`), and every member with
+    edges that is checked as a full position is certified by closed
+    Hierholzer trails that use each edge once. Every
+    :data:`ENGINE_CROSSCHECK_STRIDE`-th instance is also checked through
+    :meth:`Position.is_terminal` and :meth:`Position.has_eulerian_components`.
 
     Full alive sets are checked for every labeled graph; positions with dead
     vertices relabel to smaller enumerated graphs, and are additionally
@@ -346,36 +436,76 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
         TheoremId.EULER_TERMINAL,
         scale={"max_n": max_n, "all_subsets_max_n": EULER_ALL_SUBSETS_MAX_N},
     )
+    top = max(max_n, EULER_ALL_SUBSETS_MAX_N)
+    spaces = [_cycle_space(n) for n in range(top + 1)]
 
-    def check_position(p: Position) -> None:
-        terminal = p.is_terminal(MoveRule.ODD)
-        adj = p.graph.adj
-        alive = p.alive
-        all_even = True
-        m = alive
-        while m:
-            low = m & -m
-            m ^= low
-            if (adj[low.bit_length() - 1] & alive).bit_count() & 1:
-                all_even = False
-                break
-        eulerian = p.has_eulerian_components()
-        result.instances_checked += 1
-        if not (terminal == all_even == eulerian):
+    def mismatch(g: Graph, alive: int, terminal: bool, eulerian: bool) -> None:
+        result.fail(
+            g, "terminal == eulerian", (terminal, eulerian), f"alive set {alive:#x}"
+        )
+
+    def crosscheck(g: Graph, alive: int, terminal: bool, eulerian: bool) -> None:
+        p = Position(g, alive)
+        api = (p.is_terminal(MoveRule.ODD), p.has_eulerian_components())
+        if api != (terminal, eulerian):
             result.fail(
-                p.graph,
-                "terminal == all-even == eulerian",
-                (terminal, all_even, eulerian),
-                f"alive set {alive:#x}",
+                g, (terminal, eulerian), api, f"alive set {alive:#x}, Position API"
             )
 
     for n in range(max_n + 1):
-        for g in enumerate_labeled_graphs(n):
-            check_position(g.full_position())
+        flags = spaces[n]
+        terminals = _terminal_flags(n)
+        full = (1 << n) - 1
+        if terminals != flags:
+            for mask, (t, e) in enumerate(zip(terminals, flags)):
+                if t != e:
+                    mismatch(from_edge_mask(n, mask), full, bool(t), bool(e))
+        slots = edge_slots(n)
+        incident = [
+            sum(1 << s for s, pair in enumerate(slots) if v in pair) for v in range(n)
+        ]
+        for mask in compress(range(len(flags)), flags):
+            trails = _closed_trails(slots, incident, mask)
+            if not _covers_once(mask, trails):
+                result.fail(
+                    from_edge_mask(n, mask),
+                    "closed trails using each edge once",
+                    trails,
+                    f"alive set {full:#x}",
+                )
+        # instance number instances_checked + mask + 1 is cross-checked when
+        # it is a multiple of the stride
+        first = -(result.instances_checked + 1) % ENGINE_CROSSCHECK_STRIDE
+        for mask in range(first, len(flags), ENGINE_CROSSCHECK_STRIDE):
+            crosscheck(
+                from_edge_mask(n, mask), full, bool(terminals[mask]), bool(flags[mask])
+            )
+        result.instances_checked += len(flags)
+
     for n in range(EULER_ALL_SUBSETS_MAX_N + 1):
-        for g in enumerate_labeled_graphs(n):
-            for alive in range(1 << n):
-                check_position(Position(g, alive))
+        flags = spaces[n]
+        full = (1 << n) - 1
+        slots = edge_slots(n)
+        inside = [
+            sum(1 << s for s, (i, j) in enumerate(slots) if alive >> i & alive >> j & 1)
+            for alive in range(full + 1)
+        ]
+        for mask in range(len(flags)):
+            g = from_edge_mask(n, mask)
+            adj = g.adj
+            odd = [0] * (full + 1)
+            odd[full] = g.odd_degree_vertices()
+            for alive in range(full - 1, -1, -1):
+                dead = ~alive & (alive + 1)
+                odd[alive] = (odd[alive | dead] ^ adj[dead.bit_length() - 1]) & alive
+            for alive in range(full + 1):
+                terminal = not odd[alive]
+                eulerian = flags[mask & inside[alive]] == 1
+                if terminal != eulerian:
+                    mismatch(g, alive, terminal, eulerian)
+                result.instances_checked += 1
+                if result.instances_checked % ENGINE_CROSSCHECK_STRIDE == 0:
+                    crosscheck(g, alive, terminal, eulerian)
     return result
 
 

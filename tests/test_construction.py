@@ -94,10 +94,18 @@ class TestConstructNext:
             construct_next(["nope"])
 
     def test_wrong_part_values_build_but_fail_certification(self):
-        # part values are trusted at assembly and certify checks the root,
-        # the mex of the part values: swapped parts [K2, P3] still give
-        # mex{1, 0} = 2, but a repeated value does not
-        assert certify(construct_next([complete_graph(2), path_graph(3)])).k == 2
+        # part values are trusted at assembly; certify checks the root and
+        # each apex child. Swapped parts [K2, P3] still give the root
+        # mex{1, 0} = 2, but part 0's child solves to K2's value 1
+        swapped = construct_next([complete_graph(2), path_graph(3)])
+        with pytest.raises(ConstructionSoundnessError) as info:
+            certify(swapped)
+        assert (info.value.part.index, info.value.part.claimed_grundy) == (0, 0)
+        assert info.value.got == 1
+        assert str(info.value).startswith(
+            "the apex child of part 0 of the witness for value 2 solved to 1;"
+        )
+        # a repeated value already fails at the root
         w = construct_next([complete_graph(2), complete_graph(2)])
         assert w.k == 2 and w.graph.n == 6
         with pytest.raises(ConstructionSoundnessError) as info:

@@ -1,12 +1,14 @@
 import dataclasses
 import inspect
 import json
+import math
 import random
 
 import pytest
 
 from vertexnim import (
     Graph,
+    Position,
     TheoremCheckResult,
     TheoremId,
     add_isolated_vertices,
@@ -26,15 +28,24 @@ from vertexnim import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_slots,
     grundy_value,
     path_graph,
     random_bipartite_graph,
     random_graph,
     replace_isolated_with_p3,
+    to_edge_mask,
     verify_theorem,
 )
 from vertexnim.solver import grundy, solve
-from vertexnim.theorems import SUITES, CheckFailure, _terminal_masks
+from vertexnim.theorems import (
+    SUITES,
+    CheckFailure,
+    _closed_trails,
+    _covers_once,
+    _cycle_space,
+    _terminal_masks,
+)
 
 
 class TestClosedForms:
@@ -100,6 +111,46 @@ class TestReachableMasks:
         assert set(_terminal_masks(cycle_graph(4))) == {0b1111}
 
 
+BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+
+
+def hierholzer(g):
+    slots = edge_slots(g.n)
+    incident = [
+        sum(1 << s for s, pair in enumerate(slots) if v in pair) for v in range(g.n)
+    ]
+    return _closed_trails(slots, incident, to_edge_mask(g))
+
+
+class TestEulerCertificate:
+    def test_bowtie_is_one_closed_trail(self):
+        trails = hierholzer(BOWTIE)
+        assert len(trails) == 1 and len(trails[0]) == 7
+        assert _covers_once(to_edge_mask(BOWTIE), trails)
+
+    def test_one_trail_per_component(self):
+        g = disjoint_union(complete_graph(3), cycle_graph(4))
+        trails = hierholzer(g)
+        assert [sorted(set(t)) for t in trails] == [[0, 1, 2], [3, 4, 5, 6]]
+        assert _covers_once(to_edge_mask(g), trails)
+
+    def test_odd_degrees_give_no_certificate(self):
+        for g in (complete_graph(4), path_graph(3), Graph(4, [(0, 1), (2, 3)])):
+            assert not _covers_once(to_edge_mask(g), hierholzer(g))
+
+    @pytest.mark.parametrize(
+        "trails",
+        [
+            [[0, 1, 2, 0]],  # misses the triangle {0, 3, 4}
+            [[0, 1, 2, 0], [0, 1, 2, 0]],  # uses edges twice
+            [[0, 1, 2, 0, 3, 4]],  # not closed
+            [[0, 1, 2, 0, 3, 4, 0, 0]],  # a step from a vertex to itself
+        ],
+    )
+    def test_certificate_rejects(self, trails):
+        assert not _covers_once(to_edge_mask(BOWTIE), trails)
+
+
 class TestCheckSuites:
     def test_closed_forms_small(self):
         result = check_closed_forms(max_n=6)
@@ -126,6 +177,53 @@ class TestCheckSuites:
         result = check_euler_terminal(max_n=4)
         assert result.passed
         assert result.instances_checked == 76 + 33867
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_cycle_space_size(self, n):
+        # dimension |E| - |V| + 1 = C(n-1, 2) for K_n; K_0 has only the empty set
+        assert _cycle_space(n).count(1) == (2 ** math.comb(n - 1, 2) if n else 1)
+
+    def test_euler_terminal_catches_a_wrong_flag_table(self, monkeypatch):
+        def wrong(n):
+            flags = _cycle_space(n)
+            if n >= 2:
+                flags[1] = 1  # the single edge {0, 1} is no cycle
+            return flags
+
+        monkeypatch.setattr("vertexnim.theorems._cycle_space", wrong)
+        result = check_euler_terminal(max_n=4)
+        assert not result.passed
+        got = {(f.graph6, f.note, f.expected): f.got for f in result.failures}
+        assert got["A_", "alive set 0x3", "terminal == eulerian"] == (False, True)
+        # Hierholzer's trail on the single edge is not closed
+        trails = got["A_", "alive set 0x3", "closed trails using each edge once"]
+        assert trails == [[1, 0]]
+        # alive {0, 1} of the triangle, from the every-alive-subset part
+        assert got["Bw", "alive set 0x3", "terminal == eulerian"] == (False, True)
+
+    def test_euler_terminal_catches_a_wrong_subset_parity(self, monkeypatch):
+        # the every-alive-subset part starts its parity walk here; the full
+        # positions read the sweep's chunk tables instead
+        monkeypatch.setattr(Graph, "odd_degree_vertices", lambda self: 0)
+        result = check_euler_terminal(max_n=4)
+        assert not result.passed
+        assert ("A_", "alive set 0x3", (True, False)) in {
+            (f.graph6, f.note, f.got) for f in result.failures
+        }
+        assert all(f.note.startswith("alive set 0x") for f in result.failures)
+
+    def test_euler_terminal_crosschecks_the_position_api(self, monkeypatch):
+        is_terminal = Position.is_terminal
+        monkeypatch.setattr(
+            Position, "is_terminal", lambda self, rule: not is_terminal(self, rule)
+        )
+        result = check_euler_terminal(max_n=4)
+        # instances 9973, 19946 and 29919 of 33,943 are cross-checked
+        assert result.instances_checked == 33943
+        assert len(result.failures) == 3
+        for f in result.failures:
+            assert f.note.endswith(", Position API")
+            assert f.got == (not f.expected[0], f.expected[1])
 
     def test_even_even_small(self):
         result = check_even_even(max_n=5)
@@ -210,7 +308,7 @@ class TestVerifyTheorem:
         def never(n):
             raise AssertionError("enumerated before refusing")
 
-        monkeypatch.setattr("vertexnim.theorems.enumerate_labeled_graphs", never)
+        monkeypatch.setattr("vertexnim.theorems._cycle_space", never)
         with pytest.raises(ValueError, match="got 8"):
             check_euler_terminal(max_n=8)
 
