@@ -29,6 +29,7 @@ from .graph import (
     disjoint_union,
     edge_slots,
     from_edge_mask,
+    iter_bits,
 )
 from .solver import (
     DEFAULT_NODE_BUDGET,
@@ -299,30 +300,134 @@ def _terminal_masks(g: Graph):
                 stack.append((child, (odd ^ rows[low]) & child))
 
 
-def check_terminal_edge_parity(max_n: int = 6) -> TheoremCheckResult:
+def _slot_vector(s: int, size: int) -> int:
+    """Bit ``m`` set, for every ``m < size``, when edge mask ``m`` holds slot
+    ``s``: runs of ``2**s`` clear and ``2**s`` set bits, doubled up to
+    ``size``."""
+    v = ((1 << (1 << s)) - 1) << (1 << s)
+    width = 2 << s
+    while width < size:
+        v |= v << width
+        width *= 2
+    return v
+
+
+def _nth_bit(x: int, rank: int) -> int:
+    """Index of the set bit of ``x`` that has ``rank`` set bits below it,
+    found by halving ``x``."""
+    index = 0
+    width = x.bit_length()
+    while width > 1:
+        half = width // 2
+        low = x & ((1 << half) - 1)
+        below = low.bit_count()
+        if rank < below:
+            x, width = low, half
+        else:
+            x >>= half
+            rank -= below
+            index += half
+            width -= half
+    return index
+
+
+# bipartite_table's 0/1 bytes as the digits of a base-2 literal
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _terminal_sweep(k: int):
+    """Every reachable terminal position of every bipartite graph on ``k``
+    vertices, bit-sliced over edge masks: one big-int bit per labeled graph,
+    so one integer operation acts on all ``2**C(k, 2)`` graphs at once.
+
+    Bit ``m`` of ``reach[alive]`` says that ``alive`` is reachable in the
+    graph with edge mask ``m``; the full set starts from
+    :func:`bipartite_table`. Alive sets are taken in descending order. Vertex
+    ``v``'s odd-degree vector inside ``alive`` is the XOR of the slot vectors
+    of its edges there; the child ``alive - v`` gains the graphs where it is
+    set, and the graphs where no vertex has one are terminal at ``alive``.
+    Yields ``(alive, terminal, parity)`` for each alive set terminal in some
+    graph, ``parity`` marking the graphs with an odd number of edges inside
+    ``alive``.
+    """
+    slots = edge_slots(k)
+    size = 1 << len(slots)
+    vectors = [_slot_vector(s, size) for s in range(len(slots))]
+    # between[u][v]: the graphs holding edge uv (none for u == v)
+    between = [[0] * k for _ in range(k)]
+    for (i, j), vector in zip(slots, vectors):
+        between[i][j] = between[j][i] = vector
+    full = (1 << k) - 1
+    reach = {full: int(bipartite_table(k).translate(_BINARY_DIGITS)[::-1], 2)}
+    for alive in range(full, -1, -1):
+        graphs = reach.pop(alive, 0)
+        if not graphs:
+            continue
+        members = [v for v in range(k) if alive >> v & 1]
+        movable = 0
+        for v in members:
+            odd = 0
+            for u in members:
+                odd ^= between[u][v]
+            movable |= odd
+            child = alive ^ (1 << v)
+            reach[child] = reach.get(child, 0) | graphs & odd
+        terminal = graphs & ~movable
+        if terminal:
+            parity = 0
+            for (i, j), vector in zip(slots, vectors):
+                if alive >> i & alive >> j & 1:
+                    parity ^= vector
+            yield alive, terminal, parity
+
+
+def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     """Every reachable terminal position of every bipartite graph has an even
-    number of edges, exhaustively up to ``max_n`` vertices."""
-    result = TheoremCheckResult(TheoremId.BIPARTITE_PARITY, scale={"max_n": max_n})
-    result.scale["check"] = "terminal-edge-parity"
+    number of edges, exhaustively up to ``max_n`` vertices.
+
+    Each level is one sweep over all its edge masks (:func:`_terminal_sweep`),
+    so failures come in alive-set order, then edge-mask order. Every
+    :data:`ENGINE_CROSSCHECK_STRIDE`-th instance is re-walked on its own graph
+    by :func:`_terminal_masks` and checked through
+    :meth:`Position.is_terminal` and :meth:`Position.edge_count`.
+    """
+    if not 0 <= max_n <= SWEEP_MAX_N:
+        raise ValueError(
+            f"terminal-edge-parity is capped at n={SWEEP_MAX_N}: max_n must be "
+            f"from 0 to at most {SWEEP_MAX_N}, got {max_n}"
+        )
+    result = TheoremCheckResult(
+        TheoremId.BIPARTITE_PARITY,
+        scale={"max_n": max_n, "check": "terminal-edge-parity"},
+    )
+
+    def crosscheck(k: int, mask: int, alive: int) -> None:
+        g = from_edge_mask(k, mask)
+        note = f"terminal alive set {alive:#x}"
+        if alive not in _terminal_masks(g):
+            result.fail(g, "reached", "not reached", note + ", per-graph walk")
+        p = Position(g, alive)
+        if not p.is_terminal(MoveRule.ODD):
+            result.fail(g, "terminal", "not terminal", note + ", Position API")
+        edges = p.edge_count()
+        if edges % 2:
+            result.fail(g, "even edge count", edges, note + ", Position API")
+
     for k in range(max_n + 1):
-        flags = bipartite_table(k)
-        for mask, flag in enumerate(flags):
-            if not flag:
-                continue
-            g = from_edge_mask(k, mask)
-            adj = g.adj
-            for alive in _terminal_masks(g):
-                edges2 = 0
-                m = alive
-                while m:
-                    low = m & -m
-                    m ^= low
-                    edges2 += (adj[low.bit_length() - 1] & alive).bit_count()
-                result.instances_checked += 1
-                if (edges2 // 2) % 2 != 0:
-                    result.fail(
-                        g, "even edge count", edges2 // 2, f"terminal alive set {alive:#x}"
-                    )
+        for alive, terminal, parity in _terminal_sweep(k):
+            for mask in iter_bits(terminal & parity):
+                g = from_edge_mask(k, mask)
+                edges = Position(g, alive).edge_count()
+                result.fail(g, "even edge count", edges, f"terminal alive set {alive:#x}")
+                if result.truncated:
+                    break
+            count = terminal.bit_count()
+            # instance number instances_checked + rank + 1 is cross-checked
+            # when it is a multiple of the stride
+            first = -(result.instances_checked + 1) % ENGINE_CROSSCHECK_STRIDE
+            for rank in range(first, count, ENGINE_CROSSCHECK_STRIDE):
+                crosscheck(k, _nth_bit(terminal, rank), alive)
+            result.instances_checked += count
     return result
 
 
@@ -675,12 +780,12 @@ def _bipartite_parity_suite(
     seed: int = FAST_PATH_SEED,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
-    """The edge-parity law three ways, as one result: the exhaustive sweep up
-    to ``max_n`` vertices, terminal positions up to ``min(max_n, 6)``, and
-    :func:`solve`'s fast path on ``count`` seeded random bipartite graphs."""
+    """The edge-parity law three ways, as one result: the exhaustive sweep and
+    its terminal positions up to ``max_n`` vertices, and :func:`solve`'s fast
+    path on ``count`` seeded random bipartite graphs."""
     parts = [
         check_bipartite_parity(max_n, budget),
-        check_terminal_edge_parity(min(max_n, 6)),
+        check_terminal_edge_parity(max_n),
         check_bipartite_fast_path(count, seed=seed, budget=budget),
     ]
     merged = TheoremCheckResult(

@@ -37,14 +37,19 @@ from vertexnim import (
     to_edge_mask,
     verify_theorem,
 )
+from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table
+from vertexnim.graph import from_edge_mask, iter_bits
 from vertexnim.solver import grundy, solve
 from vertexnim.theorems import (
+    FAILURE_CAP,
     SUITES,
     CheckFailure,
     _closed_trails,
     _covers_once,
     _cycle_space,
+    _nth_bit,
     _terminal_masks,
+    _terminal_sweep,
 )
 
 
@@ -111,6 +116,45 @@ class TestReachableMasks:
         assert set(_terminal_masks(cycle_graph(4))) == {0b1111}
 
 
+class TestTerminalSweep:
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_the_per_graph_walk(self, k):
+        sweep = {
+            (mask, alive)
+            for alive, terminal, _ in _terminal_sweep(k)
+            for mask in iter_bits(terminal)
+        }
+        walk = {
+            (mask, alive)
+            for mask, flag in enumerate(bipartite_table(k))
+            if flag
+            for alive in _terminal_masks(from_edge_mask(k, mask))
+        }
+        assert sweep == walk
+
+    def test_parity_is_the_edge_count_inside(self):
+        slots = edge_slots(5)
+        for alive, terminal, parity in _terminal_sweep(5):
+            for mask in iter_bits(terminal | parity):
+                inside = sum(
+                    (mask >> s & alive >> i & alive >> j & 1)
+                    for s, (i, j) in enumerate(slots)
+                )
+                assert (parity >> mask & 1) == inside % 2
+
+    def test_alive_sets_descend(self):
+        order = [alive for alive, _, _ in _terminal_sweep(6)]
+        assert order == sorted(order, reverse=True)
+
+    def test_nth_bit(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            x = rng.getrandbits(rng.randint(1, 5000)) | 1
+            bits = list(iter_bits(x))
+            rank = rng.randrange(len(bits))
+            assert _nth_bit(x, rank) == bits[rank]
+
+
 BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 
 
@@ -172,6 +216,75 @@ class TestCheckSuites:
         result = check_terminal_edge_parity(max_n=7)
         assert result.passed
         assert result.instances_checked == 1175528
+
+    def test_terminal_edge_parity_default_is_the_sweep_range(self):
+        default = inspect.signature(check_terminal_edge_parity).parameters["max_n"]
+        assert default.default == SWEEP_MAX_N
+
+    @pytest.mark.parametrize("max_n", [-1, 8])
+    def test_terminal_edge_parity_refuses_bad_max_n(self, max_n, monkeypatch):
+        def never(n):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr("vertexnim.theorems.bipartite_table", never)
+        with pytest.raises(ValueError, match=f"terminal-edge-parity .* got {max_n}$"):
+            check_terminal_edge_parity(max_n=max_n)
+
+    def test_terminal_edge_parity_catches_a_wrong_bipartite_table(self, monkeypatch):
+        # K3, and a triangle with a pendant edge at vertex 2 (the pendant
+        # vertex 3 is removed first, leaving the triangle terminal)
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        wrong = {3: to_edge_mask(complete_graph(3)), 4: to_edge_mask(paw)}
+
+        def with_triangles(n):
+            flags = bipartite_table(n)
+            if n in wrong:
+                flags[wrong[n]] = 1
+            return flags
+
+        monkeypatch.setattr("vertexnim.theorems.bipartite_table", with_triangles)
+        result = check_terminal_edge_parity(max_n=4)
+        assert not result.passed
+        assert [f.to_record() for f in result.failures] == [
+            {
+                "graph6": graph6,
+                "expected": "even edge count",
+                "got": 3,
+                "note": "terminal alive set 0x7",
+            }
+            for graph6 in ("Bw", "Cx")
+        ]
+
+    def test_terminal_edge_parity_truncates_its_failures(self, monkeypatch):
+        every_graph = lambda n: bytearray([1]) * 2 ** math.comb(n, 2)
+        monkeypatch.setattr("vertexnim.theorems.bipartite_table", every_graph)
+        result = check_terminal_edge_parity(max_n=6)
+        assert len(result.failures) == FAILURE_CAP and result.truncated
+
+    # instances 9973, 19946 and 29919 of 38,797 are cross-checked
+    CROSSCHECKED = [("EcSO", 0x25), ("Ec?W", 0x14), ("EEAg", 0x8)]
+
+    def test_terminal_edge_parity_crosschecks_the_per_graph_walk(self, monkeypatch):
+        monkeypatch.setattr("vertexnim.theorems._terminal_masks", lambda g: iter(()))
+        result = check_terminal_edge_parity(max_n=6)
+        assert result.instances_checked == 38797
+        assert [(f.graph6, f.note, f.got) for f in result.failures] == [
+            (graph6, f"terminal alive set {alive:#x}, per-graph walk", "not reached")
+            for graph6, alive in self.CROSSCHECKED
+        ]
+
+    def test_terminal_edge_parity_crosschecks_the_position_api(self, monkeypatch):
+        is_terminal = Position.is_terminal
+        monkeypatch.setattr(
+            Position, "is_terminal", lambda self, rule: not is_terminal(self, rule)
+        )
+        monkeypatch.setattr(Position, "edge_count", lambda self: 1)
+        result = check_terminal_edge_parity(max_n=6)
+        assert [(f.graph6, f.note, f.expected) for f in result.failures] == [
+            (graph6, f"terminal alive set {alive:#x}, Position API", expected)
+            for graph6, alive in self.CROSSCHECKED
+            for expected in ("terminal", "even edge count")
+        ]
 
     def test_euler_terminal_small(self):
         result = check_euler_terminal(max_n=4)
@@ -303,6 +416,19 @@ class TestVerifyTheorem:
         result = verify_theorem(TheoremId.NIM_SUM, count=3, max_n=4)
         assert result.scale == {"pairs": 3, "max_n": 4, "seed": 1009}
         assert result.instances_checked == 3
+
+    def test_bipartite_parity_terminal_part_follows_max_n(self, monkeypatch):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return TheoremCheckResult(TheoremId.BIPARTITE_PARITY)
+
+        for part in ("bipartite_parity", "terminal_edge_parity", "bipartite_fast_path"):
+            monkeypatch.setattr(f"vertexnim.theorems.check_{part}", record)
+        SUITES[TheoremId.BIPARTITE_PARITY](max_n=7, count=1)
+        # the sweep, the terminal positions, the fast path, in that order
+        assert calls[1] == (7,)
 
     def test_euler_terminal_refuses_large_n_before_enumerating(self, monkeypatch):
         def never(n):
