@@ -80,9 +80,28 @@ def _level_tables(k: int):
     return parity, extract
 
 
-def _check_graph_budget(graph_budget: int) -> None:
+def _check_sweep_range(caller: str, max_n: int, name: str = "max_n") -> None:
+    """Refuse a sweep scale outside ``0..SWEEP_MAX_N``, naming ``caller``."""
+    if not 0 <= max_n <= SWEEP_MAX_N:
+        raise ValueError(
+            f"{caller} is capped at n={SWEEP_MAX_N}: {name} must be from 0 to at "
+            f"most {SWEEP_MAX_N}, got {max_n}"
+        )
+
+
+def _levels_within(max_n: int, graph_budget: int) -> tuple:
+    """How many levels ``0, 1, ..., max_n`` fit ``graph_budget`` labeled
+    graphs, taken in order, and how many graphs those levels hold."""
     if graph_budget < 0:
         raise ValueError(f"graph budget must be nonnegative, got {graph_budget}")
+    levels = graphs = 0
+    for k in range(max_n + 1):
+        size = 1 << k * (k - 1) // 2
+        if graphs + size > graph_budget:
+            break
+        levels += 1
+        graphs += size
+    return levels, graphs
 
 
 def grundy_tables(
@@ -93,24 +112,18 @@ def grundy_tables(
     """Grundy value of every labeled graph with at most ``max_n`` vertices.
 
     Returns a list indexed by vertex count ``k``; entry ``k`` is a bytearray
-    indexed by edge mask. The budget counts graph evaluations and is checked
-    before each level so a refusal is explicit, never a wrong answer.
+    indexed by edge mask. The budget counts graph evaluations, level 0's one
+    graph included, and is checked once before any level, so a refusal is
+    explicit and costs no sweeping.
     """
-    if not 0 <= max_n <= SWEEP_MAX_N:
-        raise ValueError(
-            f"exhaustive sweep is capped at n={SWEEP_MAX_N}: max_n must be from 0 "
-            f"to at most {SWEEP_MAX_N}, got {max_n}"
-        )
-    _check_graph_budget(graph_budget)
+    _check_sweep_range("exhaustive sweep", max_n)
+    levels, graphs = _levels_within(max_n, graph_budget)
+    if levels <= max_n:
+        raise NodeBudgetExceeded(graphs, graph_budget)
     want_odd = rule is MoveRule.ODD
     tables = [bytearray([0])]
-    evaluated = 1
     for k in range(1, max_n + 1):
-        nslots = k * (k - 1) // 2
-        size = 1 << nslots
-        if evaluated + size > graph_budget:
-            raise NodeBudgetExceeded(evaluated, graph_budget)
-        evaluated += size
+        size = 1 << k * (k - 1) // 2
         prev = tables[k - 1]
         cur = bytearray(size)
         full = (1 << k) - 1
@@ -143,11 +156,7 @@ def bipartite_table(n: int) -> bytearray:
     vertex subset. Independent of the breadth-first coloring in
     :meth:`Graph.bipartition`, which makes the two usable as cross-checks.
     """
-    if not 0 <= n <= SWEEP_MAX_N:
-        raise ValueError(
-            f"bipartite table is capped at n={SWEEP_MAX_N}: n must be from 0 to "
-            f"at most {SWEEP_MAX_N}, got {n}"
-        )
+    _check_sweep_range("bipartite table", n, "n")
     pairs = edge_slots(n)
     flags = bytearray(1 << len(pairs))
     for cut in range(1 << n):
@@ -200,24 +209,12 @@ def census(
     """Tabulate odd-rule Grundy values of every labeled graph with at most
     ``max_n`` vertices: counts per (value, n, edge count) plus minimal
     examples."""
-    if not 0 <= max_n <= SWEEP_MAX_N:
-        raise ValueError(
-            f"census is capped at n={SWEEP_MAX_N}: max_n must be from 0 to at "
-            f"most {SWEEP_MAX_N}, got {max_n}"
-        )
-    _check_graph_budget(graph_budget)
-    evaluated = 0
-    feasible_n = -1
-    for k in range(max_n + 1):
-        size = 1 << (k * (k - 1) // 2)
-        if evaluated + size > graph_budget:
-            break
-        evaluated += size
-        feasible_n = k
+    _check_sweep_range("census", max_n)
+    levels, graphs = _levels_within(max_n, graph_budget)
     report = CensusReport(max_n=max_n)
-    if feasible_n < 0:
+    if not levels:
         return report
-    tables = grundy_tables(feasible_n)
+    tables = grundy_tables(levels - 1, graph_budget=graph_budget)
     counts: dict = {}
     minima: dict = {}
     for k, table in enumerate(tables):
@@ -233,8 +230,8 @@ def census(
                     for mask, got in enumerate(table)
                     if got == value and mask.bit_count() == e
                 )
-    report.completed_n = feasible_n
-    report.graphs_evaluated = sum(map(len, tables))
+    report.completed_n = levels - 1
+    report.graphs_evaluated = graphs
     report.rows = [
         CensusRow(value, k, e, c) for (value, k, e), c in sorted(counts.items())
     ]

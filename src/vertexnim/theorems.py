@@ -12,7 +12,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 
-from .exhaustive import SWEEP_MAX_N, _level_tables, bipartite_table, grundy_tables
+from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _level_tables
+from .exhaustive import bipartite_table, grundy_tables
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -58,8 +59,8 @@ EULER_ALL_SUBSETS_MAX_N = 5
 SUBSTITUTION_MAX_PADDING = 3
 FAST_PATH_MAX_N = 12
 
-# every graph solved at this stride is re-solved with the per-graph engine,
-# tying the sweep tables back to the reference recursion
+# an exhaustive suite re-checks the instances of rank 0, stride, 2 * stride, ...
+# of each level by an independent path: the per-graph engine, walk or Position API
 ENGINE_CROSSCHECK_STRIDE = 9973
 
 
@@ -215,6 +216,13 @@ def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def _strided(count: int, start: int = 0) -> range:
+    """The ranks ``r < count`` of a level's instances ``start + r`` that are
+    cross-checked: those whose rank within the level is a multiple of
+    :data:`ENGINE_CROSSCHECK_STRIDE`."""
+    return range(-start % ENGINE_CROSSCHECK_STRIDE, count, ENGINE_CROSSCHECK_STRIDE)
+
+
 def check_closed_forms(
     max_n: int = 12,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -222,6 +230,8 @@ def check_closed_forms(
     """Solver versus the closed forms for paths, complete graphs and stars up
     to ``max_n`` vertices, and complete bipartite graphs with sides up to
     :data:`CLOSED_FORMS_MAX_SIDE`."""
+    if max_n < 0:
+        raise ValueError(f"closed-forms: max_n must be at least 0, got {max_n}")
     result = TheoremCheckResult(
         TheoremId.CLOSED_FORMS,
         scale={"max_n": max_n, "max_side": CLOSED_FORMS_MAX_SIDE},
@@ -249,27 +259,28 @@ def check_bipartite_parity(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Every bipartite labeled graph's value equals its edge-count parity,
-    exhaustively up to ``max_n`` vertices, plus grid spot checks."""
+    exhaustively up to ``max_n`` vertices, plus grid spot checks. Each
+    level's strided instances (:func:`_strided`) are re-solved with the
+    per-graph engine."""
+    _check_sweep_range("bipartite-parity", max_n)
     result = TheoremCheckResult(TheoremId.BIPARTITE_PARITY, scale={"max_n": max_n})
     tables = grundy_tables(max_n, MoveRule.ODD, graph_budget=budget)
     crosschecks = 0
     for k in range(max_n + 1):
         flags = bipartite_table(k)
         table = tables[k]
-        for mask, flag in enumerate(flags):
-            if not flag:
-                continue
-            expected = mask.bit_count() & 1
-            got = table[mask]
-            result.instances_checked += 1
-            if got != expected:
-                result.fail(from_edge_mask(k, mask), expected, got)
-            if result.instances_checked % ENGINE_CROSSCHECK_STRIDE == 0:
-                g = from_edge_mask(k, mask)
-                direct = grundy_value(g, memo=MemoTable(budget))
-                crosschecks += 1
-                if direct != got:
-                    result.fail(g, got, direct, "sweep vs per-graph engine")
+        masks = list(compress(range(len(flags)), flags))
+        for mask in masks:
+            if table[mask] != mask.bit_count() & 1:
+                result.fail(from_edge_mask(k, mask), mask.bit_count() & 1, table[mask])
+        result.instances_checked += len(masks)
+        checked = [masks[rank] for rank in _strided(len(masks))]
+        crosschecks += len(checked)
+        for mask in checked:
+            g = from_edge_mask(k, mask)
+            direct = grundy_value(g, memo=MemoTable(budget))
+            if direct != table[mask]:
+                result.fail(g, table[mask], direct, "sweep vs per-graph engine")
     for rows, cols in ((2, 2), (2, 3), (3, 3)):
         g = grid_graph(rows, cols)
         got = grundy_value(g, memo=MemoTable(budget))
@@ -386,16 +397,12 @@ def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     number of edges, exhaustively up to ``max_n`` vertices.
 
     Each level is one sweep over all its edge masks (:func:`_terminal_sweep`),
-    so failures come in alive-set order, then edge-mask order. Every
-    :data:`ENGINE_CROSSCHECK_STRIDE`-th instance is re-walked on its own graph
-    by :func:`_terminal_masks` and checked through
+    so failures come in alive-set order, then edge-mask order. Each level's
+    strided instances (:func:`_strided`), in that order, are re-walked on
+    their own graph by :func:`_terminal_masks` and checked through
     :meth:`Position.is_terminal` and :meth:`Position.edge_count`.
     """
-    if not 0 <= max_n <= SWEEP_MAX_N:
-        raise ValueError(
-            f"terminal-edge-parity is capped at n={SWEEP_MAX_N}: max_n must be "
-            f"from 0 to at most {SWEEP_MAX_N}, got {max_n}"
-        )
+    _check_sweep_range("terminal-edge-parity", max_n)
     result = TheoremCheckResult(
         TheoremId.BIPARTITE_PARITY,
         scale={"max_n": max_n, "check": "terminal-edge-parity"},
@@ -414,6 +421,7 @@ def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
             result.fail(g, "even edge count", edges, note + ", Position API")
 
     for k in range(max_n + 1):
+        level_start = result.instances_checked
         for alive, terminal, parity in _terminal_sweep(k):
             for mask in iter_bits(terminal & parity):
                 g = from_edge_mask(k, mask)
@@ -422,10 +430,7 @@ def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
                 if result.truncated:
                     break
             count = terminal.bit_count()
-            # instance number instances_checked + rank + 1 is cross-checked
-            # when it is a multiple of the stride
-            first = -(result.instances_checked + 1) % ENGINE_CROSSCHECK_STRIDE
-            for rank in range(first, count, ENGINE_CROSSCHECK_STRIDE):
+            for rank in _strided(count, result.instances_checked - level_start):
                 crosscheck(k, _nth_bit(terminal, rank), alive)
             result.instances_checked += count
     return result
@@ -521,8 +526,9 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
     the cycle space of K_n (:func:`_cycle_space`), and every member with
     edges that is checked as a full position is certified by closed
-    Hierholzer trails that use each edge once. Every
-    :data:`ENGINE_CROSSCHECK_STRIDE`-th instance is also checked through
+    Hierholzer trails that use each edge once. Each level's strided instances
+    (:func:`_strided`; in the every-alive-subset part a level's instances run
+    by edge mask, then alive set) are also checked through
     :meth:`Position.is_terminal` and :meth:`Position.has_eulerian_components`.
 
     Full alive sets are checked for every labeled graph; positions with dead
@@ -532,11 +538,7 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     ``max_n``: at ``max_n=3`` it still checks every alive subset of every
     graph on up to 5 vertices.
     """
-    if max_n > SWEEP_MAX_N:
-        raise ValueError(
-            f"euler-terminal is capped at n={SWEEP_MAX_N}: max_n must be at most "
-            f"{SWEEP_MAX_N}, got {max_n}"
-        )
+    _check_sweep_range("euler-terminal", max_n)
     result = TheoremCheckResult(
         TheoremId.EULER_TERMINAL,
         scale={"max_n": max_n, "all_subsets_max_n": EULER_ALL_SUBSETS_MAX_N},
@@ -578,10 +580,7 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
                     trails,
                     f"alive set {full:#x}",
                 )
-        # instance number instances_checked + mask + 1 is cross-checked when
-        # it is a multiple of the stride
-        first = -(result.instances_checked + 1) % ENGINE_CROSSCHECK_STRIDE
-        for mask in range(first, len(flags), ENGINE_CROSSCHECK_STRIDE):
+        for mask in _strided(len(flags)):
             crosscheck(
                 from_edge_mask(n, mask), full, bool(terminals[mask]), bool(flags[mask])
             )
@@ -608,9 +607,9 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
                 eulerian = flags[mask & inside[alive]] == 1
                 if terminal != eulerian:
                     mismatch(g, alive, terminal, eulerian)
-                result.instances_checked += 1
-                if result.instances_checked % ENGINE_CROSSCHECK_STRIDE == 0:
-                    crosscheck(g, alive, terminal, eulerian)
+            for alive in _strided(full + 1, mask * (full + 1)):
+                crosscheck(g, alive, not odd[alive], flags[mask & inside[alive]] == 1)
+        result.instances_checked += len(flags) * (full + 1)
     return result
 
 
@@ -619,7 +618,9 @@ def check_even_even(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """The even-rule engine value equals the vertex-count parity for every
-    labeled graph up to ``max_n`` vertices."""
+    labeled graph up to ``max_n`` vertices; each level's strided instances
+    (:func:`_strided`) are re-solved with the per-graph engine."""
+    _check_sweep_range("even-even", max_n)
     result = TheoremCheckResult(TheoremId.EVEN_EVEN, scale={"max_n": max_n})
     tables = grundy_tables(max_n, MoveRule.EVEN, graph_budget=budget)
     crosschecks = 0
@@ -632,10 +633,11 @@ def check_even_even(
             for mask, got in enumerate(table):
                 if got != expected:
                     result.fail(from_edge_mask(k, mask), expected, got)
-        for mask in range(0, size, ENGINE_CROSSCHECK_STRIDE):
+        checked = _strided(size)
+        crosschecks += len(checked)
+        for mask in checked:
             g = from_edge_mask(k, mask)
             direct = grundy_value(g, MoveRule.EVEN, MemoTable(budget))
-            crosschecks += 1
             if direct != table[mask]:
                 result.fail(g, table[mask], direct, "sweep vs per-graph engine")
     result.scale["engine_crosschecks"] = crosschecks

@@ -273,6 +273,11 @@ class TestVerify:
             ),
             (("closed-forms", "--max-n", "-2"), "--max-n must be at least 0, got -2"),
             (("euler-terminal", "--max-n", "9"), "at most 7, got 9"),
+            (("even-even", "--max-n", "8"), "error: even-even is capped at n=7"),
+            (
+                ("bipartite-parity", "--max-n", "8"),
+                "error: bipartite-parity is capped at n=7",
+            ),
         ],
     )
     def test_bad_scale_is_a_usage_error(self, capsys, argv, message):
@@ -348,6 +353,15 @@ def test_zero_budget_still_refuses_work(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(path), "--budget", "0")
     assert code == 3
     assert "after 0 positions (budget 0)" in err
+
+
+def test_zero_budget_refuses_the_whole_sweep(capsys):
+    code, out, err = run_cli(capsys, "verify", "even-even", "--budget", "0")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: even-even: node budget exhausted after 0 positions (budget 0); "
+        "retry with a larger budget\n"
+    )
 
 
 class TestConvert:

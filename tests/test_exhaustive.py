@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from vertexnim import (
@@ -72,6 +74,21 @@ class TestGrundyTables:
     def test_negative_budget(self):
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             grundy_tables(3, graph_budget=-1)
+
+    def test_zero_budget_refuses_level_0(self):
+        with pytest.raises(NodeBudgetExceeded) as info:
+            grundy_tables(0, graph_budget=0)
+        assert (info.value.nodes_visited, info.value.node_budget) == (0, 0)
+
+    def test_budget_refuses_before_any_level(self, monkeypatch):
+        def never(k):
+            raise AssertionError("swept a level before refusing")
+
+        monkeypatch.setattr("vertexnim.exhaustive._level_tables", never)
+        with pytest.raises(NodeBudgetExceeded) as info:
+            grundy_tables(7, graph_budget=40_000)
+        # levels 0-6 fit, level 7's 2**21 graphs do not
+        assert info.value.nodes_visited == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
 
 
 class TestBipartiteTable:
@@ -155,6 +172,35 @@ class TestCensus:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             census(8)
+
+
+def test_census_and_grundy_tables_agree_on_the_levels_that_fit(monkeypatch):
+    class Swept(Exception):
+        pass
+
+    def sweep_started(k):
+        raise Swept
+
+    def census_asks_for(max_n, graph_budget):
+        raise Swept(max_n)
+
+    # the refusal comes before any level, so a stubbed level never runs
+    monkeypatch.setattr("vertexnim.exhaustive._level_tables", sweep_started)
+    monkeypatch.setattr("vertexnim.exhaustive.grundy_tables", census_asks_for)
+    sizes = [2 ** math.comb(k, 2) for k in range(8)]
+    for budget in range(40_001):
+        try:
+            fit = census(7, graph_budget=budget).completed_n
+        except Swept as asked:
+            (fit,) = asked.args
+        if fit >= 0:
+            try:
+                grundy_tables(fit, graph_budget=budget)
+            except Swept:
+                pass
+        with pytest.raises(NodeBudgetExceeded) as info:
+            grundy_tables(fit + 1, graph_budget=budget)
+        assert info.value.nodes_visited == sum(sizes[: fit + 1]), budget
 
 
 def test_paw_value_across_engines(odd_tables):

@@ -37,7 +37,7 @@ from vertexnim import (
     to_edge_mask,
     verify_theorem,
 )
-from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table
+from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table, census, grundy_tables
 from vertexnim.graph import from_edge_mask, iter_bits
 from vertexnim.solver import grundy, solve
 from vertexnim.theorems import (
@@ -195,11 +195,53 @@ class TestEulerCertificate:
         assert not _covers_once(to_edge_mask(BOWTIE), trails)
 
 
+@pytest.mark.parametrize("max_n", [-1, 8])
+@pytest.mark.parametrize(
+    "caller,sweep",
+    [
+        ("exhaustive sweep", grundy_tables),
+        ("bipartite table", bipartite_table),
+        ("census", census),
+        ("even-even", check_even_even),
+        ("bipartite-parity", check_bipartite_parity),
+        ("terminal-edge-parity", check_terminal_edge_parity),
+        ("euler-terminal", check_euler_terminal),
+    ],
+)
+def test_every_sweep_refuses_a_bad_max_n_before_any_work(
+    caller, sweep, max_n, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("built a table before refusing")
+
+    for builder in ("exhaustive.edge_slots", "exhaustive._level_tables"):
+        monkeypatch.setattr(f"vertexnim.{builder}", never)
+    for builder in ("_level_tables", "bipartite_table", "_cycle_space"):
+        monkeypatch.setattr(f"vertexnim.theorems.{builder}", never)
+    with pytest.raises(ValueError, match=f"^{caller} is capped at n=7: .* got {max_n}$"):
+        sweep(max_n)
+
+
 class TestCheckSuites:
     def test_closed_forms_small(self):
         result = check_closed_forms(max_n=6)
         assert result.passed
         assert result.instances_checked == 6 * 3 + 25
+
+    def test_closed_forms_refuses_a_negative_max_n(self):
+        with pytest.raises(ValueError, match="^closed-forms: max_n must be at least 0"):
+            check_closed_forms(max_n=-3)
+
+    def test_bipartite_parity_crosschecks_every_level_with_the_engine(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("vertexnim.theorems.grundy_value", lambda g, **kw: 7)
+        result = check_bipartite_parity(max_n=4)
+        assert result.scale["engine_crosschecks"] == 5
+        # rank 0 of each level is its edgeless graph
+        assert [
+            f.graph6 for f in result.failures if f.note == "sweep vs per-graph engine"
+        ] == ["?", "@", "A?", "B?", "C?"]
 
     def test_bipartite_parity_small(self):
         result = check_bipartite_parity(max_n=5)
@@ -261,8 +303,20 @@ class TestCheckSuites:
         result = check_terminal_edge_parity(max_n=6)
         assert len(result.failures) == FAILURE_CAP and result.truncated
 
-    # instances 9973, 19946 and 29919 of 38,797 are cross-checked
-    CROSSCHECKED = [("EcSO", 0x25), ("Ec?W", 0x14), ("EEAg", 0x8)]
+    # ranks 0, 9973, 19946 and 29919 of each level are cross-checked: rank 0
+    # of levels 0-5, then four of level 6's 36,873 instances
+    CROSSCHECKED = [
+        ("?", 0x0),
+        ("@", 0x1),
+        ("A?", 0x3),
+        ("B?", 0x7),
+        ("C?", 0xF),
+        ("D??", 0x1F),
+        ("E???", 0x3F),
+        ("EEi_", 0x22),
+        ("EP@O", 0x11),
+        ("Ec_O", 0x5),
+    ]
 
     def test_terminal_edge_parity_crosschecks_the_per_graph_walk(self, monkeypatch):
         monkeypatch.setattr("vertexnim.theorems._terminal_masks", lambda g: iter(()))
@@ -331,9 +385,10 @@ class TestCheckSuites:
             Position, "is_terminal", lambda self, rule: not is_terminal(self, rule)
         )
         result = check_euler_terminal(max_n=4)
-        # instances 9973, 19946 and 29919 of 33,943 are cross-checked
+        # ranks 0, 9973, 19946 and 29919 of each level are cross-checked: 5
+        # full-position levels, then 1, 1, 1, 1, 1 and 4 every-alive-subset ones
         assert result.instances_checked == 33943
-        assert len(result.failures) == 3
+        assert len(result.failures) == 14
         for f in result.failures:
             assert f.note.endswith(", Position API")
             assert f.got == (not f.expected[0], f.expected[1])
