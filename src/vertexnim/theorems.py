@@ -652,6 +652,8 @@ def check_nim_sum(
 ) -> TheoremCheckResult:
     """Value of a disjoint union equals the nim-sum of the parts' values, on
     ``count`` seeded random graph pairs."""
+    if max_n < 0:
+        raise ValueError(f"nim-sum: max_n must be at least 0, got {max_n}")
     result = TheoremCheckResult(
         TheoremId.NIM_SUM, scale={"pairs": count, "max_n": max_n, "seed": seed}
     )
@@ -680,6 +682,10 @@ def check_isolated_substitution(
     """Replacing isolated vertices with 3-paths preserves the Grundy value,
     on seeded random graphs padded with up to
     :data:`SUBSTITUTION_MAX_PADDING` extra isolated vertices."""
+    if max_n < 0:
+        raise ValueError(
+            f"isolated-substitution: max_n must be at least 0, got {max_n}"
+        )
     result = TheoremCheckResult(
         TheoremId.ISOLATED_SUBSTITUTION,
         scale={

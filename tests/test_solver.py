@@ -377,6 +377,37 @@ def test_engine_matches_naive_dp_sampled(rule):
         assert grundy_value(g, rule) == naive_subset_dp(g, rule)
 
 
+def growth_positions():
+    """Positions shaped for the engine's component growth, which starts at
+    the lowest alive vertex and stops once the component covers the mask."""
+    path = path_graph(14)
+    # vertex 0 is adjacent to every other vertex
+    hub = Graph(9, [(0, v) for v in range(1, 9)] + [(1, 2), (2, 5), (3, 4), (6, 8)])
+    matching = Graph(14, [(2 * i, 2 * i + 1) for i in range(5)])
+    triangle_tail = Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    return {
+        "empty graph": Graph(0).full_position(),
+        "empty alive set": Position(hub, 0),
+        "isolated lowest vertex": triangle_tail.full_position(),
+        "lowest alive vertex cut off": Position(path, path.full_position().alive ^ 0b10),
+        "matching plus isolated vertices": matching.full_position(),
+        "long path": path.full_position(),
+        "covered by the first closed neighbourhood": hub.full_position(),
+    }
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+@pytest.mark.parametrize("shape", list(growth_positions()))
+def test_component_growth_shapes(shape, rule):
+    position = growth_positions()[shape]
+    memo = MemoTable()
+    report = grundy(position, rule, memo)
+    assert report.grundy == naive_subset_dp(position.graph, rule, position.alive)
+    # a fresh memo retraces the same search, and every visit stores one entry
+    assert grundy(position, rule) == report
+    assert report.nodes_visited == len(memo)
+
+
 def test_no_vertex_cap():
     assert grundy(Graph(64)).grundy == 0
     # paw (value 2) beside a 66-vertex path (value 1): 70 vertices, searched

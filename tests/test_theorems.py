@@ -232,6 +232,16 @@ class TestCheckSuites:
         with pytest.raises(ValueError, match="^closed-forms: max_n must be at least 0"):
             check_closed_forms(max_n=-3)
 
+    def test_nim_sum_refuses_a_negative_max_n(self):
+        with pytest.raises(ValueError, match="^nim-sum: max_n must be at least 0, got -1$"):
+            check_nim_sum(count=3, max_n=-1)
+
+    def test_isolated_substitution_refuses_a_negative_max_n(self):
+        with pytest.raises(
+            ValueError, match="^isolated-substitution: max_n must be at least 0, got -1$"
+        ):
+            check_isolated_substitution(count=3, max_n=-1)
+
     def test_bipartite_parity_crosschecks_every_level_with_the_engine(
         self, monkeypatch
     ):
