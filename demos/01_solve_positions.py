@@ -3,7 +3,10 @@
 
 Players alternate removing a vertex whose degree has the required parity
 (odd by default), deleting its incident edges; whoever cannot move loses.
-This walks through a few small games and reads off the solver's reports.
+This walks through a few small games and reads off the solver's reports. A
+report's node count is the positions the search visited plus, for a
+component whose search outgrew its allowance, the 2**k subsets its lattice
+valued at once; these games are small enough to be searched outright.
 """
 
 from vertexnim import (
@@ -23,7 +26,7 @@ def show(name, graph, rule=MoveRule.ODD):
     print(f"{name}: grundy {report.grundy}", end="")
     if report.optimal_move is not None:
         print(f", winning move: remove vertex {report.optimal_move}", end="")
-    print(f"  ({report.nodes_visited} positions searched)")
+    print(f"  ({report.nodes_visited} nodes visited)")
     return report
 
 

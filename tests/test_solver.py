@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, rules
+from conftest import graphs, positions, rules
 from vertexnim import (
     Graph,
     MemoTable,
@@ -29,7 +29,9 @@ from vertexnim import (
     solve,
     to_edge_mask,
 )
+import vertexnim.solver
 from vertexnim.formats import MAX_VERTICES
+from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, allowance, lattice_values
 from vertexnim.theorems import random_graph
 
 
@@ -267,49 +269,51 @@ def pinned_positions():
 
 
 # (grundy, nodes_visited, distinct_positions, optimal_move) with a fresh memo;
-# the engine's traversal order fixes every counter, so a rewrite that keeps
-# the order keeps these
+# the engine's traversal order and its choice between search and the lattice
+# kernel fix every counter, so a rewrite that keeps both keeps these. A
+# lattice of k vertices shows as allowance(k) + 2**k visits and 2**k
+# distinct positions
 PINNED_REPORTS = [
     (0, 48, 48, None),  # n=7 alive=7 ODD
     (1, 51, 51, 0),  # n=8 alive=7 ODD
     (0, 23, 23, None),  # n=6 alive=6 EVEN
     (0, 30, 30, None),  # n=10 alive=6 EVEN
-    (2, 378, 378, 4),  # n=10 alive=10 ODD
-    (2, 78, 78, 0),  # n=9 alive=8 ODD
-    (1, 303, 303, 0),  # n=13 alive=13 EVEN
-    (1, 7, 7, 2),  # n=7 alive=5 EVEN
-    (0, 1664, 1664, None),  # n=13 alive=13 ODD
+    (2, 1088, 1024, 4),  # n=10 alive=10 ODD
+    (2, 320, 256, 0),  # n=9 alive=8 ODD
+    (1, 4162, 4098, 0),  # n=13 alive=13 EVEN
+    (1, 5, 5, 2),  # n=7 alive=5 EVEN
+    (0, 8320, 8192, None),  # n=13 alive=13 ODD
     (2, 25, 25, 3),  # n=9 alive=6 ODD
     (0, 35, 35, None),  # n=8 alive=8 EVEN
-    (1, 93, 93, 0),  # n=10 alive=9 EVEN
-    (1, 9, 9, 1),  # n=6 alive=6 ODD
-    (0, 9, 9, None),  # n=6 alive=5 ODD
-    (1, 191, 191, 0),  # n=9 alive=9 EVEN
+    (1, 576, 512, 0),  # n=10 alive=9 EVEN
+    (1, 7, 7, 1),  # n=6 alive=6 ODD
+    (0, 8, 8, None),  # n=6 alive=5 ODD
+    (1, 576, 512, 0),  # n=9 alive=9 EVEN
     (1, 19, 19, 3),  # n=7 alive=5 EVEN
-    (1, 1557, 1557, 1),  # n=12 alive=12 ODD
-    (1, 14, 14, 1),  # n=7 alive=6 ODD
-    (0, 476, 476, None),  # n=10 alive=10 EVEN
-    (0, 10, 10, None),  # n=7 alive=6 EVEN
-    (1, 105, 105, 0),  # n=8 alive=8 ODD
-    (1, 6, 6, 5),  # n=7 alive=3 ODD
-    (0, 13, 13, None),  # n=10 alive=10 EVEN
-    (0, 11, 11, None),  # n=11 alive=8 EVEN
-    (0, 219, 219, None),  # n=9 alive=9 ODD
-    (1, 8, 8, 1),  # n=9 alive=5 ODD
-    (0, 1620, 1620, None),  # n=12 alive=12 EVEN
+    (1, 4160, 4096, 1),  # n=12 alive=12 ODD
+    (1, 12, 12, 1),  # n=7 alive=6 ODD
+    (0, 1088, 1024, None),  # n=10 alive=10 EVEN
+    (0, 9, 9, None),  # n=7 alive=6 EVEN
+    (1, 320, 256, 0),  # n=8 alive=8 ODD
+    (1, 4, 4, 5),  # n=7 alive=3 ODD
+    (0, 12, 12, None),  # n=10 alive=10 EVEN
+    (0, 10, 10, None),  # n=11 alive=8 EVEN
+    (0, 576, 512, None),  # n=9 alive=9 ODD
+    (1, 6, 6, 1),  # n=9 alive=5 ODD
+    (0, 4160, 4096, None),  # n=12 alive=12 EVEN
     (1, 23, 23, 3),  # n=9 alive=5 EVEN
-    (0, 10, 10, None),  # n=6 alive=6 ODD
-    (0, 14, 14, None),  # n=10 alive=7 ODD
+    (0, 9, 9, None),  # n=6 alive=6 ODD
+    (0, 13, 13, None),  # n=10 alive=7 ODD
     (0, 26, 26, None),  # n=8 alive=8 EVEN
     (0, 23, 23, None),  # n=7 alive=6 EVEN
-    (1, 295, 295, 0),  # n=11 alive=11 ODD
+    (1, 1089, 1025, 0),  # n=11 alive=11 ODD
     (2, 25, 25, 1),  # n=8 alive=6 ODD
-    (1, 341, 341, 0),  # n=13 alive=13 EVEN
+    (1, 2115, 2051, 0),  # n=13 alive=13 EVEN
     (1, 19, 19, 0),  # n=6 alive=5 EVEN
     (0, 72, 72, None),  # n=7 alive=7 ODD
     (0, 19, 19, None),  # n=7 alive=5 ODD
     (1, 24, 24, 4),  # n=7 alive=7 EVEN
-    (1, 963, 963, 0),  # n=13 alive=11 EVEN
+    (1, 2112, 2048, 0),  # n=13 alive=11 EVEN
 ]
 
 
@@ -346,10 +350,10 @@ def test_budget_refusals_pinned(rule, budget, visited, entries):
     )
 
 
-def naive_subset_dp(g, rule, alive=None):
+def naive_subset_table(g, rule):
     """Independent oracle: bottom-up table over all alive subsets, straight
     from the game's definition, with no recursion, memo reuse, or component
-    decomposition. Returns the value of ``alive`` (default: every vertex)."""
+    decomposition. Entry ``mask`` is the value of alive set ``mask``."""
     adj = g.adj
     parity = rule.value
     table = [0] * (1 << g.n)
@@ -359,7 +363,12 @@ def naive_subset_dp(g, rule, alive=None):
             if (adj[v] & mask).bit_count() % 2 == parity:
                 child_values.add(table[mask ^ (1 << v)])
         table[mask] = mex(child_values)
-    return table[(1 << g.n) - 1 if alive is None else alive]
+    return table
+
+
+def naive_subset_dp(g, rule, alive=None):
+    """The oracle's value of ``alive`` (default: every vertex)."""
+    return naive_subset_table(g, rule)[(1 << g.n) - 1 if alive is None else alive]
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
@@ -403,9 +412,13 @@ def test_component_growth_shapes(shape, rule):
     memo = MemoTable()
     report = grundy(position, rule, memo)
     assert report.grundy == naive_subset_dp(position.graph, rule, position.alive)
-    # a fresh memo retraces the same search, and every visit stores one entry
+    # a fresh memo retraces the same search, and every visit stores one entry,
+    # except the allowance each lattice's 2**k positions replaced
     assert grundy(position, rule) == report
-    assert report.nodes_visited == len(memo)
+    masks = {lattice.mask for lattice in memo.lattices.values()}
+    replaced = sum(allowance(mask.bit_count()) for mask in masks)
+    assert report.nodes_visited == len(memo) + replaced
+    assert report.distinct_positions == len(memo)
 
 
 def test_no_vertex_cap():
@@ -455,22 +468,20 @@ class TestSolve:
 @given(graphs(max_n=7), rules)
 @settings(max_examples=80, deadline=None)
 def test_children_through_a_filled_memo(g, rule):
-    # ranking moves through the memo the root solve filled. A connected root
-    # visits every child, so a child's value is a memo hit; a positive child
-    # may still visit positions to find its own optimal move, because a
-    # component split never visits the grandchildren
+    # ranking moves through the memo the root solve filled. Every component
+    # the root solve searched stored its movable children, and a lattice holds
+    # every subset of its component, so the memo answers each child, and each
+    # child's own optimal move, with no visit
     memo = MemoTable()
     grundy(g, rule, memo)
     p = g.full_position()
-    connected = g.is_connected()
     for v in iter_bits(p.movable_vertices(rule)):
         child = p.remove_vertex(v)
-        if connected:
-            assert child.alive in memo.entries
+        value = grundy_value(child, rule, memo)
         report = grundy(child, rule, memo)
-        assert report.grundy == naive_subset_dp(g, rule, child.alive)
-        if connected and report.grundy == 0:
-            assert report.nodes_visited == 0
+        assert report.grundy == value == naive_subset_dp(g, rule, child.alive)
+        assert report.nodes_visited == 0
+    assert memo.nodes_visited == grundy(g, rule).nodes_visited
 
 
 @given(graphs(max_n=6), rules)
@@ -505,3 +516,202 @@ def test_positions_solve_like_their_induced_subgraphs(g, alive_seed, rule):
         ],
     )
     assert grundy_value(Position(g, alive), rule) == grundy_value(compact, rule)
+
+
+def test_solve_reads_only_the_alive_rows():
+    # the set-up follows the alive set: a 1000-vertex host whose rows record
+    # every read, and which refuses to be walked whole
+    read = set()
+
+    class Rows(tuple):
+        def __getitem__(self, v):
+            read.add(v)
+            return tuple.__getitem__(self, v)
+
+        def __iter__(self):
+            raise AssertionError("walked every host row")
+
+    host = path_graph(1000)
+    spy = Graph._from_adj(host.n, Rows(host.adj))
+    # an edge beside an isolated vertex: the edge wins under the odd rule,
+    # the isolated vertex under the even rule
+    position = Position(spy, 0b11 << 500 | 1 << 700)
+    for rule, move in ((MoveRule.ODD, 500), (MoveRule.EVEN, 700)):
+        read.clear()
+        report = grundy(position, rule)
+        assert (report.grundy, report.optimal_move) == (1, move)
+        assert read == {500, 501, 700}
+
+
+def test_value_only_skips_the_move_search():
+    # paw (value 2) beside a 66-vertex path (value 1): grundy also looks for
+    # an optimal move among the root's children, grundy_value does not
+    paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    g = disjoint_union(paw, path_graph(66))
+    root = g.full_position()
+    children = {root.alive ^ 1 << v for v in iter_bits(root.movable_vertices(MoveRule.ODD))}
+
+    class Entries(dict):
+        def get(self, key, default=None):
+            self.asked.add(key)
+            return dict.get(self, key, default)
+
+    asked, visited = {}, {}
+    for solve_ in (grundy, grundy_value):
+        memo = MemoTable()
+        memo.entries = Entries()
+        memo.entries.asked = set()
+        got = solve_(g, memo=memo)
+        assert (got if solve_ is grundy_value else got.grundy) == 2 ^ 1
+        asked[solve_] = memo.entries.asked & children
+        visited[solve_] = memo.nodes_visited
+    assert asked[grundy] and not asked[grundy_value]
+    assert visited[grundy_value] <= visited[grundy]
+
+
+def lattice_value(values, m):
+    (value,) = [g for g, bits in enumerate(values) if bits >> m & 1]
+    return value
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_lattice_kernel_matches_naive_dp_exhaustively(rule):
+    # every alive subset of every labeled graph on at most 5 vertices
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+            table = naive_subset_table(g, rule)
+            assert [lattice_value(values, m) for m in range(1 << n)] == table
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_lattice_kernel_matches_naive_dp_sampled(rule):
+    rng = random.Random(18)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(8, 12))
+        values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+        table = naive_subset_table(g, rule)
+        assert [lattice_value(values, m) for m in range(1 << g.n)] == table
+
+
+def dense_16():
+    # connected, 45 edges; a plain search visits 23,203-33,181 positions
+    rng = random.Random(0)
+    return Graph(16, [(i, j) for j in range(16) for i in range(j) if rng.random() < 0.5])
+
+
+def search_only(monkeypatch, *args, **kwargs):
+    """The report of a solve that never takes the lattice path."""
+    with monkeypatch.context() as m:
+        m.setattr(vertexnim.solver, "LATTICE_MAX_N", 0)
+        return grundy(*args, **kwargs)
+
+
+def test_lattice_path_starts_at_eight_vertices():
+    # a search of k vertices visits at most 2**k positions, and the lattice
+    # path costs up to twice the allowance, so it starts at 8 vertices
+    assert LATTICE_MIN_N == 8
+    assert all(2**k <= 2 * allowance(k) for k in range(LATTICE_MIN_N))
+    # a connected 7-vertex position searched past its allowance (72 nodes)
+    position, rule = pinned_positions()[36]
+    assert position.alive.bit_count() == 7
+    memo = MemoTable()
+    assert grundy(position, rule, memo).nodes_visited == 72 > allowance(7)
+    assert not memo.lattices
+    # a connected 8-vertex position whose search (105 nodes) outgrows it
+    position, rule = pinned_positions()[20]
+    assert position.alive.bit_count() == 8
+    memo = MemoTable()
+    assert grundy(position, rule, memo).nodes_visited == allowance(8) + 2**8
+    assert {lattice.mask for lattice in memo.lattices.values()} == {position.alive}
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_search_that_fits_its_allowance_is_unchanged(rule):
+    # path plus triangle on 18 vertices: 154 (odd) and 836 (even) positions,
+    # within allowance(18), so no lattice is built
+    g = Graph(18, [(i, i + 1) for i in range(17)] + [(0, 2)])
+    memo = MemoTable()
+    report = grundy(g, rule, memo)
+    assert report.nodes_visited == {MoveRule.ODD: 154, MoveRule.EVEN: 836}[rule]
+    assert report.nodes_visited == report.distinct_positions == len(memo)
+    assert not memo.lattices
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_dense_component_is_valued_by_its_lattice(rule, monkeypatch):
+    g = dense_16()
+    memo = MemoTable()
+    report = grundy(g, rule, memo)
+    assert report.nodes_visited == memo.nodes_visited == allowance(16) + 2**16
+    # the abandoned search's entries gave way to the lattice
+    assert report.distinct_positions == len(memo) == 2**16
+    assert not memo.entries
+    plain = search_only(monkeypatch, g, rule)
+    assert plain.nodes_visited > allowance(16)
+    assert (report.grundy, report.optimal_move) == (plain.grundy, plain.optimal_move)
+    # the memo stays sound: a retry reads the same answer and visits nothing
+    again = grundy(g, rule, memo)
+    assert (again.grundy, again.optimal_move, again.nodes_visited) == (
+        report.grundy, report.optimal_move, 0
+    )
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_children_of_a_lattice_root_visit_nothing(rule, monkeypatch):
+    g = dense_16()
+    memo = MemoTable()
+    grundy(g, rule, memo)
+    reference = MemoTable()
+    search_only(monkeypatch, g, rule, reference)
+    p = g.full_position()
+    for v in iter_bits(p.movable_vertices(rule)):
+        child = p.remove_vertex(v)
+        report = grundy(child, rule, memo)
+        assert report.nodes_visited == 0
+        plain = search_only(monkeypatch, child, rule, reference)
+        assert (report.grundy, report.optimal_move) == (plain.grundy, plain.optimal_move)
+    assert memo.nodes_visited == allowance(16) + 2**16
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_budget_below_the_lattice_leaves_the_search_as_it_was(rule, monkeypatch):
+    # a budget that cannot cover allowance(16) + 2**16 nodes gets the plain
+    # search: the same refusal where it refuses, the same report where not
+    g = dense_16()
+    need = allowance(16) + 2**16
+    searched = search_only(monkeypatch, g, rule).nodes_visited
+    for budget in (0, allowance(16), searched - 1, searched, need - 1):
+        memo, plain = MemoTable(budget), MemoTable(budget)
+        try:
+            report = grundy(g, rule, memo)
+        except NodeBudgetExceeded as refused:
+            with pytest.raises(NodeBudgetExceeded) as info:
+                search_only(monkeypatch, g, rule, plain)
+            assert refused.nodes_visited == info.value.nodes_visited == budget
+        else:
+            assert report == search_only(monkeypatch, g, rule, plain)
+            assert budget >= searched
+        assert len(memo) == len(plain) and not memo.lattices
+    assert grundy(g, rule, MemoTable(need)).nodes_visited == need
+
+
+@pytest.mark.parametrize("rule,entries", [(MoveRule.ODD, 1987), (MoveRule.EVEN, 1989)])
+def test_cli_sized_budget_refusal(rule, entries):
+    # the shape of `solve --budget 2000` on a random 18-vertex graph: the
+    # lattice would need allowance(18) + 2**18 nodes, so the search refuses
+    rng = random.Random(18)
+    edges = {(i, j) for j in range(18) for i in range(j) if rng.random() < 0.5}
+    g = Graph(18, sorted(edges | {(0, 1), (0, 2), (1, 2)}))
+    memo = MemoTable(2000)
+    with pytest.raises(NodeBudgetExceeded) as info:
+        grundy(g, rule, memo)
+    assert (info.value.nodes_visited, memo.nodes_visited, len(memo)) == (2000, 2000, entries)
+
+
+@given(positions(max_n=12), rules)
+@settings(max_examples=60, deadline=None)
+def test_positions_match_naive_dp(position, rule):
+    assert grundy_value(position, rule) == naive_subset_dp(
+        position.graph, rule, position.alive
+    )
