@@ -5,79 +5,120 @@ The sweep exploits that a position's value depends only on its induced
 subgraph: relabel the surviving vertices in increasing order and any position
 of any n-vertex graph becomes a labeled graph on fewer vertices. Evaluating
 all graphs level by level (k = 0, 1, ..., n) therefore needs each labeled
-graph's value exactly once, with a child lookup being a parallel bit extract
-of the parent's edge mask. This is exact labeled-graph identity, not
+graph's value exactly once. This is exact labeled-graph identity, not
 isomorphism reduction: every labeled graph is enumerated and valued.
+
+A level is swept one row at a time, with no Python work per edge mask. Edge
+slots are in colex order, so the slots among vertices ``0..r-1``,
+``r = min(k, 5)``, are the low ``C(r, 2)`` bits of a mask; a row holds the
+masks that agree on every other slot. Deleting a vertex ``v >= r`` leaves the
+low slots as they are, so the row's children are one contiguous slice of the
+previous level's table. Deleting ``v < r`` moves them by a fixed gather from
+one 64-byte segment of that table, a single ``bytes.translate``. The values
+of a row's children are OR-ed as presence bits through ``int.from_bytes``,
+and one more translate takes the mex, in the manner of bit-slicing (Biham,
+FSE 1997).
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 from .graph import MoveRule, from_edge_mask, edge_slots
 from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
 
 SWEEP_MAX_N = 7
 
-_CHUNK = 7
-_CHUNK_MASK = (1 << _CHUNK) - 1
-# chunks per edge mask: three hold the 21 edge slots of SWEEP_MAX_N = 7
-_CHUNKS = 3
+# A row splits off the slots among vertices 0..r-1. Deleting v < r gathers
+# the row's children from a 2**C(r - 1, 2)-byte segment of the previous
+# level; a translate table has 256 entries and the segment needs one more
+# for the padding byte, so r is the largest with a segment under 256 bytes:
+# 64 bytes at r = 5, 1,024 at r = 6.
+_ROW_VERTICES = max(r for r in range(1, SWEEP_MAX_N + 1) if 1 << comb(r - 1, 2) < 256)
+_SEGMENT = 1 << comb(_ROW_VERTICES - 1, 2)
+# appended to a segment to make a translate table; its first byte, at index
+# _SEGMENT, is the padding byte, 0, that an immovable vertex gathers
+_PADDING = bytes(256 - _SEGMENT)
 
-# mex of a child-value presence mask; level-7 children have values < 8
-_MEX = []
-for _s in range(256):
-    _m = 0
-    while _s >> _m & 1:
-        _m += 1
-    _MEX.append(_m)
+# a child value as a presence bit; children on k - 1 <= 6 vertices have
+# values of at most 6, so the bit fits one byte
+_PRESENCE = bytes(1 << x & 0xFF for x in range(256))
+# mex of a child-value presence byte: its count of trailing one bits
+_MEX = bytes((~x & x + 1).bit_length() - 1 for x in range(256))
+# A pattern byte holds, below bit 7, a low vertex's child index within its
+# segment and, in bit 7, the vertex's degree parity within the low slots.
+# _GATHER[q] keeps the index where the vertex has odd degree overall, its
+# degree parity outside the low slots being q, and elsewhere points at the
+# padding byte.
+_GATHER = tuple(
+    bytes(x & 0x7F if x >> 7 != q else _SEGMENT for x in range(256)) for q in (0, 1)
+)
 
-_BITS = [tuple(i for i in range(_CHUNK) if m >> i & 1) for m in range(1 << _CHUNK)]
+
+@lru_cache(maxsize=None)
+def _xor_table(d: int) -> bytes:
+    """Translate table that XORs each byte with ``d``."""
+    return bytes(x ^ d for x in range(256))
+
+
+@lru_cache(maxsize=None)
+def _row_patterns(r: int):
+    """``(parity, patterns)`` for a row over the slots among vertices
+    ``0..r-1``, built by doubling over those slots.
+
+    ``parity[lo]``: the degree-parity vector of those vertices in the low
+    mask ``lo``. ``patterns[v][q][lo]``: where the child of ``lo`` after
+    deleting ``v`` lies in its segment, when ``v`` is movable under the odd
+    rule with degree parity ``q`` outside the low slots, else the padding
+    index :data:`_SEGMENT`. The even rule reads ``patterns[v][q ^ 1]``.
+    """
+    parity = b"\0"
+    merged = [b"\0"] * r
+    ranks = [0] * r
+    for i, j in edge_slots(r):
+        parity += parity.translate(_xor_table(1 << i | 1 << j))
+        for v in range(r):
+            if v == i or v == j:
+                step = 0x80
+            else:
+                step = 1 << ranks[v]
+                ranks[v] += 1
+            merged[v] += merged[v].translate(_xor_table(step))
+    return parity, tuple(tuple(m.translate(g) for g in _GATHER) for m in merged)
 
 
 @lru_cache(maxsize=16)
 def _level_tables(k: int):
-    """Chunked lookup tables for level ``k``, always :data:`_CHUNKS` chunks.
+    """Row plan for level ``k``: ``(parity, patterns, tops, offsets)``, the
+    same for both rules.
 
-    ``parity[c][x]``: degree-parity vector contributed by chunk ``c`` holding
-    value ``x``. ``extract[v][c][x]``: the child-slot bits that chunk value
-    ``x`` contributes after deleting vertex ``v`` (slot order is preserved by
-    the order-preserving relabeling, so this is a plain parallel extract).
-    Chunks past the level's last slot contribute nothing.
+    ``parity`` and ``patterns`` are :func:`_row_patterns` of ``r = min(k,
+    5)``. Row ``t`` holds the masks ``t << C(r, 2) | lo``, so ``t`` holds
+    the high slots, those past the low ``C(r, 2)``. ``tops[t]``: the
+    degree-parity vector of all ``k`` vertices in ``t``.
+    ``offsets[v][t]``: where the children of row ``t`` after deleting ``v``
+    start in the previous level's table, a segment for ``v < r`` and a
+    whole row for ``v >= r``. Both are built by doubling over the high
+    slots.
     """
-    pairs = edge_slots(k)
-    nslots = len(pairs)
-    parity = []
-    for c in range(_CHUNKS):
-        tab = [0] * (1 << _CHUNK)
-        for x in range(1 << _CHUNK):
-            pv = 0
-            for b in _BITS[x]:
-                s = c * _CHUNK + b
-                if s < nslots:
-                    i, j = pairs[s]
-                    pv ^= (1 << i) | (1 << j)
-            tab[x] = pv
-        parity.append(tab)
-    extract = []
-    for v in range(k):
-        kept_rank = {}
-        for s, (i, j) in enumerate(pairs):
-            if i != v and j != v:
-                kept_rank[s] = len(kept_rank)
-        vtabs = []
-        for c in range(_CHUNKS):
-            tab = [0] * (1 << _CHUNK)
-            for x in range(1 << _CHUNK):
-                out = 0
-                for b in _BITS[x]:
-                    t = kept_rank.get(c * _CHUNK + b)
-                    if t is not None:
-                        out |= 1 << t
-                tab[x] = out
-            vtabs.append(tab)
-        extract.append(vtabs)
-    return parity, extract
+    r = min(k, _ROW_VERTICES)
+    low = comb(r, 2)
+    parity, patterns = _row_patterns(r)
+    tops = [0]
+    offsets = [[0] for _ in range(k)]
+    # a child's next high slot adds one segment or one row to its offset
+    steps = [1 << comb(max(r - 1, 0), 2)] * r + [1 << low] * (k - r)
+    for i, j in edge_slots(k)[low:]:
+        tops += [top ^ (1 << i | 1 << j) for top in tops]
+        for v, offs in enumerate(offsets):
+            if v == i or v == j:
+                offs += offs
+            else:
+                step = steps[v]
+                offs += [o + step for o in offs]
+                steps[v] = 2 * step
+    return parity, patterns, tuple(tops), tuple(map(tuple, offsets))
 
 
 def _check_sweep_range(caller: str, max_n: int, name: str = "max_n") -> None:
@@ -120,57 +161,117 @@ def grundy_tables(
     levels, graphs = _levels_within(max_n, graph_budget)
     if levels <= max_n:
         raise NodeBudgetExceeded(graphs, graph_budget)
-    want_odd = rule is MoveRule.ODD
+    flip = rule is not MoveRule.ODD
     tables = [bytearray([0])]
     for k in range(1, max_n + 1):
-        size = 1 << k * (k - 1) // 2
-        prev = tables[k - 1]
-        cur = bytearray(size)
-        full = (1 << k) - 1
-        mex = _MEX
-        bits = _BITS
-        (p0, p1, p2), extract = _level_tables(k)
-        x0 = [extract[v][0] for v in range(k)]
-        x1 = [extract[v][1] for v in range(k)]
-        x2 = [extract[v][2] for v in range(k)]
-        for mask in range(size):
-            c0 = mask & _CHUNK_MASK
-            c1 = (mask >> _CHUNK) & _CHUNK_MASK
-            c2 = mask >> 14
-            pv = p0[c0] ^ p1[c1] ^ p2[c2]
-            movable = pv if want_odd else full ^ pv
-            if not movable:
-                continue
+        parity, patterns, tops, offsets = _level_tables(k)
+        row = len(parity)
+        # a level below 5 is shorter than one segment
+        bits = tables[-1].translate(_PRESENCE).ljust(_SEGMENT, b"\0")
+        low = list(enumerate(patterns))
+        high = range(len(patterns), k)
+        rows = []
+        for top, offs in zip(tops, zip(*offsets)):
             seen = 0
-            for v in bits[movable]:
-                seen |= 1 << prev[x0[v][c0] + x1[v][c1] + x2[v][c2]]
-            cur[mask] = mex[seen]
-        tables.append(cur)
+            for v, pattern in low:
+                o = offs[v]
+                gathered = pattern[top >> v & 1 ^ flip].translate(
+                    bits[o : o + _SEGMENT] + _PADDING
+                )
+                seen |= int.from_bytes(gathered, "little")
+            for v in high:
+                if top >> v & 1 ^ flip:
+                    o = offs[v]
+                    seen |= int.from_bytes(bits[o : o + row], "little")
+            rows.append(seen.to_bytes(row, "little").translate(_MEX))
+        tables.append(bytearray().join(rows))
     return tables
+
+
+def _slot_vector(s: int, size: int) -> int:
+    """Bit ``m`` set, for every ``m < size``, when edge mask ``m`` holds slot
+    ``s``: runs of ``2**s`` clear and ``2**s`` set bits, doubled up to
+    ``size``."""
+    v = ((1 << (1 << s)) - 1) << (1 << s)
+    width = 2 << s
+    while width < size:
+        v |= v << width
+        width *= 2
+    return v
+
+
+def _drop_slots(marked: int, vectors) -> int:
+    """``marked`` closed under dropping slot ``s`` from a marked edge mask,
+    for each ``(s, _slot_vector(s, size))`` in ``vectors``: bit ``m`` moves
+    down to ``m - 2**s`` where ``m`` holds slot ``s``."""
+    for s, vector in vectors:
+        marked |= (marked & vector) >> (1 << s)
+    return marked
+
+
+# slots 0-2 select a bit within a byte of the bit vector, so their closure
+# is one translate of its bytes: the closure of all 256 bytes side by side
+_CLOSE_IN_BYTE = _drop_slots(
+    int.from_bytes(bytes(range(256)), "little"),
+    [(s, _slot_vector(s, 8 * 256)) for s in range(3)],
+).to_bytes(256, "little")
+# bit b of a byte: runs of 2**b zeros and 2**b ones
+_BIT_OF = tuple((bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8))
+# The bit vector is built in pieces of 2**15 edge masks, 4 KB each, so that
+# no object but the flags themselves grows with the level: at n = 7 one
+# 256 KB vector raises the process's peak memory by about 0.45 MB.
+_PIECE_SLOTS = 15
+_INCREMENT = bytes(range(1, 256)) + b"\0"
 
 
 def bipartite_table(n: int) -> bytearray:
     """Flag per edge mask: is the labeled n-vertex graph bipartite?
 
-    Marks every submask of every "all edges cross the cut" mask, one cut per
-    vertex subset. Independent of the breadth-first coloring in
-    :meth:`Graph.bipartition`, which makes the two usable as cross-checks.
+    A graph is bipartite when all its edges cross one cut, so the flags are
+    the downward closure of the cuts' crossing masks. A cut and its
+    complement cross the same edges, so the cuts with vertex ``n - 1`` on
+    side 0 suffice. The closure works on one bit per edge mask
+    (:func:`_drop_slots`): within each piece of ``2**15`` masks for the low
+    slots, then piece into piece for the slots above. Independent of the
+    breadth-first coloring in :meth:`Graph.bipartition`, which makes the two
+    usable as cross-checks.
     """
     _check_sweep_range("bipartite table", n, "n")
     pairs = edge_slots(n)
-    flags = bytearray(1 << len(pairs))
-    for cut in range(1 << n):
+    size = 1 << len(pairs)
+    low = min(len(pairs), _PIECE_SLOTS)
+    pieces = [0] * (size >> low)
+    for cut in range(1 << max(n - 1, 0)):
         crossing = 0
         for s, (i, j) in enumerate(pairs):
-            if (cut >> i & 1) != (cut >> j & 1):
+            if (cut >> i ^ cut >> j) & 1:
                 crossing |= 1 << s
-        sub = crossing
-        while True:
-            flags[sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & crossing
+        pieces[crossing >> low] |= 1 << (crossing & (1 << low) - 1)
+    vectors = [(s, _slot_vector(s, 1 << low)) for s in range(3, low)]
+    pieces = [_drop_slots(piece, vectors) for piece in pieces]
+    for s in range(len(pieces).bit_length() - 1):
+        for p in range(len(pieces)):
+            if p >> s & 1:
+                pieces[p ^ 1 << s] |= pieces[p]
+    # one byte of the bit vector per 8 edge masks; levels 0-2 fill part of one
+    flags = bytearray(max(size, 8))
+    step = max(1 << low, 8)
+    for p in range(len(pieces)):
+        block = pieces[p].to_bytes(step // 8, "little").translate(_CLOSE_IN_BYTE)
+        pieces[p] = None
+        for b, bit_of in enumerate(_BIT_OF):
+            flags[p * step + b : (p + 1) * step : 8] = block.translate(bit_of)
+    del flags[size:]
     return flags
+
+
+def _edge_counts(k: int) -> bytes:
+    """Edge count of every edge mask on ``k`` vertices, one byte each,
+    built by doubling over the slots."""
+    counts = b"\0"
+    for _ in range(comb(k, 2)):
+        counts += counts.translate(_INCREMENT)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -218,18 +319,19 @@ def census(
     counts: dict = {}
     minima: dict = {}
     for k, table in enumerate(tables):
-        level = Counter(zip(table, map(int.bit_count, range(len(table)))))
-        for (value, e), c in level.items():
-            counts[value, k, e] = c
+        # one key byte per edge mask: value << 5 | edge count; at k <= 7 a
+        # value is below 8 and an edge count below 32
+        keys = int.from_bytes(table, "little") << 5
+        keys |= int.from_bytes(_edge_counts(k), "little")
+        keys = keys.to_bytes(len(table), "little")
+        level = Counter(keys)
+        for key, c in level.items():
+            counts[key >> 5, k, key & 31] = c
         # sorted, each new value comes first with its lowest edge count, and
-        # masks ascend, so the first mask found in that class is the least
-        for value, e in sorted(level):
-            if value not in minima:
-                minima[value] = next(
-                    from_edge_mask(k, mask)
-                    for mask, got in enumerate(table)
-                    if got == value and mask.bit_count() == e
-                )
+        # find gives the least mask in that class
+        for key in sorted(level):
+            if key >> 5 not in minima:
+                minima[key >> 5] = from_edge_mask(k, keys.find(key))
     report.completed_n = levels - 1
     report.graphs_evaluated = graphs
     report.rows = [

@@ -10,10 +10,11 @@ import enum
 import inspect
 import random
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import compress
 
-from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _level_tables
-from .exhaustive import bipartite_table, grundy_tables
+from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _edge_counts, _level_tables
+from .exhaustive import _slot_vector, bipartite_table, grundy_tables
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -263,18 +264,34 @@ def check_bipartite_parity(
     level's strided instances (:func:`_strided`) are re-solved with the
     per-graph engine."""
     _check_sweep_range("bipartite-parity", max_n)
+    return _bipartite_parity(max_n, budget, bipartite_table)
+
+
+def _bipartite_parity(max_n: int, budget: int, flags_of) -> TheoremCheckResult:
+    """:func:`check_bipartite_parity`, with level ``k``'s bipartite flags
+    taken from ``flags_of(k)``.
+
+    A level is compared in one big-int operation: the XOR of the value
+    table with the edge-count parity bytes is nonzero in some byte under a
+    flag exactly when some bipartite mask fails; only then are the masks
+    walked, in ascending order."""
     result = TheoremCheckResult(TheoremId.BIPARTITE_PARITY, scale={"max_n": max_n})
     tables = grundy_tables(max_n, MoveRule.ODD, graph_budget=budget)
     crosschecks = 0
     for k in range(max_n + 1):
-        flags = bipartite_table(k)
+        flags = flags_of(k)
         table = tables[k]
-        masks = list(compress(range(len(flags)), flags))
-        for mask in masks:
-            if table[mask] != mask.bit_count() & 1:
-                result.fail(from_edge_mask(k, mask), mask.bit_count() & 1, table[mask])
-        result.instances_checked += len(masks)
-        checked = [masks[rank] for rank in _strided(len(masks))]
+        parity = _edge_counts(k).translate(_LOW_BIT)
+        differ = int.from_bytes(table, "little") ^ int.from_bytes(parity, "little")
+        # flags are 0/1 bytes, so 255 times them is 0xFF under each flag
+        if differ & int.from_bytes(flags, "little") * 255:
+            for mask in compress(range(len(flags)), flags):
+                if table[mask] != parity[mask]:
+                    result.fail(from_edge_mask(k, mask), parity[mask], table[mask])
+        bipartite = int(flags.translate(_BINARY_DIGITS)[::-1], 2)
+        count = bipartite.bit_count()
+        result.instances_checked += count
+        checked = [_nth_bit(bipartite, rank) for rank in _strided(count)]
         crosschecks += len(checked)
         for mask in checked:
             g = from_edge_mask(k, mask)
@@ -311,18 +328,6 @@ def _terminal_masks(g: Graph):
                 stack.append((child, (odd ^ rows[low]) & child))
 
 
-def _slot_vector(s: int, size: int) -> int:
-    """Bit ``m`` set, for every ``m < size``, when edge mask ``m`` holds slot
-    ``s``: runs of ``2**s`` clear and ``2**s`` set bits, doubled up to
-    ``size``."""
-    v = ((1 << (1 << s)) - 1) << (1 << s)
-    width = 2 << s
-    while width < size:
-        v |= v << width
-        width *= 2
-    return v
-
-
 def _nth_bit(x: int, rank: int) -> int:
     """Index of the set bit of ``x`` that has ``rank`` set bits below it,
     found by halving ``x``."""
@@ -344,19 +349,22 @@ def _nth_bit(x: int, rank: int) -> int:
 
 # bipartite_table's 0/1 bytes as the digits of a base-2 literal
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# an edge count's parity
+_LOW_BIT = bytes(x & 1 for x in range(256))
 
 
-def _terminal_sweep(k: int):
+def _terminal_sweep(k: int, flags: bytearray | None = None):
     """Every reachable terminal position of every bipartite graph on ``k``
     vertices, bit-sliced over edge masks: one big-int bit per labeled graph,
     so one integer operation acts on all ``2**C(k, 2)`` graphs at once.
 
     Bit ``m`` of ``reach[alive]`` says that ``alive`` is reachable in the
-    graph with edge mask ``m``; the full set starts from
-    :func:`bipartite_table`. Alive sets are taken in descending order. Vertex
-    ``v``'s odd-degree vector inside ``alive`` is the XOR of the slot vectors
-    of its edges there; the child ``alive - v`` gains the graphs where it is
-    set, and the graphs where no vertex has one are terminal at ``alive``.
+    graph with edge mask ``m``; the full set starts from ``flags``, level
+    ``k``'s :func:`bipartite_table` unless given. Alive sets are taken in
+    descending order. Vertex ``v``'s odd-degree vector inside ``alive`` is
+    the XOR of the slot vectors of its edges there; the child ``alive - v``
+    gains the graphs where it is set, and the graphs where no vertex has one
+    are terminal at ``alive``.
     Yields ``(alive, terminal, parity)`` for each alive set terminal in some
     graph, ``parity`` marking the graphs with an odd number of edges inside
     ``alive``.
@@ -369,7 +377,9 @@ def _terminal_sweep(k: int):
     for (i, j), vector in zip(slots, vectors):
         between[i][j] = between[j][i] = vector
     full = (1 << k) - 1
-    reach = {full: int(bipartite_table(k).translate(_BINARY_DIGITS)[::-1], 2)}
+    if flags is None:
+        flags = bipartite_table(k)
+    reach = {full: int(flags.translate(_BINARY_DIGITS)[::-1], 2)}
     for alive in range(full, -1, -1):
         graphs = reach.pop(alive, 0)
         if not graphs:
@@ -403,6 +413,12 @@ def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     :meth:`Position.is_terminal` and :meth:`Position.edge_count`.
     """
     _check_sweep_range("terminal-edge-parity", max_n)
+    return _terminal_edge_parity(max_n, bipartite_table)
+
+
+def _terminal_edge_parity(max_n: int, flags_of) -> TheoremCheckResult:
+    """:func:`check_terminal_edge_parity`, with level ``k``'s bipartite
+    flags taken from ``flags_of(k)``."""
     result = TheoremCheckResult(
         TheoremId.BIPARTITE_PARITY,
         scale={"max_n": max_n, "check": "terminal-edge-parity"},
@@ -422,7 +438,7 @@ def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
 
     for k in range(max_n + 1):
         level_start = result.instances_checked
-        for alive, terminal, parity in _terminal_sweep(k):
+        for alive, terminal, parity in _terminal_sweep(k, flags_of(k)):
             for mask in iter_bits(terminal & parity):
                 g = from_edge_mask(k, mask)
                 edges = Position(g, alive).edge_count()
@@ -462,15 +478,15 @@ def _cycle_space(n: int) -> bytearray:
 
 def _terminal_flags(n: int) -> bytes:
     """Flag per edge mask of level ``n``: no vertex is movable under the odd
-    rule, i.e. the sweep's degree-parity chunks XOR to zero."""
-    (p0, p1, p2), _extract = _level_tables(n)
-    width = len(p0)
-    # within a run of ``width`` masks only chunk 0 varies, so the run's flags
-    # mark the chunk-0 values that cancel chunks 1 and 2
-    cancels = [bytes(x == t for x in p0) for t in range(1 << n)]
-    size = 1 << n * (n - 1) // 2
-    runs = range(-(-size // width))
-    return b"".join(cancels[p1[r % width] ^ p2[r // width]] for r in runs)[:size]
+    rule, i.e. every degree is even, read row by row off the sweep's plan
+    (:func:`_level_tables`). A row whose other slots give a vertex past its
+    low vertices odd degree holds no terminal mask; otherwise its flags mark
+    the low masks whose parity vector cancels the row's."""
+    parity, patterns, tops, _offsets = _level_tables(n)
+    r = len(patterns)
+    cancels = [parity.translate(bytes(x == t for x in range(256))) for t in range(1 << r)]
+    none = bytes(len(parity))
+    return b"".join(none if top >> r else cancels[top] for top in tops)
 
 
 def _closed_trails(slots: tuple, incident: list, mask: int) -> list:
@@ -521,7 +537,7 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     is Eulerian, on every graph up to ``max_n`` vertices.
 
     Both sides are read off edge masks, without a graph per instance.
-    "Terminal" comes from degree-parity vectors: the sweep's chunk tables
+    "Terminal" comes from degree-parity vectors: the sweep's row plan
     for full alive sets, and the search engine's deletion update
     ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
     the cycle space of K_n (:func:`_cycle_space`), and every member with
@@ -791,9 +807,12 @@ def _bipartite_parity_suite(
     """The edge-parity law three ways, as one result: the exhaustive sweep and
     its terminal positions up to ``max_n`` vertices, and :func:`solve`'s fast
     path on ``count`` seeded random bipartite graphs."""
+    _check_sweep_range("bipartite-parity", max_n)
+    # both exhaustive parts read each level's flags, built once
+    flags_of = lru_cache(maxsize=None)(bipartite_table)
     parts = [
-        check_bipartite_parity(max_n, budget),
-        check_terminal_edge_parity(max_n),
+        _bipartite_parity(max_n, budget, flags_of),
+        _terminal_edge_parity(max_n, flags_of),
         check_bipartite_fast_path(count, seed=seed, budget=budget),
     ]
     merged = TheoremCheckResult(

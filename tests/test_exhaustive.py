@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,6 +13,8 @@ from vertexnim import (
     grundy_value,
     to_graph6,
 )
+from vertexnim.exhaustive import _SEGMENT, _level_tables
+from vertexnim.graph import edge_slots
 
 # derived by the sweep itself and double-checked against the per-graph
 # engine below (n <= 4 exhaustively, larger n sampled)
@@ -207,3 +210,113 @@ def test_paw_value_across_engines(odd_tables):
     paw = from_edge_mask(4, 15)
     assert grundy_value(paw) == 2
     assert odd_tables[4][15] == 2
+
+
+# SHA-256 of each level's table, as computed by the per-mask sweep that the
+# row sweep replaced
+TABLE_DIGESTS = {
+    MoveRule.ODD: [
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        "50cedcd8875dcfa5e3b044358ab956d80cc558f5d42f47a42f141f1420dc72bf",
+        "033d930c89283945a98f6f6445ba86a6e6e2773a508d99096bda9b40464a99f7",
+        "f1f46503e368acf723426d961ad7a56ed353d85020ae96ad72b9c96ed3353e41",
+        "9d94a4d65869941530fc4ce0d7f9e4383dfc33e16d0b0899013b88759f1ee85f",
+        "ec44b4daeb108e8cf90a8960ad11651d29c7e5a005b5aa6d7475ec1c78abbf81",
+    ],
+    MoveRule.EVEN: [
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+        "04abc8821a06e5a30937967d11ad10221cb5ac3b5273e434f1284ee87129a061",
+        "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+        "5a648d8015900d89664e00e125df179636301a2d8fa191c1aa2bd9358ea53a69",
+        "c35020473aed1b4642cd726cad727b63fff2824ad68cedd7ffb73c7cbd890479",
+        "6d75695d93deb1bf5805617cfba166466cf60dc0a99a8014fa58893f358f33b8",
+    ],
+}
+
+# the same for bipartite_table(0..7), as computed by enumerating the
+# submasks of every cut
+BIPARTITE_DIGESTS = [
+    "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",
+    "23e3afc91aba47e85a7f049b4a198554937d895760d796400f9182f859207c48",
+    "75474ff06300b7cbae1af7bd3aacf533ccf1e0f246a2fab228d2330e5ab67a8a",
+    "73c504cfac7413dda4a1583b6288520d6811f750275ba075fea2838eb4aaba16",
+    "0044d5ac92893963a221fbee7bd1fe56597241052812994a4ff2d5ca9516c270",
+    "60b9f0e0ae7b522e92808713469f1bab82778aad952641159ed936be81e73eb1",
+]
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+    def test_grundy_tables(self, rule, odd_tables, even_tables):
+        tables = odd_tables if rule is MoveRule.ODD else even_tables
+        assert [sha256(t) for t in tables] == TABLE_DIGESTS[rule]
+
+    def test_bipartite_tables(self):
+        assert [sha256(bipartite_table(k)) for k in range(8)] == BIPARTITE_DIGESTS
+
+    def test_census_7(self):
+        report = census(7)
+        rows = "\n".join(
+            f"{r.grundy} {r.n} {r.edge_count} {r.count}" for r in report.rows
+        )
+        assert sha256(rows.encode()) == (
+            "234677b72cc9c17c4d0cbaf1befba0bae672583e5d2041a9b07c522e4747238d"
+        )
+        examples = {v: to_graph6(g) for v, g in report.minimal_examples.items()}
+        assert examples == {0: "?", 1: "A_", 2: "C{", 3: "ETQ?"}
+
+
+def pext_child(k: int, mask: int, v: int) -> int:
+    """The edge mask left by deleting ``v``, one slot at a time."""
+    child = rank = 0
+    for s, pair in enumerate(edge_slots(k)):
+        if v not in pair:
+            child |= (mask >> s & 1) << rank
+            rank += 1
+    return child
+
+
+def degree_parities(k: int, mask: int) -> int:
+    vector = 0
+    for s, (i, j) in enumerate(edge_slots(k)):
+        if mask >> s & 1:
+            vector ^= 1 << i | 1 << j
+    return vector
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_row_plan_matches_a_per_mask_extract(k):
+    """Every mask of levels 0-5, and a sample of levels 6 and 7: the row
+    plan's parity vectors, gather patterns and offsets give each child's
+    index, and a padding index where the vertex is not movable."""
+    parity, patterns, tops, offsets = _level_tables(k)
+    r = len(patterns)
+    assert r == min(k, 5)
+    row = len(parity)
+    assert row == 2 ** math.comb(r, 2) and len(tops) * row == 2 ** math.comb(k, 2)
+    for mask in range(0, 2 ** math.comb(k, 2), 1 if k <= 5 else 997):
+        t, lo = divmod(mask, row)
+        odd = degree_parities(k, mask)
+        assert parity[lo] ^ tops[t] == odd, (k, mask)
+        for v in range(k):
+            child = pext_child(k, mask, v)
+            if v >= r:
+                assert offsets[v][t] + lo == child, (k, mask, v)
+                continue
+            for q, flip in ((tops[t] >> v & 1, 0), (tops[t] >> v & 1 ^ 1, 1)):
+                # the odd rule moves v on odd degree, the even rule on even
+                index = patterns[v][q][lo]
+                if odd >> v & 1 ^ flip:
+                    assert offsets[v][t] + index == child, (k, mask, v, flip)
+                else:
+                    assert index == _SEGMENT, (k, mask, v, flip)

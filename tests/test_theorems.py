@@ -253,6 +253,33 @@ class TestCheckSuites:
             f.graph6 for f in result.failures if f.note == "sweep vs per-graph engine"
         ] == ["?", "@", "A?", "B?", "C?"]
 
+    def test_bipartite_parity_reports_wrong_values_in_mask_order(self, monkeypatch):
+        def corrupted(max_n, rule, graph_budget):
+            tables = grundy_tables(max_n, rule, graph_budget=graph_budget)
+            tables[4][3] = 2  # two edges at vertex 0: value 0
+            tables[4][1] = 0  # one edge: value 1
+            tables[3][7] = 1  # the triangle is not bipartite, so not checked
+            return tables
+
+        monkeypatch.setattr("vertexnim.theorems.grundy_tables", corrupted)
+        result = check_bipartite_parity(max_n=4)
+        assert [(f.graph6, f.expected, f.got, f.note) for f in result.failures] == [
+            ("C_", 1, 0, ""),
+            ("Co", 0, 2, ""),
+        ]
+
+    def test_bipartite_parity_suite_builds_each_level_once(self, monkeypatch):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return bipartite_table(n)
+
+        monkeypatch.setattr("vertexnim.theorems.bipartite_table", counted)
+        result = verify_theorem(TheoremId.BIPARTITE_PARITY, max_n=5, count=3)
+        assert result.passed
+        assert sorted(built) == list(range(6))
+
     def test_bipartite_parity_small(self):
         result = check_bipartite_parity(max_n=5)
         assert result.passed
@@ -380,7 +407,7 @@ class TestCheckSuites:
 
     def test_euler_terminal_catches_a_wrong_subset_parity(self, monkeypatch):
         # the every-alive-subset part starts its parity walk here; the full
-        # positions read the sweep's chunk tables instead
+        # positions read the sweep's row plan instead
         monkeypatch.setattr(Graph, "odd_degree_vertices", lambda self: 0)
         result = check_euler_terminal(max_n=4)
         assert not result.passed
@@ -489,11 +516,15 @@ class TestVerifyTheorem:
             calls.append(args)
             return TheoremCheckResult(TheoremId.BIPARTITE_PARITY)
 
-        for part in ("bipartite_parity", "terminal_edge_parity", "bipartite_fast_path"):
-            monkeypatch.setattr(f"vertexnim.theorems.check_{part}", record)
+        for part in (
+            "_bipartite_parity",
+            "_terminal_edge_parity",
+            "check_bipartite_fast_path",
+        ):
+            monkeypatch.setattr(f"vertexnim.theorems.{part}", record)
         SUITES[TheoremId.BIPARTITE_PARITY](max_n=7, count=1)
         # the sweep, the terminal positions, the fast path, in that order
-        assert calls[1] == (7,)
+        assert calls[1][0] == 7
 
     def test_euler_terminal_refuses_large_n_before_enumerating(self, monkeypatch):
         def never(n):
