@@ -75,14 +75,12 @@ from .theorems import (
     TheoremBudgetError,
     TheoremCheckResult,
     TheoremId,
-    check_bipartite_fast_path,
     check_bipartite_parity,
     check_closed_forms,
     check_euler_terminal,
     check_even_even,
     check_isolated_substitution,
     check_nim_sum,
-    check_terminal_edge_parity,
     check_witness_construction,
     closed_form_complete,
     closed_form_complete_bipartite,

@@ -27,6 +27,10 @@ def star_graph(n: int) -> Graph:
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b}: sides ``0..a-1`` and ``a..a+b-1``."""
+    if a < 0 or b < 0:
+        raise ValueError(
+            f"complete bipartite sides must be nonnegative, got a={a}, b={b}"
+        )
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 

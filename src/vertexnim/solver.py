@@ -83,10 +83,11 @@ class MemoTable:
     every subset of that component. ``len`` counts the positions the table
     can answer. ``nodes_visited`` accumulates across solves sharing the table
     and is checked against ``node_budget``; a negative budget is refused with
-    ``ValueError``.
+    ``ValueError``. ``graph`` and ``rule`` are the first solve's host graph
+    and rule; a solve of another graph or rule is refused with ``ValueError``.
     """
 
-    __slots__ = ("entries", "lattices", "nodes_visited", "node_budget")
+    __slots__ = ("entries", "lattices", "nodes_visited", "node_budget", "graph", "rule")
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
         if node_budget < 0:
@@ -95,6 +96,7 @@ class MemoTable:
         self.lattices: dict = {}
         self.nodes_visited = 0
         self.node_budget = node_budget
+        self.graph = self.rule = None
 
     def __len__(self) -> int:
         masks = {lattice.mask for lattice in self.lattices.values()}
@@ -234,7 +236,8 @@ def grundy(
 
     Accepts a Graph as shorthand for its full position. The memo may be
     reused across solves of positions of the same host graph and rule;
-    reuse changes the counters but never the value or the optimal move.
+    reuse changes the counters but never the value or the optimal move, and
+    a memo that holds another graph or rule is refused with ``ValueError``.
 
     The root splits into components once. A component the memo cannot
     answer is searched; one of ``LATTICE_MIN_N <= k <= LATTICE_MAX_N``
@@ -270,9 +273,14 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
     if isinstance(position, Graph):
         position = position.full_position()
     alive = position.alive
+    graph = position.graph
     if memo is None:
         memo = MemoTable()
-    adj = position.graph.adj
+    if memo.graph is None:
+        memo.graph, memo.rule = graph, rule
+    elif memo.rule is not rule or (memo.graph is not graph and memo.graph != graph):
+        raise ValueError("this memo table holds another host graph or rule")
+    adj = graph.adj
     # adjacency keyed by the vertex's bit, so no bit_length() per lookup; the
     # empty mask's lowest bit is 0, whose empty row gives an empty component
     rows = {0: 0}

@@ -10,7 +10,6 @@ import enum
 import inspect
 import random
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from itertools import compress
 
 from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _edge_counts, _level_tables
@@ -257,29 +256,39 @@ def check_closed_forms(
 
 def check_bipartite_parity(
     max_n: int = SWEEP_MAX_N,
+    count: int = 500,
+    seed: int = FAST_PATH_SEED,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
-    """Every bipartite labeled graph's value equals its edge-count parity,
-    exhaustively up to ``max_n`` vertices, plus grid spot checks. Each
-    level's strided instances (:func:`_strided`) are re-solved with the
-    per-graph engine."""
+    """A bipartite graph's value is its edge-count parity, checked three ways
+    in one result: every bipartite labeled graph up to ``max_n`` vertices plus
+    grid spot checks, every reachable terminal position of those graphs
+    (:func:`_terminal_edge_parity`), and :func:`~vertexnim.solver.solve`'s
+    fast path on ``count`` seeded random bipartite graphs of up to
+    :data:`FAST_PATH_MAX_N` vertices.
+
+    Each level's :func:`bipartite_table` is built once, and its big-int bit
+    vector (bit ``m`` for edge mask ``m``) parsed once and kept for the
+    terminal part. A level's values are compared in one big-int operation:
+    the XOR of the value table with the edge-count parity bytes is nonzero in
+    some byte under a flag exactly when some bipartite mask fails; only then
+    are the masks walked, in ascending order. Each level's strided instances
+    (:func:`_strided`) are re-solved with the per-graph engine.
+    """
     _check_sweep_range("bipartite-parity", max_n)
-    return _bipartite_parity(max_n, budget, bipartite_table)
-
-
-def _bipartite_parity(max_n: int, budget: int, flags_of) -> TheoremCheckResult:
-    """:func:`check_bipartite_parity`, with level ``k``'s bipartite flags
-    taken from ``flags_of(k)``.
-
-    A level is compared in one big-int operation: the XOR of the value
-    table with the edge-count parity bytes is nonzero in some byte under a
-    flag exactly when some bipartite mask fails; only then are the masks
-    walked, in ascending order."""
-    result = TheoremCheckResult(TheoremId.BIPARTITE_PARITY, scale={"max_n": max_n})
+    if count < 1:
+        raise ValueError(f"bipartite-parity: count must be at least 1, got {count}")
+    sweep = {"max_n": max_n}
+    terminal = {"max_n": max_n, "check": "terminal-edge-parity"}
+    sample = {"count": count, "max_n": FAST_PATH_MAX_N, "seed": seed, "check": "fast-path"}
+    result = TheoremCheckResult(
+        TheoremId.BIPARTITE_PARITY, scale={"parts": [sweep, terminal, sample]}
+    )
     tables = grundy_tables(max_n, MoveRule.ODD, graph_budget=budget)
+    levels = []
     crosschecks = 0
     for k in range(max_n + 1):
-        flags = flags_of(k)
+        flags = bipartite_table(k)
         table = tables[k]
         parity = _edge_counts(k).translate(_LOW_BIT)
         differ = int.from_bytes(table, "little") ^ int.from_bytes(parity, "little")
@@ -289,9 +298,10 @@ def _bipartite_parity(max_n: int, budget: int, flags_of) -> TheoremCheckResult:
                 if table[mask] != parity[mask]:
                     result.fail(from_edge_mask(k, mask), parity[mask], table[mask])
         bipartite = int(flags.translate(_BINARY_DIGITS)[::-1], 2)
-        count = bipartite.bit_count()
-        result.instances_checked += count
-        checked = [_nth_bit(bipartite, rank) for rank in _strided(count)]
+        levels.append(bipartite)
+        graphs = bipartite.bit_count()
+        result.instances_checked += graphs
+        checked = [_nth_bit(bipartite, rank) for rank in _strided(graphs)]
         crosschecks += len(checked)
         for mask in checked:
             g = from_edge_mask(k, mask)
@@ -302,7 +312,15 @@ def _bipartite_parity(max_n: int, budget: int, flags_of) -> TheoremCheckResult:
         g = grid_graph(rows, cols)
         got = grundy_value(g, memo=MemoTable(budget))
         result.check(g, g.edge_count() & 1, got, f"grid {rows}x{cols}")
-    result.scale["engine_crosschecks"] = crosschecks
+    sweep["engine_crosschecks"] = crosschecks
+    _terminal_edge_parity(result, levels)
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_bipartite_graph(rng, rng.randint(1, FAST_PATH_MAX_N))
+        report = solve(g)
+        # a solve that fell back to search is a failure even with the right value
+        got = report.grundy if report.method != SEARCH_METHOD else report.method
+        result.check(g, grundy_value(g, memo=MemoTable(budget)), got)
     return result
 
 
@@ -353,14 +371,14 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _LOW_BIT = bytes(x & 1 for x in range(256))
 
 
-def _terminal_sweep(k: int, flags: bytearray | None = None):
+def _terminal_sweep(k: int, bipartite: int):
     """Every reachable terminal position of every bipartite graph on ``k``
     vertices, bit-sliced over edge masks: one big-int bit per labeled graph,
     so one integer operation acts on all ``2**C(k, 2)`` graphs at once.
 
     Bit ``m`` of ``reach[alive]`` says that ``alive`` is reachable in the
-    graph with edge mask ``m``; the full set starts from ``flags``, level
-    ``k``'s :func:`bipartite_table` unless given. Alive sets are taken in
+    graph with edge mask ``m``; the full set starts from ``bipartite``, the
+    level's bipartite graphs as one such bit vector. Alive sets are taken in
     descending order. Vertex ``v``'s odd-degree vector inside ``alive`` is
     the XOR of the slot vectors of its edges there; the child ``alive - v``
     gains the graphs where it is set, and the graphs where no vertex has one
@@ -377,9 +395,7 @@ def _terminal_sweep(k: int, flags: bytearray | None = None):
     for (i, j), vector in zip(slots, vectors):
         between[i][j] = between[j][i] = vector
     full = (1 << k) - 1
-    if flags is None:
-        flags = bipartite_table(k)
-    reach = {full: int(flags.translate(_BINARY_DIGITS)[::-1], 2)}
+    reach = {full: bipartite}
     for alive in range(full, -1, -1):
         graphs = reach.pop(alive, 0)
         if not graphs:
@@ -402,9 +418,10 @@ def _terminal_sweep(k: int, flags: bytearray | None = None):
             yield alive, terminal, parity
 
 
-def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
+def _terminal_edge_parity(result: TheoremCheckResult, levels: list) -> None:
     """Every reachable terminal position of every bipartite graph has an even
-    number of edges, exhaustively up to ``max_n`` vertices.
+    number of edges, on level ``k``'s graphs given by the bit vector
+    ``levels[k]``, counted and recorded into ``result``.
 
     Each level is one sweep over all its edge masks (:func:`_terminal_sweep`),
     so failures come in alive-set order, then edge-mask order. Each level's
@@ -412,17 +429,6 @@ def check_terminal_edge_parity(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     their own graph by :func:`_terminal_masks` and checked through
     :meth:`Position.is_terminal` and :meth:`Position.edge_count`.
     """
-    _check_sweep_range("terminal-edge-parity", max_n)
-    return _terminal_edge_parity(max_n, bipartite_table)
-
-
-def _terminal_edge_parity(max_n: int, flags_of) -> TheoremCheckResult:
-    """:func:`check_terminal_edge_parity`, with level ``k``'s bipartite
-    flags taken from ``flags_of(k)``."""
-    result = TheoremCheckResult(
-        TheoremId.BIPARTITE_PARITY,
-        scale={"max_n": max_n, "check": "terminal-edge-parity"},
-    )
 
     def crosscheck(k: int, mask: int, alive: int) -> None:
         g = from_edge_mask(k, mask)
@@ -436,9 +442,9 @@ def _terminal_edge_parity(max_n: int, flags_of) -> TheoremCheckResult:
         if edges % 2:
             result.fail(g, "even edge count", edges, note + ", Position API")
 
-    for k in range(max_n + 1):
+    for k, bipartite in enumerate(levels):
         level_start = result.instances_checked
-        for alive, terminal, parity in _terminal_sweep(k, flags_of(k)):
+        for alive, terminal, parity in _terminal_sweep(k, bipartite):
             for mask in iter_bits(terminal & parity):
                 g = from_edge_mask(k, mask)
                 edges = Position(g, alive).edge_count()
@@ -449,7 +455,6 @@ def _terminal_edge_parity(max_n: int, flags_of) -> TheoremCheckResult:
             for rank in _strided(count, result.instances_checked - level_start):
                 crosscheck(k, _nth_bit(terminal, rank), alive)
             result.instances_checked += count
-    return result
 
 
 def _cycle_space(n: int) -> bytearray:
@@ -668,6 +673,8 @@ def check_nim_sum(
 ) -> TheoremCheckResult:
     """Value of a disjoint union equals the nim-sum of the parts' values, on
     ``count`` seeded random graph pairs."""
+    if count < 1:
+        raise ValueError(f"nim-sum: count must be at least 1, got {count}")
     if max_n < 0:
         raise ValueError(f"nim-sum: max_n must be at least 0, got {max_n}")
     result = TheoremCheckResult(
@@ -698,6 +705,10 @@ def check_isolated_substitution(
     """Replacing isolated vertices with 3-paths preserves the Grundy value,
     on seeded random graphs padded with up to
     :data:`SUBSTITUTION_MAX_PADDING` extra isolated vertices."""
+    if count < 1:
+        raise ValueError(
+            f"isolated-substitution: count must be at least 1, got {count}"
+        )
     if max_n < 0:
         raise ValueError(
             f"isolated-substitution: max_n must be at least 0, got {max_n}"
@@ -724,33 +735,6 @@ def check_isolated_substitution(
     return result
 
 
-def check_bipartite_fast_path(
-    count: int = 500,
-    seed: int = FAST_PATH_SEED,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> TheoremCheckResult:
-    """:func:`~vertexnim.solver.solve` takes a closed form on seeded random
-    bipartite graphs of up to :data:`FAST_PATH_MAX_N` vertices, beyond the
-    exhaustive range, and agrees with the engine."""
-    result = TheoremCheckResult(
-        TheoremId.BIPARTITE_PARITY,
-        scale={
-            "count": count,
-            "max_n": FAST_PATH_MAX_N,
-            "seed": seed,
-            "check": "fast-path",
-        },
-    )
-    rng = random.Random(seed)
-    for _ in range(count):
-        g = random_bipartite_graph(rng, rng.randint(1, FAST_PATH_MAX_N))
-        report = solve(g)
-        # a solve that fell back to search is a failure even with the right value
-        got = report.grundy if report.method != SEARCH_METHOD else report.method
-        result.check(g, grundy_value(g, memo=MemoTable(budget)), got)
-    return result
-
-
 def check_witness_construction(
     max_k: int = 4,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -758,6 +742,8 @@ def check_witness_construction(
     """Witness graphs certify to their target values, their apex children
     realize exactly the claimed component values, and the root value is the
     mex of the child values."""
+    if max_k < 0:
+        raise ValueError(f"witness-construction: max_k must be at least 0, got {max_k}")
     from .construction import witness
 
     result = TheoremCheckResult(TheoremId.WITNESS_CONSTRUCTION, scale={"max_k": max_k})
@@ -798,41 +784,13 @@ def check_witness_construction(
     return result
 
 
-def _bipartite_parity_suite(
-    max_n: int = SWEEP_MAX_N,
-    count: int = 500,
-    seed: int = FAST_PATH_SEED,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> TheoremCheckResult:
-    """The edge-parity law three ways, as one result: the exhaustive sweep and
-    its terminal positions up to ``max_n`` vertices, and :func:`solve`'s fast
-    path on ``count`` seeded random bipartite graphs."""
-    _check_sweep_range("bipartite-parity", max_n)
-    # both exhaustive parts read each level's flags, built once
-    flags_of = lru_cache(maxsize=None)(bipartite_table)
-    parts = [
-        _bipartite_parity(max_n, budget, flags_of),
-        _terminal_edge_parity(max_n, flags_of),
-        check_bipartite_fast_path(count, seed=seed, budget=budget),
-    ]
-    merged = TheoremCheckResult(
-        TheoremId.BIPARTITE_PARITY, scale={"parts": [p.scale for p in parts]}
-    )
-    for p in parts:
-        merged.instances_checked += p.instances_checked
-        for f in p.failures:
-            merged.add_failure(f)
-        merged.truncated = merged.truncated or p.truncated
-    return merged
-
-
 # each suite's keyword parameters are the scale flags it takes
 SUITES = {
     TheoremId.NIM_SUM: check_nim_sum,
     TheoremId.EVEN_EVEN: check_even_even,
     TheoremId.CLOSED_FORMS: check_closed_forms,
     TheoremId.EULER_TERMINAL: check_euler_terminal,
-    TheoremId.BIPARTITE_PARITY: _bipartite_parity_suite,
+    TheoremId.BIPARTITE_PARITY: check_bipartite_parity,
     TheoremId.ISOLATED_SUBSTITUTION: check_isolated_substitution,
     TheoremId.WITNESS_CONSTRUCTION: check_witness_construction,
 }

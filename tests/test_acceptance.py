@@ -15,7 +15,6 @@ from vertexnim import (
     check_even_even,
     check_isolated_substitution,
     check_nim_sum,
-    check_terminal_edge_parity,
     check_witness_construction,
     census,
     from_edge_mask,
@@ -29,6 +28,11 @@ from vertexnim.cli import main
 BIPARTITE_GRAPHS_UP_TO_7 = 1 + 1 + 2 + 7 + 41 + 376 + 5177 + 103237
 LABELED_GRAPHS_UP_TO_7 = 1 + 1 + 2 + 8 + 64 + 1024 + 32768 + 2097152
 ALL_SUBSET_POSITIONS_UP_TO_5 = 1 + 2 + 8 + 64 + 1024 + 32768
+# reachable terminal positions of the bipartite labeled graphs, n <= 6 and 7
+TERMINAL_POSITIONS_UP_TO_6 = 38797
+TERMINAL_POSITIONS_UP_TO_7 = 1175528
+# bipartite graphs on 6 or fewer vertices and the 3 grid spot checks
+BIPARTITE_SWEEP_UP_TO_6 = 1 + 1 + 2 + 7 + 41 + 376 + 5177 + 3
 
 # minimal Grundy-2 labeled graph: triangle with a pendant, pinned from the
 # enumeration (smallest n, then edge count, then edge mask)
@@ -58,7 +62,13 @@ def test_criterion_1_closed_forms():
 def test_criterion_2_bipartite_parity():
     result = check_bipartite_parity(max_n=7)
     grid_spot_checks = 3
-    assert result.instances_checked == BIPARTITE_GRAPHS_UP_TO_7 + grid_spot_checks
+    fast_path_samples = 500
+    assert result.instances_checked == (
+        BIPARTITE_GRAPHS_UP_TO_7
+        + grid_spot_checks
+        + TERMINAL_POSITIONS_UP_TO_7
+        + fast_path_samples
+    )
     report(2, "bipartite Grundy value is the edge-count parity (n <= 7)", result)
 
 
@@ -100,7 +110,10 @@ def test_criterion_7_witness_construction():
 
 
 def test_criterion_8_terminal_bipartite_edge_parity():
-    result = check_terminal_edge_parity(max_n=6)
+    result = check_bipartite_parity(max_n=6, count=1)
+    assert result.instances_checked == (
+        BIPARTITE_SWEEP_UP_TO_6 + TERMINAL_POSITIONS_UP_TO_6 + 1
+    )
     report(8, "reachable terminal bipartite positions have even |E|", result)
 
 

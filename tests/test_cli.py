@@ -197,6 +197,19 @@ class TestVerify:
         assert record["passed"] is True
         assert record["instances_checked"] > 0
 
+    def test_bipartite_parity_record_is_pinned(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "bipartite-parity", "--max-n", "6", "--records"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"command": "verify", "failures": [], "instances_checked": 44905, '
+            '"passed": true, "scale": {"parts": [{"engine_crosschecks": 7, '
+            '"max_n": 6}, {"check": "terminal-edge-parity", "max_n": 6}, '
+            '{"check": "fast-path", "count": 500, "max_n": 12, "seed": 1021}]}, '
+            '"theorem": "bipartite-parity", "truncated": false}\n'
+        )
+
     def test_unknown_theorem(self, capsys):
         code = main(["verify", "flat-earth"])
         capsys.readouterr()

@@ -57,6 +57,14 @@ class TestGraphConstruction:
         g = Graph(4, [(3, 2), (1, 0)])
         assert g.edges() == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize("a,b", [(-1, 2), (-3, 1), (2, -1)])
+    def test_complete_bipartite_refuses_a_negative_side(self, a, b):
+        with pytest.raises(
+            ValueError, match=f"^complete bipartite sides .* got a={a}, b={b}$"
+        ):
+            complete_bipartite_graph(a, b)
+        assert complete_bipartite_graph(0, 2) == Graph(2)
+
 
 class TestDegreeAndMoves:
     def test_path_midpoint_degree(self):

@@ -250,6 +250,27 @@ class TestMemoTable:
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             MemoTable(node_budget=-1)
 
+    def test_another_host_graph_refused(self):
+        memo = MemoTable()
+        assert grundy(path_graph(2), memo=memo).grundy == 1
+        with pytest.raises(ValueError, match="another host graph or rule"):
+            grundy(Graph(2), memo=memo)
+        assert grundy(Graph(2)).grundy == 0
+
+    def test_another_rule_refused(self):
+        memo = MemoTable()
+        assert grundy(Graph(1), MoveRule.EVEN, memo).grundy == 1
+        with pytest.raises(ValueError, match="another host graph or rule"):
+            grundy(Graph(1), MoveRule.ODD, memo)
+        assert grundy(Graph(1), MoveRule.ODD).grundy == 0
+
+    def test_equal_host_graph_accepted(self):
+        memo = MemoTable()
+        grundy(path_graph(3), memo=memo)
+        copy = Graph(3, [(0, 1), (1, 2)])
+        assert copy is not memo.graph and copy == memo.graph
+        assert grundy_value(Position(copy, 0b011), memo=memo) == 1
+
 
 def pinned_positions():
     """40 seeded positions, n from 6 to 13: every other one has about a

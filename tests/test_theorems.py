@@ -12,14 +12,12 @@ from vertexnim import (
     TheoremCheckResult,
     TheoremId,
     add_isolated_vertices,
-    check_bipartite_fast_path,
     check_bipartite_parity,
     check_closed_forms,
     check_euler_terminal,
     check_even_even,
     check_isolated_substitution,
     check_nim_sum,
-    check_terminal_edge_parity,
     check_witness_construction,
     closed_form_complete,
     closed_form_complete_bipartite,
@@ -37,6 +35,7 @@ from vertexnim import (
     to_edge_mask,
     verify_theorem,
 )
+from vertexnim import theorems
 from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table, census, grundy_tables
 from vertexnim.graph import from_edge_mask, iter_bits
 from vertexnim.solver import grundy, solve
@@ -48,9 +47,23 @@ from vertexnim.theorems import (
     _covers_once,
     _cycle_space,
     _nth_bit,
+    _terminal_edge_parity,
     _terminal_masks,
     _terminal_sweep,
 )
+
+
+def bit_vector(flags) -> int:
+    """A level's 0/1 flag bytes as one int, bit ``m`` for edge mask ``m``."""
+    return int(bytes(48 + flag for flag in reversed(flags)), 2)
+
+
+def terminal_part(max_n: int, table=bipartite_table) -> TheoremCheckResult:
+    """The terminal part of the bipartite-parity suite alone, on a fresh
+    result, with level ``k``'s bipartite graphs taken from ``table(k)``."""
+    result = TheoremCheckResult(TheoremId.BIPARTITE_PARITY)
+    _terminal_edge_parity(result, [bit_vector(table(k)) for k in range(max_n + 1)])
+    return result
 
 
 class TestClosedForms:
@@ -121,7 +134,7 @@ class TestTerminalSweep:
     def test_matches_the_per_graph_walk(self, k):
         sweep = {
             (mask, alive)
-            for alive, terminal, _ in _terminal_sweep(k)
+            for alive, terminal, _ in _terminal_sweep(k, bit_vector(bipartite_table(k)))
             for mask in iter_bits(terminal)
         }
         walk = {
@@ -134,7 +147,8 @@ class TestTerminalSweep:
 
     def test_parity_is_the_edge_count_inside(self):
         slots = edge_slots(5)
-        for alive, terminal, parity in _terminal_sweep(5):
+        sweep = _terminal_sweep(5, bit_vector(bipartite_table(5)))
+        for alive, terminal, parity in sweep:
             for mask in iter_bits(terminal | parity):
                 inside = sum(
                     (mask >> s & alive >> i & alive >> j & 1)
@@ -143,7 +157,8 @@ class TestTerminalSweep:
                 assert (parity >> mask & 1) == inside % 2
 
     def test_alive_sets_descend(self):
-        order = [alive for alive, _, _ in _terminal_sweep(6)]
+        sweep = _terminal_sweep(6, bit_vector(bipartite_table(6)))
+        order = [alive for alive, _, _ in sweep]
         assert order == sorted(order, reverse=True)
 
     def test_nth_bit(self):
@@ -204,7 +219,6 @@ class TestEulerCertificate:
         ("census", census),
         ("even-even", check_even_even),
         ("bipartite-parity", check_bipartite_parity),
-        ("terminal-edge-parity", check_terminal_edge_parity),
         ("euler-terminal", check_euler_terminal),
     ],
 )
@@ -246,8 +260,8 @@ class TestCheckSuites:
         self, monkeypatch
     ):
         monkeypatch.setattr("vertexnim.theorems.grundy_value", lambda g, **kw: 7)
-        result = check_bipartite_parity(max_n=4)
-        assert result.scale["engine_crosschecks"] == 5
+        result = check_bipartite_parity(max_n=4, count=1)
+        assert result.scale["parts"][0]["engine_crosschecks"] == 5
         # rank 0 of each level is its edgeless graph
         assert [
             f.graph6 for f in result.failures if f.note == "sweep vs per-graph engine"
@@ -262,7 +276,7 @@ class TestCheckSuites:
             return tables
 
         monkeypatch.setattr("vertexnim.theorems.grundy_tables", corrupted)
-        result = check_bipartite_parity(max_n=4)
+        result = check_bipartite_parity(max_n=4, count=1)
         assert [(f.graph6, f.expected, f.got, f.note) for f in result.failures] == [
             ("C_", 1, 0, ""),
             ("Co", 0, 2, ""),
@@ -281,35 +295,23 @@ class TestCheckSuites:
         assert sorted(built) == list(range(6))
 
     def test_bipartite_parity_small(self):
-        result = check_bipartite_parity(max_n=5)
+        result = check_bipartite_parity(max_n=5, count=1)
         assert result.passed
-        assert result.instances_checked == 1 + 1 + 2 + 7 + 41 + 376 + 3
+        # the bipartite graphs and 3 grids, 1,924 terminal positions, 1 sample
+        assert result.instances_checked == 1 + 1 + 2 + 7 + 41 + 376 + 3 + 1924 + 1
 
     def test_terminal_edge_parity_small(self):
-        result = check_terminal_edge_parity(max_n=4)
+        result = check_bipartite_parity(max_n=4, count=1)
         assert result.passed
-        assert result.scale["check"] == "terminal-edge-parity"
-
-    def test_terminal_edge_parity_full_range(self):
-        # the acceptance gate stops at 6; the invariant holds through 7
-        result = check_terminal_edge_parity(max_n=7)
-        assert result.passed
-        assert result.instances_checked == 1175528
+        assert result.scale["parts"][1] == {"max_n": 4, "check": "terminal-edge-parity"}
+        assert terminal_part(4).instances_checked == 153
 
     def test_terminal_edge_parity_default_is_the_sweep_range(self):
-        default = inspect.signature(check_terminal_edge_parity).parameters["max_n"]
+        # the terminal part follows the suite's max_n
+        default = inspect.signature(check_bipartite_parity).parameters["max_n"]
         assert default.default == SWEEP_MAX_N
 
-    @pytest.mark.parametrize("max_n", [-1, 8])
-    def test_terminal_edge_parity_refuses_bad_max_n(self, max_n, monkeypatch):
-        def never(n):
-            raise AssertionError("swept before refusing")
-
-        monkeypatch.setattr("vertexnim.theorems.bipartite_table", never)
-        with pytest.raises(ValueError, match=f"terminal-edge-parity .* got {max_n}$"):
-            check_terminal_edge_parity(max_n=max_n)
-
-    def test_terminal_edge_parity_catches_a_wrong_bipartite_table(self, monkeypatch):
+    def test_terminal_edge_parity_catches_a_wrong_bipartite_table(self):
         # K3, and a triangle with a pendant edge at vertex 2 (the pendant
         # vertex 3 is removed first, leaving the triangle terminal)
         paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -321,8 +323,7 @@ class TestCheckSuites:
                 flags[wrong[n]] = 1
             return flags
 
-        monkeypatch.setattr("vertexnim.theorems.bipartite_table", with_triangles)
-        result = check_terminal_edge_parity(max_n=4)
+        result = terminal_part(4, with_triangles)
         assert not result.passed
         assert [f.to_record() for f in result.failures] == [
             {
@@ -334,10 +335,9 @@ class TestCheckSuites:
             for graph6 in ("Bw", "Cx")
         ]
 
-    def test_terminal_edge_parity_truncates_its_failures(self, monkeypatch):
+    def test_terminal_edge_parity_truncates_its_failures(self):
         every_graph = lambda n: bytearray([1]) * 2 ** math.comb(n, 2)
-        monkeypatch.setattr("vertexnim.theorems.bipartite_table", every_graph)
-        result = check_terminal_edge_parity(max_n=6)
+        result = terminal_part(6, every_graph)
         assert len(result.failures) == FAILURE_CAP and result.truncated
 
     # ranks 0, 9973, 19946 and 29919 of each level are cross-checked: rank 0
@@ -357,7 +357,7 @@ class TestCheckSuites:
 
     def test_terminal_edge_parity_crosschecks_the_per_graph_walk(self, monkeypatch):
         monkeypatch.setattr("vertexnim.theorems._terminal_masks", lambda g: iter(()))
-        result = check_terminal_edge_parity(max_n=6)
+        result = terminal_part(6)
         assert result.instances_checked == 38797
         assert [(f.graph6, f.note, f.got) for f in result.failures] == [
             (graph6, f"terminal alive set {alive:#x}, per-graph walk", "not reached")
@@ -370,7 +370,7 @@ class TestCheckSuites:
             Position, "is_terminal", lambda self, rule: not is_terminal(self, rule)
         )
         monkeypatch.setattr(Position, "edge_count", lambda self: 1)
-        result = check_terminal_edge_parity(max_n=6)
+        result = terminal_part(6)
         assert [(f.graph6, f.note, f.expected) for f in result.failures] == [
             (graph6, f"terminal alive set {alive:#x}, Position API", expected)
             for graph6, alive in self.CROSSCHECKED
@@ -444,9 +444,13 @@ class TestCheckSuites:
         result = check_isolated_substitution(count=25, max_n=6, seed=2)
         assert result.passed
 
+    # at max_n=0 the suite checks 1 graph, 3 grids and 1 terminal position
+    # before its sample, none of which calls solve
+
     def test_fast_path_small(self):
-        result = check_bipartite_fast_path(count=25, seed=3)
+        result = check_bipartite_parity(max_n=0, count=25, seed=3)
         assert result.passed
+        assert result.instances_checked == 5 + 25
 
     def test_fast_path_checks_solve_value(self, monkeypatch):
         def wrong(g, *args, **kwargs):
@@ -454,14 +458,14 @@ class TestCheckSuites:
             return dataclasses.replace(report, grundy=report.grundy ^ 1)
 
         monkeypatch.setattr("vertexnim.theorems.solve", wrong)
-        result = check_bipartite_fast_path(count=5, seed=3)
-        assert result.instances_checked == 5
+        result = check_bipartite_parity(max_n=0, count=5, seed=3)
+        assert result.instances_checked == 5 + 5
         assert len(result.failures) == 5 and not result.passed
 
     def test_fast_path_requires_a_closed_form(self, monkeypatch):
         # the right value from search is still a failure of the fast path
         monkeypatch.setattr("vertexnim.theorems.solve", lambda g: grundy(g))
-        result = check_bipartite_fast_path(count=3, seed=3)
+        result = check_bipartite_parity(max_n=0, count=3, seed=3)
         assert [f.got for f in result.failures] == ["brute-force search"] * 3
 
     def test_witness_small(self):
@@ -510,21 +514,59 @@ class TestVerifyTheorem:
         assert result.instances_checked == 3
 
     def test_bipartite_parity_terminal_part_follows_max_n(self, monkeypatch):
-        calls = []
+        seen = []
 
-        def record(*args, **kwargs):
-            calls.append(args)
-            return TheoremCheckResult(TheoremId.BIPARTITE_PARITY)
+        def record(k, bipartite):
+            seen.append((k, bipartite))
+            return iter(())
 
-        for part in (
-            "_bipartite_parity",
-            "_terminal_edge_parity",
-            "check_bipartite_fast_path",
-        ):
-            monkeypatch.setattr(f"vertexnim.theorems.{part}", record)
+        monkeypatch.setattr("vertexnim.theorems._terminal_sweep", record)
         SUITES[TheoremId.BIPARTITE_PARITY](max_n=7, count=1)
-        # the sweep, the terminal positions, the fast path, in that order
-        assert calls[1][0] == 7
+        # every level up to max_n, each with the vector the value part parsed
+        assert [k for k, _ in seen] == list(range(8))
+        assert all(bipartite == bit_vector(bipartite_table(k)) for k, bipartite in seen)
+
+    def test_every_suite_is_its_public_check(self):
+        for theorem in TheoremId:
+            name = "check_" + theorem.value.replace("-", "_")
+            assert SUITES[theorem] is getattr(theorems, name)
+
+    def test_no_other_public_check(self):
+        public = {name for name in vars(theorems) if name.startswith("check_")}
+        assert public == {suite.__name__ for suite in SUITES.values()}
+
+    @pytest.mark.parametrize(
+        "suite,kwargs,message",
+        [
+            (check_nim_sum, {"count": 0}, "nim-sum: count must be at least 1, got 0"),
+            (
+                check_isolated_substitution,
+                {"count": -3},
+                "isolated-substitution: count must be at least 1, got -3",
+            ),
+            (
+                check_witness_construction,
+                {"max_k": -1},
+                "witness-construction: max_k must be at least 0, got -1",
+            ),
+            (
+                check_bipartite_parity,
+                {"count": 0},
+                "bipartite-parity: count must be at least 1, got 0",
+            ),
+        ],
+    )
+    def test_suites_refuse_a_scale_below_range_before_any_work(
+        self, suite, kwargs, message, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("worked before refusing")
+
+        for work in ("grundy_value", "grundy_tables", "bipartite_table", "random_graph"):
+            monkeypatch.setattr(theorems, work, never)
+        monkeypatch.setattr("vertexnim.construction.witness", never)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            suite(**kwargs)
 
     def test_euler_terminal_refuses_large_n_before_enumerating(self, monkeypatch):
         def never(n):
