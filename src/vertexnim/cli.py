@@ -6,11 +6,17 @@ or input error, including a graph or witness above the vertex limit
 prints the report of :func:`vertexnim.solver.solve`, which picks the method.
 With ``--records`` every command emits line-delimited JSON instead of
 human-readable text; output bytes are deterministic for fixed inputs and
-seeds.
+seeds. If standard output closes early, the rest of the output is dropped
+quietly and the exit code is the command's own.
+
+:func:`main` may be called repeatedly in one process: it builds its parser
+once, returns the exit code, and never raises ``SystemExit``.
 """
 
 import argparse
+import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -270,7 +276,10 @@ def cmd_convert(args) -> CommandOutcome:
     return outcome
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every :func:`main`
+    call (``parse_args`` starts each call from a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="vertexnim",
         description=(
@@ -352,12 +361,20 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.records:
-        for record in outcome.records:
-            print(json.dumps(record, sort_keys=True))
-    else:
-        for line in outcome.lines:
-            print(line)
+    try:
+        if args.records:
+            for record in outcome.records:
+                print(json.dumps(record, sort_keys=True))
+        else:
+            for line in outcome.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``vertexnim census | head -1``): send what is still
+        # buffered to the null device so the interpreter's flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return outcome.exit_code
 
 

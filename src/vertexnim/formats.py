@@ -57,20 +57,16 @@ def parse_graph(text: str) -> Graph:
     rows = []
     edges_seen = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if n is None:
-            if len(fields) != 2:
-                raise GraphFormatError(
-                    f"line {lineno}: expected header 'n m', got {line!r}"
-                )
             try:
-                n, m = int(fields[0]), int(fields[1])
+                n, m = fields
+                n, m = int(n), int(m)
             except ValueError:
                 raise GraphFormatError(
-                    f"line {lineno}: expected header 'n m', got {line!r}"
+                    f"line {lineno}: expected header 'n m', got {raw.strip()!r}"
                 ) from None
             if n < 0 or m < 0:
                 raise GraphFormatError(f"line {lineno}: negative count in header")
@@ -85,13 +81,12 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(
                 f"line {lineno}: more than the {m} edges declared in the header"
             )
-        if len(fields) != 2:
-            raise GraphFormatError(f"line {lineno}: expected edge 'u v', got {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = fields
+            u, v = int(u), int(v)
         except ValueError:
             raise GraphFormatError(
-                f"line {lineno}: expected edge 'u v', got {line!r}"
+                f"line {lineno}: expected edge 'u v', got {raw.strip()!r}"
             ) from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(

@@ -1,11 +1,26 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vertexnim import grid_graph, grundy_value, parse_graph, path_graph, serialize_graph
-from vertexnim.cli import main
+from conftest import graphs
+from vertexnim import (
+    grid_graph,
+    grundy_value,
+    parse_graph,
+    path_graph,
+    serialize_graph,
+    to_graph6,
+)
+from vertexnim.cli import build_parser, main
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -471,3 +486,163 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [("census", "--max-n", "3"), ("generate", "2", "-")], ids=["census", "generate"]
+)
+def test_closed_output_pipe_is_quiet(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vertexnim", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call sees another's."""
+
+    def test_options_do_not_carry_over(self, capsys, p4_file, tmp_path):
+        paw = tmp_path / "paw.txt"
+        paw.write_text(PAW_TEXT)
+        code, out, _ = run_cli(
+            capsys, "solve", p4_file, "--verify", "--rule", "even", "--budget", "50",
+            "--records",
+        )
+        assert code == 0
+        first = json.loads(out)
+        assert (first["rule"], first["verified"]) == ("even", True)
+        code, out, _ = run_cli(
+            capsys, "solve", p4_file, "--verify", "--rule", "even", "--budget", "5",
+            "--records",
+        )
+        assert (code, out) == (3, "")
+        code, out, _ = run_cli(capsys, "solve", p4_file, "--records")
+        assert code == 0
+        second = json.loads(out)
+        assert (second["rule"], second["verified"], second["method"]) == (
+            "odd",
+            False,
+            "bipartite edge-parity fast path",
+        )
+        # the paw's search visits 7 nodes, so a leftover budget of 5 would refuse it
+        code, out, _ = run_cli(capsys, "solve", str(paw), "--records")
+        assert (code, json.loads(out)["grundy"]) == (0, 2)
+
+    def test_usage_error_goes_to_the_current_stderr(self, capsys, p4_file):
+        main(["solve", p4_file])
+        capsys.readouterr()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", p4_file, "--budget", "-1"])
+        assert code == 2
+        assert err.getvalue().startswith("usage: vertexnim solve ")
+        assert "argument --budget: must be nonnegative, got -1" in err.getvalue()
+        assert capsys.readouterr().err == ""
+        code, out, _ = run_cli(capsys, "solve", p4_file)
+        assert code == 0
+        assert "grundy: 1" in out
+
+    def test_help_is_the_same_each_time(self, capsys):
+        first = run_cli(capsys, "--help")
+        assert first[0] == 0
+        assert first[1].startswith("usage: vertexnim ")
+        assert run_cli(capsys, "--help") == first
+
+    def test_no_parser_is_built_after_the_first_call(self, capsys, monkeypatch, p4_file):
+        main(["solve", p4_file])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["solve", p4_file]) == 0
+        assert main(["convert", p4_file]) == 0
+        assert built == []
+        assert build_parser() is build_parser()
+
+
+# Inputs for the fuzz below: short arbitrary text or bytes, near-valid edge
+# lists (a graph's own text with a line dropped, doubled or changed, or small
+# random rows with endpoints just outside the range) and graph6 strings, valid
+# or with junk appended. Most argv are valid, so most calls reach a command.
+_edge_rows = st.builds(
+    lambda n, m, rows: "\n".join([f"{n} {m}"] + [" ".join(r) for r in rows]),
+    st.integers(min_value=-1, max_value=9),
+    st.integers(min_value=-1, max_value=9),
+    st.lists(
+        st.lists(st.integers(min_value=-1, max_value=9).map(str), max_size=3),
+        max_size=10,
+    ),
+)
+_serialized = st.builds(
+    lambda g, edit: edit(serialize_graph(g).splitlines()),
+    graphs(max_n=9),
+    st.sampled_from(
+        [
+            lambda lines: "\n".join(lines),
+            lambda lines: "\n".join(lines[:-1]),
+            lambda lines: "\n".join(lines + lines[-1:]),
+            lambda lines: "\n".join(["# c", *lines, "  # c", "0 0"]),
+            lambda lines: "\n".join(lines).replace("1", "x", 1),
+        ]
+    ),
+)
+_graph6 = st.builds(
+    lambda g, junk: to_graph6(g) + junk,
+    graphs(max_n=9),
+    st.sampled_from(["", "", "\n", "?", "~", " x"]),
+)
+_inputs = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    st.binary(max_size=20),
+    _edge_rows,
+    _serialized,
+    _graph6,
+)
+_stray = st.sampled_from([[], [], [], [], ["-x"], ["extra"], ["--"], ["-h"], ["--to"]])
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["solve", "convert"]))
+    argv = [command, None]
+    options = {"--format": ["auto", "edgelist", "graph6", "bogus"]}
+    if command == "solve":
+        options["--rule"] = ["odd", "even", "even", "bogus"]
+    else:
+        options["--to"] = ["edgelist", "graph6", "graph6", "bogus"]
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    for flag in ("--verify", "--records"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if command == "solve":
+        argv += ["--budget", str(draw(st.integers(min_value=0, max_value=2000)))]
+    return argv + draw(_stray)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inputs, _cli_argv())
+def test_fuzzed_input_exits_with_a_known_code(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as handle:
+            handle.write(text if isinstance(text, bytes) else text.encode("utf-8"))
+        argv[1] = path
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)

@@ -69,6 +69,33 @@ class TestParseGraph:
         with pytest.raises(GraphFormatError, match="line 2: 256 vertices exceed"):
             parse_graph("# big\n256 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("banana", "line 1: expected header 'n m', got 'banana'"),
+            ("\n 3 2 1 \n", "line 2: expected header 'n m', got '3 2 1'"),
+            ("# c\n\tx\t2\t\n", "line 2: expected header 'n m', got 'x\\t2'"),
+            ("3 -1\n", "line 1: negative count in header"),
+            ("# big\n256 0\n", "line 2: 256 vertices exceed the limit of 255"),
+            ("3 1\n0 1\n1 2", "line 3: more than the 1 edges declared in the header"),
+            ("2 1\n a b \n", "line 2: expected edge 'u v', got 'a b'"),
+            ("3 1\n0 1 2\n", "line 2: expected edge 'u v', got '0 1 2'"),
+            ("3 1\n 0 1 # c\n", "line 2: expected edge 'u v', got '0 1 # c'"),
+            ("3 1\n  7\n", "line 2: expected edge 'u v', got '7'"),
+            ("2 1\n0 2", "line 2: vertex out of range 0..1 in edge (0, 2)"),
+            ("2 1\n-1 0", "line 2: vertex out of range 0..1 in edge (-1, 0)"),
+            ("2 1\n0 0", "line 2: self-loop at vertex 0"),
+            ("2 2\n0 1\n  # c\n1 0", "line 4: duplicate edge (1, 0)"),
+            ("   \n# nothing\n", "line 1: empty input, expected header 'n m'"),
+            ("", "line 1: empty input, expected header 'n m'"),
+            ("# c\n3 2\n0 1", "line 2: header declares 2 edges, found 1"),
+        ],
+    )
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
     def test_huge_header_refused_before_allocating(self):
         tracemalloc.start()
         try:
