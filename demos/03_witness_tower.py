@@ -17,12 +17,11 @@ from vertexnim import (
     grundy_value,
     MAX_VERTICES,
     iter_bits,
-    tower_size,
     witness,
     witness_record,
 )
 
-print(f"tower sizes: {[tower_size(k) for k in range(8)]} vertices")
+print(f"tower sizes: {[witness(k).graph.n for k in range(7)]} vertices")
 print()
 
 for k in range(5):
@@ -37,8 +36,7 @@ for k in range(5):
     full = (1 << g.n) - 1
     movable = sorted(iter_bits(g.full_position().movable_vertices(MoveRule.ODD)))
     print(f"   apexes (the only legal first moves): {movable}")
-    for part in w.recipe.parts:
-        apex = w.recipe.apex_vertex(part.index)
+    for part, _offset, apex in w.recipe.placed():
         child = grundy_value(Position(g, full ^ (1 << apex)))
         label = "padding" if part.index < 0 else f"part {part.index}"
         print(

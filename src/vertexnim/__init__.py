@@ -17,7 +17,6 @@ from .construction import (
     Witness,
     certify,
     construct_next,
-    tower_size,
     witness,
     witness_record,
 )

@@ -2,8 +2,11 @@
 
 Exit codes: 0 success; 1 a check failed or a counterexample exists; 2 usage
 or input error, including a graph or witness above the vertex limit
-:data:`~vertexnim.formats.MAX_VERTICES`; 3 budget exhaustion. ``solve``
-prints the report of :func:`vertexnim.solver.solve`, which picks the method.
+:data:`~vertexnim.formats.MAX_VERTICES`; 3 budget exhaustion. The library
+decides every input: :func:`~vertexnim.formats.load_graph` sniffs the format,
+and a bad scale or negative ``--budget`` exits 2 with the library's message.
+``solve`` prints the report of :func:`vertexnim.solver.solve`, which picks
+the method.
 With ``--records`` every command emits line-delimited JSON instead of
 human-readable text; output bytes are deterministic for fixed inputs and
 seeds. If standard output closes early, the rest of the output is dropped
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .construction import witness, witness_record
 from .exhaustive import census
+# from_graph6 and parse_graph go unused here: perfbench's span recorder rebinds them
 from .formats import (
     GraphFormatError,
     from_graph6,
@@ -31,7 +35,7 @@ from .formats import (
     sniff_format,
     to_graph6,
 )
-from .graph import Graph, MoveRule
+from .graph import MoveRule
 from .solver import (
     DEFAULT_NODE_BUDGET,
     SEARCH_METHOD,
@@ -66,31 +70,12 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load(text: str, fmt: str) -> Graph:
-    if fmt == "edgelist":
-        return parse_graph(text)
-    if fmt == "graph6":
-        return from_graph6(text)
-    return load_graph(text)
-
-
-def _budget_arg(text: str) -> int:
-    """``--budget`` value: a nonnegative int (0 still refuses any work)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
 def _budget(args) -> int:
     return args.budget if args.budget is not None else DEFAULT_NODE_BUDGET
 
 
 def cmd_solve(args) -> CommandOutcome:
-    g = _load(_read_text(args.graph), args.format)
+    g = load_graph(_read_text(args.graph))
     rule = MoveRule.ODD if args.rule == "odd" else MoveRule.EVEN
     memo = MemoTable(_budget(args))
     report = solve(g, rule, memo)
@@ -251,11 +236,10 @@ def cmd_census(args) -> CommandOutcome:
 
 def cmd_convert(args) -> CommandOutcome:
     text = _read_text(args.graph)
-    in_fmt = args.format if args.format != "auto" else sniff_format(text)
-    g = _load(text, in_fmt)
+    g = load_graph(text)
     out_fmt = args.to
     if out_fmt is None:
-        out_fmt = "graph6" if in_fmt == "edgelist" else "edgelist"
+        out_fmt = "graph6" if sniff_format(text) == "edgelist" else "edgelist"
     payload = to_graph6(g) if out_fmt == "graph6" else serialize_graph(g).rstrip("\n")
     outcome = CommandOutcome()
     if args.out == "-":
@@ -297,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check any fast path against brute force",
     )
-    solve.add_argument(
-        "--format", choices=("auto", "edgelist", "graph6"), default="auto"
-    )
     solve.set_defaults(func=cmd_solve)
 
     generate = sub.add_parser(
@@ -329,15 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("graph", help="input file, or - for standard input")
     convert.add_argument("--to", choices=("edgelist", "graph6"))
     convert.add_argument("--out", default="-")
-    convert.add_argument(
-        "--format", choices=("auto", "edgelist", "graph6"), default="auto"
-    )
     convert.set_defaults(func=cmd_convert)
 
     for p in (solve, generate, verify, census_cmd):
-        p.add_argument(
-            "--budget", type=_budget_arg, help="position/graph evaluation cap"
-        )
+        p.add_argument("--budget", type=int, help="position/graph evaluation cap")
     for p in (solve, generate, verify, census_cmd, convert):
         p.add_argument(
             "--records",

@@ -14,11 +14,12 @@ the apex attachments and the clique are derived from them, so the graph and
 its audit record cannot disagree.
 
 The canonical witness tower starts from the 3-path (value 0) and the single
-edge (value 1) and feeds each new witness back in as a part. Every witness
-is certified by an independent brute-force solve of its root and of each
+edge (value 1) and feeds each new witness back in as a part. A witness is
+certified by an independent brute-force solve of its root and of each
 part's apex child; a mismatch is a soundness error and must never occur.
-The tower's size grows about twofold per value, so :func:`witness` stops
-where it would exceed the input limit :data:`~vertexnim.formats.MAX_VERTICES`.
+The top's apex children revive every lower level, so :func:`witness`
+certifies the top alone, and stops at the first level above the input
+limit :data:`~vertexnim.formats.MAX_VERTICES` (sizes grow about twofold).
 """
 
 from dataclasses import dataclass, replace
@@ -77,7 +78,7 @@ class ConstructionRecipe:
     def padding_used(self) -> bool:
         return self.parts[0].index < 0
 
-    def _placed(self):
+    def placed(self):
         """Yield ``(part, offset, apex vertex)`` for each part in layout order."""
         offset = 0
         apex = sum(p.graph.n for p in self.parts)
@@ -86,23 +87,11 @@ class ConstructionRecipe:
             offset += p.graph.n
             apex += 1
 
-    def _find(self, index: int) -> tuple:
-        for placed in self._placed():
-            if placed[0].index == index:
-                return placed
-        raise KeyError(f"no part with index {index}")
-
-    def part_offset(self, index: int) -> int:
-        return self._find(index)[1]
-
-    def apex_vertex(self, index: int) -> int:
-        return self._find(index)[2]
-
     def apex_set(self) -> int:
-        return sum(1 << apex for _p, _offset, apex in self._placed())
+        return sum(1 << apex for _p, _offset, apex in self.placed())
 
     def _clique_edges(self) -> list:
-        apexes = [apex for _p, _offset, apex in self._placed()]
+        apexes = [apex for _p, _offset, apex in self.placed()]
         return [(a, b) for i, a in enumerate(apexes) for b in apexes[i + 1 :]]
 
 
@@ -154,7 +143,7 @@ def construct_next(parts) -> Witness:
         parts=tuple(RecipePart(idx, g, max(idx, 0)) for idx, g in indexed),
     )
     edges = []
-    for p, offset, apex in recipe._placed():
+    for p, offset, apex in recipe.placed():
         edges.extend((u + offset, v + offset) for u, v in p.graph.edges())
         edges.extend((apex, v) for v in _attached(p, offset))
     # the last apex is the last vertex
@@ -187,53 +176,35 @@ def certify(w: Witness, node_budget: int = DEFAULT_NODE_BUDGET) -> Witness:
         raise ConstructionSoundnessError(w, got)
     if w.recipe is not None:
         full = (1 << w.graph.n) - 1
-        for part, _offset, apex in w.recipe._placed():
+        for part, _offset, apex in w.recipe.placed():
             got = grundy_value(Position(w.graph, full ^ 1 << apex), memo=memo)
             if got != part.claimed_grundy:
                 raise ConstructionSoundnessError(w, got, part)
     return replace(w, certified=True)
 
 
-def tower_size(k: int) -> int:
-    """Vertex count of the canonical tower witness for value ``k``."""
-    sizes = []
-    for j in range(k + 1):
-        if j == 0:
-            n = 3
-        elif j == 1:
-            n = 2
-        else:
-            padding = (j - 1) % 2 == 0
-            n = sum(sizes) + (3 if padding else 0) + j + (1 if padding else 0)
-        sizes.append(n)
-    return sizes[k]
-
-
 def witness(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Witness:
     """Certified connected witness of Grundy value ``k`` (canonical tower).
 
     The tower is deterministic: value 0 is the 3-path, value 1 the single
-    edge, and each later witness assembles all earlier ones. Raises
-    ValueError when the tower would exceed
-    :data:`~vertexnim.formats.MAX_VERTICES` vertices.
+    edge, and each later witness assembles all earlier ones. Only the top is
+    certified, and that covers the whole tower: removing the apex of part
+    ``i`` leaves level ``i`` beside a remainder frozen at value 0, so the
+    top's apex-child checks prove every level's value. Raises ValueError as
+    soon as a level exceeds :data:`~vertexnim.formats.MAX_VERTICES` vertices.
     """
     if k < 0:
         raise ValueError(f"witness value must be nonnegative, got {k}")
-    # the tower for k has more than k vertices: a huge k is refused unsized
-    if k > MAX_VERTICES or tower_size(k) > MAX_VERTICES:
-        raise ValueError(
-            f"witness({k}) would exceed the limit of {MAX_VERTICES} vertices"
-        )
-    tower = []
-    for j in range(k + 1):
-        if j == 0:
-            w = Witness(0, path_graph(3), None, certified=False)
-        elif j == 1:
-            w = Witness(1, complete_graph(2), None, certified=False)
-        else:
-            w = construct_next([t.graph for t in tower])
-        tower.append(certify(w, node_budget=node_budget))
-    return tower[k]
+    tower = [path_graph(3), complete_graph(2)]
+    w = Witness(min(k, 1), tower[min(k, 1)], None, certified=False)
+    for _ in range(2, k + 1):
+        w = construct_next(tower)
+        if w.graph.n > MAX_VERTICES:
+            raise ValueError(
+                f"witness({k}) would exceed the limit of {MAX_VERTICES} vertices"
+            )
+        tower.append(w.graph)
+    return certify(w, node_budget=node_budget)
 
 
 def witness_record(w: Witness) -> dict:
@@ -248,7 +219,7 @@ def witness_record(w: Witness) -> dict:
     if w.recipe is None:
         record["base_case"] = True
         return record
-    placed = list(w.recipe._placed())
+    placed = list(w.recipe.placed())
     record["padding_used"] = w.recipe.padding_used
     record["parts"] = [
         {

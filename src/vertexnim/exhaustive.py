@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb
 
 from .graph import MoveRule, from_edge_mask, edge_slots
-from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
+from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, _check_rule
 
 SWEEP_MAX_N = 7
 
@@ -158,6 +158,7 @@ def grundy_tables(
     explicit and costs no sweeping.
     """
     _check_sweep_range("exhaustive sweep", max_n)
+    _check_rule(rule)
     levels, graphs = _levels_within(max_n, graph_budget)
     if levels <= max_n:
         raise NodeBudgetExceeded(graphs, graph_budget)

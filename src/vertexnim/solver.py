@@ -227,6 +227,11 @@ def nim_sum(a: int, b: int) -> int:
     return a ^ b
 
 
+def _check_rule(rule) -> None:
+    if not isinstance(rule, MoveRule):
+        raise ValueError(f"rule must be a MoveRule, got {rule!r}")
+
+
 def grundy(
     position: Position | Graph,
     rule: MoveRule = MoveRule.ODD,
@@ -236,8 +241,9 @@ def grundy(
 
     Accepts a Graph as shorthand for its full position. The memo may be
     reused across solves of positions of the same host graph and rule;
-    reuse changes the counters but never the value or the optimal move, and
-    a memo that holds another graph or rule is refused with ``ValueError``.
+    reuse changes the counters but never the value or the optimal move. A
+    memo that holds another graph or rule, or a ``rule`` that is not a
+    :class:`MoveRule`, is refused with ``ValueError``.
 
     The root splits into components once. A component the memo cannot
     answer is searched; one of ``LATTICE_MIN_N <= k <= LATTICE_MAX_N``
@@ -270,6 +276,7 @@ def grundy_value(
 
 
 def _solve(position, rule, memo, find_move) -> SolveReport:
+    _check_rule(rule)
     if isinstance(position, Graph):
         position = position.full_position()
     alive = position.alive
@@ -442,6 +449,7 @@ def solve(
     goes to :func:`grundy` with ``memo``. A closed form visits no positions,
     and ``method`` names the one taken.
     """
+    _check_rule(rule)
     if rule is MoveRule.EVEN:
         value, method = grundy_even_even(graph), "vertex-parity closed form"
     elif graph.is_bipartite():

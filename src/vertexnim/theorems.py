@@ -763,8 +763,7 @@ def check_witness_construction(
         memo = MemoTable(budget)
         full = (1 << g.n) - 1
         child_values = []
-        for part in recipe.parts:
-            apex = recipe.apex_vertex(part.index)
+        for part, _offset, apex in recipe.placed():
             got = grundy_value(Position(g, full ^ (1 << apex)), memo=memo)
             child_values.append(got)
             result.check(
@@ -812,8 +811,8 @@ def verify_theorem(
     """Run the verification suite for one theorem at the given scale.
 
     Omitted scale parameters take each suite's documented defaults. A
-    parameter the suite does not take, a ``count`` below 1 or a negative
-    ``max_n`` or ``max_k`` raises ``ValueError``; budget exhaustion raises
+    parameter the suite does not take raises ``ValueError``, and so does any
+    scale the suite itself refuses; budget exhaustion raises
     :class:`TheoremBudgetError`.
     """
     theorem = TheoremId(theorem)
@@ -824,12 +823,6 @@ def verify_theorem(
     if ignored:
         flags = ", ".join(map(_flag, ignored))
         raise ValueError(f"{theorem.value} does not take {flags}")
-    for name, least in (("count", 1), ("max_n", 0), ("max_k", 0)):
-        if scale.get(name, least) < least:
-            raise ValueError(
-                f"{theorem.value}: {_flag(name)} must be at least {least}, "
-                f"got {scale[name]}"
-            )
     try:
         return suite(**scale)
     except NodeBudgetExceeded as exc:

@@ -19,7 +19,6 @@ from vertexnim import (
     grundy_value,
     iter_bits,
     path_graph,
-    tower_size,
     witness,
     witness_record,
 )
@@ -128,7 +127,7 @@ class TestWitnessTower:
         ]
 
     def test_tower_sizes(self):
-        assert [tower_size(k) for k in range(5)] == [3, 2, 7, 19, 35]
+        assert [witness(k).graph.n for k in range(5)] == [3, 2, 7, 19, 35]
 
     def test_values_up_to_4(self):
         for k in range(5):
@@ -140,8 +139,7 @@ class TestWitnessTower:
     def test_child_identities(self):
         w = witness(3)
         full = (1 << w.graph.n) - 1
-        for part in w.recipe.parts:
-            apex = w.recipe.apex_vertex(part.index)
+        for part, _offset, apex in w.recipe.placed():
             child = Position(w.graph, full ^ (1 << apex))
             assert grundy_value(child) == part.claimed_grundy
 
@@ -158,7 +156,7 @@ class TestWitnessTower:
         # the tower stops at the input vertex limit, not at a solver cap
         w = witness(6)
         assert w.certified and w.k == 6
-        assert w.graph.n == tower_size(6) == 147
+        assert w.graph.n == 147
         for k in (7, 30, 10**12):
             with pytest.raises(ValueError, match="limit of 255 vertices"):
                 witness(k)
@@ -166,6 +164,21 @@ class TestWitnessTower:
     def test_budget_too_small(self):
         with pytest.raises(NodeBudgetExceeded):
             witness(4, node_budget=10)
+
+    def test_only_the_top_is_certified(self):
+        # level 0 needs 6 nodes, but witness(1) certifies only the edge
+        with pytest.raises(NodeBudgetExceeded):
+            witness(0, node_budget=5)
+        assert witness(1, node_budget=3).certified
+        with pytest.raises(NodeBudgetExceeded):
+            witness(1, node_budget=2)
+
+    @pytest.mark.parametrize("k,n", [(2, 7), (3, 19), (4, 35), (5, 75), (6, 147)])
+    def test_top_certificate_needs_twice_its_vertices(self, k, n):
+        # the least budget that certifies a witness is twice its vertex count
+        assert witness(k, node_budget=2 * n).graph.n == n
+        with pytest.raises(NodeBudgetExceeded):
+            witness(k, node_budget=2 * n - 1)
 
 
 class TestCertify:
@@ -186,15 +199,12 @@ class TestRecipe:
     def test_part_offsets(self):
         recipe = witness(3).recipe
         # padding 3-path, then the tower parts, then the apexes
-        assert recipe.part_offset(-1) == 0
-        assert recipe.part_offset(0) == 3
-        assert recipe.part_offset(1) == 6
-        assert recipe.part_offset(2) == 8
-        assert [recipe.apex_vertex(i) for i in (-1, 0, 1, 2)] == [15, 16, 17, 18]
-
-    def test_unknown_part(self):
-        with pytest.raises(KeyError):
-            witness(2).recipe.part_offset(9)
+        assert [(p.index, offset, apex) for p, offset, apex in recipe.placed()] == [
+            (-1, 0, 15),
+            (0, 3, 16),
+            (1, 6, 17),
+            (2, 8, 18),
+        ]
 
     def test_claimed_values(self):
         recipe = witness(4).recipe

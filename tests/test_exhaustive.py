@@ -78,6 +78,11 @@ class TestGrundyTables:
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             grundy_tables(3, graph_budget=-1)
 
+    @pytest.mark.parametrize("rule", ["odd", "even", 1, 0, None])
+    def test_refuses_a_rule_that_is_not_a_move_rule(self, rule):
+        with pytest.raises(ValueError, match="rule must be a MoveRule"):
+            grundy_tables(3, rule)
+
     def test_zero_budget_refuses_level_0(self):
         with pytest.raises(NodeBudgetExceeded) as info:
             grundy_tables(0, graph_budget=0)

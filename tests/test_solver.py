@@ -479,6 +479,14 @@ class TestSolve:
         with pytest.raises(NodeBudgetExceeded):
             solve(complete_graph(6), memo=memo)
 
+    @pytest.mark.parametrize("rule", ["odd", "even", 1, 0, None])
+    @pytest.mark.parametrize("call", [grundy, grundy_value, solve])
+    def test_refuses_a_rule_that_is_not_a_move_rule(self, call, rule):
+        # K3 goes to the search, the 3-path to solve's bipartite fast path
+        for g in (complete_graph(3), path_graph(3)):
+            with pytest.raises(ValueError, match="rule must be a MoveRule"):
+                call(g, rule)
+
     @given(graphs(max_n=7), rules)
     @settings(max_examples=150, deadline=None)
     def test_matches_search(self, g, rule):
