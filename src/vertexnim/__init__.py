@@ -61,7 +61,6 @@ from .solver import (
     MemoTable,
     NodeBudgetExceeded,
     SolveReport,
-    enumerate_labeled_graphs,
     grundy,
     grundy_even_even,
     grundy_value,

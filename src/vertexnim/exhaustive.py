@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .graph import MoveRule, from_edge_mask, edge_slots
-from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, _check_rule
+from .graph import MoveRule, _check_rule, _slot_vector, edge_slots, from_edge_mask
+from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
 
 SWEEP_MAX_N = 7
 
@@ -62,22 +62,30 @@ def _xor_table(d: int) -> bytes:
     return bytes(x ^ d for x in range(256))
 
 
+def _degree_parities(n: int) -> bytes:
+    """Degree-parity vector of every edge mask on ``n`` vertices, one byte
+    each (bit ``v`` set when ``v`` has odd degree), built by doubling over
+    the slots."""
+    parity = b"\0"
+    for i, j in edge_slots(n):
+        parity += parity.translate(_xor_table(1 << i | 1 << j))
+    return parity
+
+
 @lru_cache(maxsize=None)
 def _row_patterns(r: int):
     """``(parity, patterns)`` for a row over the slots among vertices
     ``0..r-1``, built by doubling over those slots.
 
-    ``parity[lo]``: the degree-parity vector of those vertices in the low
-    mask ``lo``. ``patterns[v][q][lo]``: where the child of ``lo`` after
+    ``parity``: :func:`_degree_parities` of ``r``, indexed by the low mask
+    ``lo``. ``patterns[v][q][lo]``: where the child of ``lo`` after
     deleting ``v`` lies in its segment, when ``v`` is movable under the odd
     rule with degree parity ``q`` outside the low slots, else the padding
     index :data:`_SEGMENT`. The even rule reads ``patterns[v][q ^ 1]``.
     """
-    parity = b"\0"
     merged = [b"\0"] * r
     ranks = [0] * r
     for i, j in edge_slots(r):
-        parity += parity.translate(_xor_table(1 << i | 1 << j))
         for v in range(r):
             if v == i or v == j:
                 step = 0x80
@@ -85,7 +93,8 @@ def _row_patterns(r: int):
                 step = 1 << ranks[v]
                 ranks[v] += 1
             merged[v] += merged[v].translate(_xor_table(step))
-    return parity, tuple(tuple(m.translate(g) for g in _GATHER) for m in merged)
+    patterns = tuple(tuple(m.translate(g) for g in _GATHER) for m in merged)
+    return _degree_parities(r), patterns
 
 
 @lru_cache(maxsize=16)
@@ -187,18 +196,6 @@ def grundy_tables(
             rows.append(seen.to_bytes(row, "little").translate(_MEX))
         tables.append(bytearray().join(rows))
     return tables
-
-
-def _slot_vector(s: int, size: int) -> int:
-    """Bit ``m`` set, for every ``m < size``, when edge mask ``m`` holds slot
-    ``s``: runs of ``2**s`` clear and ``2**s`` set bits, doubled up to
-    ``size``."""
-    v = ((1 << (1 << s)) - 1) << (1 << s)
-    width = 2 << s
-    while width < size:
-        v |= v << width
-        width *= 2
-    return v
 
 
 def _drop_slots(marked: int, vectors) -> int:

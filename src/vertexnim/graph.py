@@ -36,10 +36,27 @@ class MoveRule(enum.Enum):
     EVEN = 0
 
 
+def _check_rule(rule) -> None:
+    if not isinstance(rule, MoveRule):
+        raise ValueError(f"rule must be a MoveRule, got {rule!r}")
+
+
 @lru_cache(maxsize=64)
 def edge_slots(n: int) -> tuple:
     """Edge slot table for ``n`` vertices: slot ``s`` -> pair ``(i, j)``."""
     return tuple((i, j) for j in range(n) for i in range(j))
+
+
+def _slot_vector(s: int, size: int) -> int:
+    """Bit ``m`` set, for every ``m < size``, when edge mask ``m`` holds slot
+    ``s``: runs of ``2**s`` clear and ``2**s`` set bits, doubled up to
+    ``size``."""
+    v = ((1 << (1 << s)) - 1) << (1 << s)
+    width = 2 << s
+    while width < size:
+        v |= v << width
+        width *= 2
+    return v
 
 
 class Graph:
@@ -187,7 +204,9 @@ class Position:
         return (self.graph.adj[v] & self.alive).bit_count()
 
     def movable_vertices(self, rule: MoveRule) -> int:
-        """Bit set of alive vertices whose degree parity matches ``rule``."""
+        """Bit set of alive vertices whose degree parity matches ``rule``; a
+        ``rule`` that is not a :class:`MoveRule` is refused with ``ValueError``."""
+        _check_rule(rule)
         adj = self.graph.adj
         alive = self.alive
         parity = rule.value

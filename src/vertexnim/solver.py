@@ -25,13 +25,13 @@ import sys
 from dataclasses import dataclass
 from itertools import count
 
-from .graph import Graph, MoveRule, Position, from_edge_mask, iter_bits
+from .graph import Graph, MoveRule, Position, _check_rule, _slot_vector, iter_bits
+# from_edge_mask goes unused here: perfbench's span recorder rebinds it
+from .graph import from_edge_mask
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
 SEARCH_METHOD = "brute-force search"
-
-ENUMERATION_MAX_N = 7
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -118,15 +118,8 @@ def lattice_values(rows: list, even: bool) -> list:
     """
     k = len(rows)
     size = 1 << k
-    alive = []
-    for i in range(k):
-        # period 2**(i + 1): 2**i subsets without i, then 2**i with it
-        block = (1 << (1 << i)) - 1 << (1 << i)
-        period = 2 << i
-        while period < size:
-            block |= block << period
-            period <<= 1
-        alive.append(block)
+    # the subsets holding i, as the edge masks holding slot i
+    alive = [_slot_vector(i, size) for i in range(k)]
     moves = []
     for i, row in enumerate(rows):
         odd = 0
@@ -225,11 +218,6 @@ def nim_sum(a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError("nim_sum is defined on nonnegative integers")
     return a ^ b
-
-
-def _check_rule(rule) -> None:
-    if not isinstance(rule, MoveRule):
-        raise ValueError(f"rule must be a MoveRule, got {rule!r}")
 
 
 def grundy(
@@ -462,14 +450,3 @@ def solve(
         # removable vertex is also the search engine's deterministic choice
         move = min(iter_bits(graph.full_position().movable_vertices(rule)))
     return SolveReport(value, 0, 0, move, method)
-
-
-def enumerate_labeled_graphs(n: int):
-    """Yield every labeled simple graph on ``n`` vertices, in edge-mask order."""
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(
-            f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}"
-        )
-    nslots = n * (n - 1) // 2
-    for mask in range(1 << nslots):
-        yield from_edge_mask(n, mask)

@@ -12,8 +12,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 
-from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _edge_counts, _level_tables
-from .exhaustive import _slot_vector, bipartite_table, grundy_tables
+from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _degree_parities, _edge_counts
+from .exhaustive import bipartite_table, grundy_tables
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     MoveRule,
     Position,
+    _slot_vector,
     add_isolated_vertices,
     disjoint_union,
     edge_slots,
@@ -216,6 +217,13 @@ def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def _check_scale(suite: str, name: str, value: int, least: int) -> None:
+    """Refuse a scale below ``least``, naming ``suite``; the counterpart of
+    :func:`~vertexnim.exhaustive._check_sweep_range` for the unswept scales."""
+    if value < least:
+        raise ValueError(f"{suite}: {name} must be at least {least}, got {value}")
+
+
 def _strided(count: int, start: int = 0) -> range:
     """The ranks ``r < count`` of a level's instances ``start + r`` that are
     cross-checked: those whose rank within the level is a multiple of
@@ -230,8 +238,7 @@ def check_closed_forms(
     """Solver versus the closed forms for paths, complete graphs and stars up
     to ``max_n`` vertices, and complete bipartite graphs with sides up to
     :data:`CLOSED_FORMS_MAX_SIDE`."""
-    if max_n < 0:
-        raise ValueError(f"closed-forms: max_n must be at least 0, got {max_n}")
+    _check_scale("closed-forms", "max_n", max_n, 0)
     result = TheoremCheckResult(
         TheoremId.CLOSED_FORMS,
         scale={"max_n": max_n, "max_side": CLOSED_FORMS_MAX_SIDE},
@@ -276,8 +283,7 @@ def check_bipartite_parity(
     (:func:`_strided`) are re-solved with the per-graph engine.
     """
     _check_sweep_range("bipartite-parity", max_n)
-    if count < 1:
-        raise ValueError(f"bipartite-parity: count must be at least 1, got {count}")
+    _check_scale("bipartite-parity", "count", count, 1)
     sweep = {"max_n": max_n}
     terminal = {"max_n": max_n, "check": "terminal-edge-parity"}
     sample = {"count": count, "max_n": FAST_PATH_MAX_N, "seed": seed, "check": "fast-path"}
@@ -481,17 +487,15 @@ def _cycle_space(n: int) -> bytearray:
     return flags
 
 
+# a degree-parity vector with no odd-degree vertex
+_EMPTY = bytes(x == 0 for x in range(256))
+
+
 def _terminal_flags(n: int) -> bytes:
     """Flag per edge mask of level ``n``: no vertex is movable under the odd
-    rule, i.e. every degree is even, read row by row off the sweep's plan
-    (:func:`_level_tables`). A row whose other slots give a vertex past its
-    low vertices odd degree holds no terminal mask; otherwise its flags mark
-    the low masks whose parity vector cancels the row's."""
-    parity, patterns, tops, _offsets = _level_tables(n)
-    r = len(patterns)
-    cancels = [parity.translate(bytes(x == t for x in range(256))) for t in range(1 << r)]
-    none = bytes(len(parity))
-    return b"".join(none if top >> r else cancels[top] for top in tops)
+    rule, i.e. every degree is even, one translate of the masks'
+    degree-parity vectors (:func:`_degree_parities`)."""
+    return _degree_parities(n).translate(_EMPTY)
 
 
 def _closed_trails(slots: tuple, incident: list, mask: int) -> list:
@@ -542,12 +546,13 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     is Eulerian, on every graph up to ``max_n`` vertices.
 
     Both sides are read off edge masks, without a graph per instance.
-    "Terminal" comes from degree-parity vectors: the sweep's row plan
-    for full alive sets, and the search engine's deletion update
-    ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
-    the cycle space of K_n (:func:`_cycle_space`), and every member with
-    edges that is checked as a full position is certified by closed
-    Hierholzer trails that use each edge once. Each level's strided instances
+    "Terminal" comes from degree-parity vectors: a table of them built by
+    doubling over the slots (:func:`_terminal_flags`) for full alive sets,
+    and the search engine's deletion update ``(odd ^ adj[v]) & child`` for
+    smaller ones. "Eulerian" is membership in the cycle space of K_n
+    (:func:`_cycle_space`), and every member with edges that is checked as a
+    full position is certified by closed Hierholzer trails that use each
+    edge once. Each level's strided instances
     (:func:`_strided`; in the every-alive-subset part a level's instances run
     by edge mask, then alive set) are also checked through
     :meth:`Position.is_terminal` and :meth:`Position.has_eulerian_components`.
@@ -673,10 +678,8 @@ def check_nim_sum(
 ) -> TheoremCheckResult:
     """Value of a disjoint union equals the nim-sum of the parts' values, on
     ``count`` seeded random graph pairs."""
-    if count < 1:
-        raise ValueError(f"nim-sum: count must be at least 1, got {count}")
-    if max_n < 0:
-        raise ValueError(f"nim-sum: max_n must be at least 0, got {max_n}")
+    _check_scale("nim-sum", "count", count, 1)
+    _check_scale("nim-sum", "max_n", max_n, 0)
     result = TheoremCheckResult(
         TheoremId.NIM_SUM, scale={"pairs": count, "max_n": max_n, "seed": seed}
     )
@@ -705,14 +708,8 @@ def check_isolated_substitution(
     """Replacing isolated vertices with 3-paths preserves the Grundy value,
     on seeded random graphs padded with up to
     :data:`SUBSTITUTION_MAX_PADDING` extra isolated vertices."""
-    if count < 1:
-        raise ValueError(
-            f"isolated-substitution: count must be at least 1, got {count}"
-        )
-    if max_n < 0:
-        raise ValueError(
-            f"isolated-substitution: max_n must be at least 0, got {max_n}"
-        )
+    _check_scale("isolated-substitution", "count", count, 1)
+    _check_scale("isolated-substitution", "max_n", max_n, 0)
     result = TheoremCheckResult(
         TheoremId.ISOLATED_SUBSTITUTION,
         scale={
@@ -742,8 +739,7 @@ def check_witness_construction(
     """Witness graphs certify to their target values, their apex children
     realize exactly the claimed component values, and the root value is the
     mex of the child values."""
-    if max_k < 0:
-        raise ValueError(f"witness-construction: max_k must be at least 0, got {max_k}")
+    _check_scale("witness-construction", "max_k", max_k, 0)
     from .construction import witness
 
     result = TheoremCheckResult(TheoremId.WITNESS_CONSTRUCTION, scale={"max_k": max_k})

@@ -13,7 +13,7 @@ from vertexnim import (
     grundy_value,
     to_graph6,
 )
-from vertexnim.exhaustive import _SEGMENT, _level_tables
+from vertexnim.exhaustive import _SEGMENT, _degree_parities, _level_tables
 from vertexnim.graph import edge_slots
 
 # derived by the sweep itself and double-checked against the per-graph
@@ -301,9 +301,11 @@ def degree_parities(k: int, mask: int) -> int:
 
 @pytest.mark.parametrize("k", range(8))
 def test_row_plan_matches_a_per_mask_extract(k):
-    """Every mask of levels 0-5, and a sample of levels 6 and 7: the row
-    plan's parity vectors, gather patterns and offsets give each child's
-    index, and a padding index where the vertex is not movable."""
+    """Every mask of levels 0-5, and a sample of levels 6 and 7: the
+    degree-parity table and the row plan's parity vectors, gather patterns
+    and offsets give each child's index, and a padding index where the
+    vertex is not movable."""
+    parities = _degree_parities(k)
     parity, patterns, tops, offsets = _level_tables(k)
     r = len(patterns)
     assert r == min(k, 5)
@@ -312,6 +314,7 @@ def test_row_plan_matches_a_per_mask_extract(k):
     for mask in range(0, 2 ** math.comb(k, 2), 1 if k <= 5 else 997):
         t, lo = divmod(mask, row)
         odd = degree_parities(k, mask)
+        assert parities[mask] == odd, (k, mask)
         assert parity[lo] ^ tops[t] == odd, (k, mask)
         for v in range(k):
             child = pext_child(k, mask, v)

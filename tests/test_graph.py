@@ -100,6 +100,13 @@ class TestDegreeAndMoves:
         assert p.movable_vertices(MoveRule.EVEN) == 0b1
         assert p.movable_vertices(MoveRule.ODD) == 0
 
+    @pytest.mark.parametrize("method", ["movable_vertices", "is_terminal"])
+    @pytest.mark.parametrize("rule", ["odd", 0, 1, None])
+    def test_refuses_a_rule_that_is_not_a_move_rule(self, method, rule):
+        p = complete_graph(3).full_position()
+        with pytest.raises(ValueError, match="^rule must be a MoveRule, got "):
+            getattr(p, method)(rule)
+
 
 class TestRemoveVertex:
     def test_path_remove_endpoint(self):

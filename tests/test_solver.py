@@ -16,7 +16,6 @@ from vertexnim import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    enumerate_labeled_graphs,
     from_edge_mask,
     grid_graph,
     grundy,
@@ -27,12 +26,17 @@ from vertexnim import (
     nim_sum,
     path_graph,
     solve,
-    to_edge_mask,
 )
 import vertexnim.solver
 from vertexnim.formats import MAX_VERTICES
 from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, allowance, lattice_values
 from vertexnim.theorems import random_graph
+
+
+def labeled_graphs(n):
+    """Every labeled graph on ``n`` vertices, in edge-mask order."""
+    for mask in range(2 ** (n * (n - 1) // 2)):
+        yield from_edge_mask(n, mask)
 
 
 class TestMex:
@@ -130,22 +134,8 @@ class TestEvenRule:
 
     def test_engine_matches_closed_form_exhaustively_small(self):
         for n in range(5):
-            for g in enumerate_labeled_graphs(n):
+            for g in labeled_graphs(n):
                 assert grundy_value(g, MoveRule.EVEN) == grundy_even_even(g)
-
-
-class TestEnumeration:
-    def test_counts(self):
-        assert sum(1 for _ in enumerate_labeled_graphs(0)) == 1
-        assert sum(1 for _ in enumerate_labeled_graphs(3)) == 8
-
-    def test_order_is_edge_mask_order(self):
-        masks = [to_edge_mask(g) for g in enumerate_labeled_graphs(3)]
-        assert masks == list(range(8))
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            next(enumerate_labeled_graphs(8))
 
 
 class TestSearchSizeLimit:
@@ -395,7 +385,7 @@ def naive_subset_dp(g, rule, alive=None):
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
 def test_engine_matches_naive_dp_exhaustively(rule):
     for n in range(5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             assert grundy_value(g, rule) == naive_subset_dp(g, rule)
 
 
@@ -607,7 +597,7 @@ def lattice_value(values, m):
 def test_lattice_kernel_matches_naive_dp_exhaustively(rule):
     # every alive subset of every labeled graph on at most 5 vertices
     for n in range(6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
             table = naive_subset_table(g, rule)
             assert [lattice_value(values, m) for m in range(1 << n)] == table

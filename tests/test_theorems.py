@@ -230,7 +230,7 @@ def test_every_sweep_refuses_a_bad_max_n_before_any_work(
 
     for builder in ("exhaustive.edge_slots", "exhaustive._level_tables"):
         monkeypatch.setattr(f"vertexnim.{builder}", never)
-    for builder in ("_level_tables", "bipartite_table", "_cycle_space"):
+    for builder in ("_degree_parities", "bipartite_table", "_cycle_space"):
         monkeypatch.setattr(f"vertexnim.theorems.{builder}", never)
     with pytest.raises(ValueError, match=f"^{caller} is capped at n=7: .* got {max_n}$"):
         sweep(max_n)
