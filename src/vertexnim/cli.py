@@ -221,14 +221,15 @@ def cmd_census(args) -> CommandOutcome:
                 "graph6": to_graph6(g),
             }
         )
+    done = report.completed_n
+    fitted = f"n <= {done}" if done >= 0 else "no level fit the budget"
     outcome.lines.append(
-        f"labeled graphs evaluated: {report.graphs_evaluated} (n <= "
-        f"{report.completed_n})"
+        f"labeled graphs evaluated: {report.graphs_evaluated} ({fitted})"
     )
     if report.partial:
+        stopped = f"after n={done}" if done >= 0 else "before n=0"
         outcome.lines.append(
-            f"PARTIAL: budget stopped the census after n={report.completed_n} "
-            f"of n<={report.max_n}"
+            f"PARTIAL: budget stopped the census {stopped} of n<={report.max_n}"
         )
         outcome.exit_code = EXIT_BUDGET
     return outcome

@@ -18,9 +18,13 @@ one 64-byte segment of that table, a single ``bytes.translate``. The values
 of a row's children are OR-ed as presence bits through ``int.from_bytes``,
 and one more translate takes the mex, in the manner of bit-slicing (Biham,
 FSE 1997).
+
+The census tallies a level the same way. Its value table becomes three bit
+planes and its edge counts up to five more, one big int each with bit ``m`` for
+edge mask ``m``; splitting the level's masks by the planes leaves one cell
+per (value, edge count), counted with ``int.bit_count``.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -213,8 +217,12 @@ _CLOSE_IN_BYTE = _drop_slots(
     int.from_bytes(bytes(range(256)), "little"),
     [(s, _slot_vector(s, 8 * 256)) for s in range(3)],
 ).to_bytes(256, "little")
-# bit b of a byte: runs of 2**b zeros and 2**b ones
-_BIT_OF = tuple((bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8))
+# _MOVE_BIT[p][b] keeps bit p of a byte and moves it to bit b: runs of 2**p
+# zeros and 2**p bytes 1 << b
+_MOVE_BIT = tuple(
+    tuple((bytes(1 << p) + bytes([1 << b]) * (1 << p)) * (128 >> p) for b in range(8))
+    for p in range(8)
+)
 # The bit vector is built in pieces of 2**15 edge masks, 4 KB each, so that
 # no object but the flags themselves grows with the level: at n = 7 one
 # 256 KB vector raises the process's peak memory by about 0.45 MB.
@@ -257,10 +265,41 @@ def bipartite_table(n: int) -> bytearray:
     for p in range(len(pieces)):
         block = pieces[p].to_bytes(step // 8, "little").translate(_CLOSE_IN_BYTE)
         pieces[p] = None
-        for b, bit_of in enumerate(_BIT_OF):
-            flags[p * step + b : (p + 1) * step : 8] = block.translate(bit_of)
+        for b in range(8):
+            flags[p * step + b : (p + 1) * step : 8] = block.translate(_MOVE_BIT[b][0])
     del flags[size:]
     return flags
+
+
+def _bit_planes(table, planes: int) -> list:
+    """The low ``planes`` bit planes of a byte table as big ints: bit ``m``
+    of plane ``p`` is bit ``p`` of ``table[m]``.
+
+    Byte ``i`` of the strided slice ``table[b::8]`` is entry ``8i + b``, so
+    one translate per plane moves its bit ``p`` to bit ``b`` of each byte,
+    and the 8 slices' planes OR together. The slices are taken one at a
+    time.
+    """
+    out = [0] * planes
+    for b in range(8):
+        part = table[b::8]
+        for p in range(planes):
+            out[p] |= int.from_bytes(part.translate(_MOVE_BIT[p][b]), "little")
+    return out
+
+
+def _edge_count_planes(k: int) -> list:
+    """Bit planes of the edge count of every edge mask on ``k`` vertices,
+    low plane first: the slot vectors added in a ripple-carry adder."""
+    size = 1 << comb(k, 2)
+    planes = []
+    for s in range(comb(k, 2)):
+        carry = _slot_vector(s, size)
+        for p, plane in enumerate(planes):
+            planes[p], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
 
 
 def _edge_counts(k: int) -> bytes:
@@ -317,19 +356,28 @@ def census(
     counts: dict = {}
     minima: dict = {}
     for k, table in enumerate(tables):
-        # one key byte per edge mask: value << 5 | edge count; at k <= 7 a
-        # value is below 8 and an edge count below 32
-        keys = int.from_bytes(table, "little") << 5
-        keys |= int.from_bytes(_edge_counts(k), "little")
-        keys = keys.to_bytes(len(table), "little")
-        level = Counter(keys)
-        for key, c in level.items():
-            counts[key >> 5, k, key & 31] = c
-        # sorted, each new value comes first with its lowest edge count, and
-        # find gives the least mask in that class
-        for key in sorted(level):
-            if key >> 5 not in minima:
-                minima[key >> 5] = from_edge_mask(k, keys.find(key))
+        # A cell holds the masks of one key, value << bits | edge count; at
+        # k <= 7 a value is below 8. Cells are split depth first by the
+        # planes, most significant first, so they come in ascending key
+        # order: each new value first with its lowest edge count, whose
+        # lowest set bit is the least mask in that class.
+        edges = _edge_count_planes(k)
+        planes = _bit_planes(table, 3)[::-1] + edges[::-1]
+        bits = len(edges)
+        stack = [(0, 0, (1 << len(table)) - 1)]
+        while stack:
+            depth, key, cell = stack.pop()
+            if depth < len(planes):
+                upper = cell & planes[depth]
+                if upper:
+                    stack.append((depth + 1, key << 1 | 1, upper))
+                if upper != cell:
+                    stack.append((depth + 1, key << 1, cell ^ upper))
+                continue
+            value = key >> bits
+            counts[value, k, key & (1 << bits) - 1] = cell.bit_count()
+            if value not in minima:
+                minima[value] = from_edge_mask(k, (cell & -cell).bit_length() - 1)
     report.completed_n = levels - 1
     report.graphs_evaluated = graphs
     report.rows = [

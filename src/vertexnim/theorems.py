@@ -12,8 +12,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 
-from .exhaustive import SWEEP_MAX_N, _check_sweep_range, _degree_parities, _edge_counts
-from .exhaustive import bipartite_table, grundy_tables
+from .exhaustive import SWEEP_MAX_N, _bit_planes, _check_sweep_range, _degree_parities
+from .exhaustive import _edge_counts, bipartite_table, grundy_tables
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -303,7 +303,7 @@ def check_bipartite_parity(
             for mask in compress(range(len(flags)), flags):
                 if table[mask] != parity[mask]:
                     result.fail(from_edge_mask(k, mask), parity[mask], table[mask])
-        bipartite = int(flags.translate(_BINARY_DIGITS)[::-1], 2)
+        (bipartite,) = _bit_planes(flags, 1)
         levels.append(bipartite)
         graphs = bipartite.bit_count()
         result.instances_checked += graphs
@@ -371,8 +371,6 @@ def _nth_bit(x: int, rank: int) -> int:
     return index
 
 
-# bipartite_table's 0/1 bytes as the digits of a base-2 literal
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 # an edge count's parity
 _LOW_BIT = bytes(x & 1 for x in range(256))
 

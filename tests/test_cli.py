@@ -361,6 +361,15 @@ class TestCensus:
         assert code == 3
         assert "PARTIAL" in out
 
+    def test_budget_admitting_no_level(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--max-n", "3", "--budget", "0")
+        assert code == 3
+        assert out == (
+            "grundy    n  edges      count\n"
+            "labeled graphs evaluated: 0 (no level fit the budget)\n"
+            "PARTIAL: budget stopped the census before n=0 of n<=3\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv,message",

@@ -1,7 +1,10 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexnim import (
     MoveRule,
@@ -180,6 +183,56 @@ class TestCensus:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             census(8)
+
+    def test_largest_value_by_order(self):
+        largest = [0] * 8
+        for row in census(7).rows:
+            largest[row.n] = max(largest[row.n], row.grundy)
+        # a move removes one vertex, so past n = 7 the largest value grows by
+        # at most one per vertex: value 4 needs 8 vertices, 5 needs 9, 6 needs 10
+        assert largest == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+@st.composite
+def value_tables(draw):
+    """Made-up sweep tables for levels 0 to at most 5: one byte per edge
+    mask, each value drawn from a palette within 0-7, so some values may
+    be missing."""
+    palette = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8))
+    spread = bytes(palette[x % len(palette)] for x in range(256))
+    return [
+        bytearray(draw(st.binary(min_size=size, max_size=size)).translate(spread))
+        for size in (2 ** math.comb(k, 2) for k in range(draw(st.integers(0, 5)) + 1))
+    ]
+
+
+def counter_census(tables):
+    """Rows and minimal examples tallied as a key byte per edge mask,
+    ``value << 5 | edge count``, with ``Counter``."""
+    counts = {}
+    minima = {}
+    for k, table in enumerate(tables):
+        keys = bytes(v << 5 | bin(m).count("1") for m, v in enumerate(table))
+        level = Counter(keys)
+        for key, c in level.items():
+            counts[key >> 5, k, key & 31] = c
+        for key in sorted(level):
+            if key >> 5 not in minima:
+                minima[key >> 5] = from_edge_mask(k, keys.find(key))
+    return sorted(counts.items()), dict(sorted(minima.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_tables())
+def test_tally_matches_a_counter_over_key_bytes(tables):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            "vertexnim.exhaustive.grundy_tables",
+            lambda max_n, graph_budget: tables[: max_n + 1],
+        )
+        report = census(len(tables) - 1)
+    rows = [((r.grundy, r.n, r.edge_count), r.count) for r in report.rows]
+    assert (rows, report.minimal_examples) == counter_census(tables)
 
 
 def test_census_and_grundy_tables_agree_on_the_levels_that_fit(monkeypatch):

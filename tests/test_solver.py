@@ -28,7 +28,7 @@ from vertexnim import (
     solve,
 )
 import vertexnim.solver
-from vertexnim.formats import MAX_VERTICES
+from vertexnim.formats import MAX_VERTICES, from_graph6
 from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, allowance, lattice_values
 from vertexnim.theorems import random_graph
 
@@ -380,6 +380,29 @@ def naive_subset_table(g, rule):
 def naive_subset_dp(g, rule, alive=None):
     """The oracle's value of ``alive`` (default: every vertex)."""
     return naive_subset_table(g, rule)[(1 << g.n) - 1 if alive is None else alive]
+
+
+# Connected graphs of the values 6 down to 0. For values 1-6 the vertex
+# count is the least order: census(7) gives the largest value at n = 0..7 as
+# 0, 0, 1, 1, 2, 2, 3, 3, and a move removes one vertex, so past n = 7 the
+# largest value grows by at most one per vertex.
+LEAST_ORDER_WITNESSES = {
+    6: from_graph6("IeV`d~YVw"),
+    5: from_graph6("HlncFJL"),
+    4: from_graph6("G]WVv_"),
+    3: from_graph6("EkEW"),
+    2: from_graph6("C{"),
+    1: complete_graph(2),
+    0: path_graph(3),
+}
+
+
+@pytest.mark.parametrize("value", sorted(LEAST_ORDER_WITNESSES))
+def test_least_order_witness(value):
+    g = LEAST_ORDER_WITNESSES[value]
+    assert g.n == [3, 2, 4, 6, 8, 9, 10][value]
+    assert g.is_connected()
+    assert naive_subset_table(g, MoveRule.ODD)[-1] == value
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
