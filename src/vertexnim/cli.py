@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .construction import witness, witness_record
-from .exhaustive import census
+from .exhaustive import SWEEP_MAX_N, census
 # from_graph6 and parse_graph go unused here: perfbench's span recorder rebinds them
 from .formats import (
     GraphFormatError,
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     census_cmd = sub.add_parser(
         "census", help="tabulate Grundy values over all small labeled graphs"
     )
-    census_cmd.add_argument("--max-n", type=int, dest="max_n", default=6)
+    census_cmd.add_argument("--max-n", type=int, dest="max_n", default=SWEEP_MAX_N)
     census_cmd.set_defaults(func=cmd_census)
 
     convert = sub.add_parser("convert", help="convert between edge list and graph6")

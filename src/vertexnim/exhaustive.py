@@ -78,11 +78,10 @@ def _degree_parities(n: int) -> bytes:
 
 @lru_cache(maxsize=None)
 def _row_patterns(r: int):
-    """``(parity, patterns)`` for a row over the slots among vertices
-    ``0..r-1``, built by doubling over those slots.
+    """Gather patterns for a row over the slots among vertices ``0..r-1``,
+    built by doubling over those slots.
 
-    ``parity``: :func:`_degree_parities` of ``r``, indexed by the low mask
-    ``lo``. ``patterns[v][q][lo]``: where the child of ``lo`` after
+    ``patterns[v][q][lo]``: where the child of the low mask ``lo`` after
     deleting ``v`` lies in its segment, when ``v`` is movable under the odd
     rule with degree parity ``q`` outside the low slots, else the padding
     index :data:`_SEGMENT`. The even rule reads ``patterns[v][q ^ 1]``.
@@ -97,19 +96,18 @@ def _row_patterns(r: int):
                 step = 1 << ranks[v]
                 ranks[v] += 1
             merged[v] += merged[v].translate(_xor_table(step))
-    patterns = tuple(tuple(m.translate(g) for g in _GATHER) for m in merged)
-    return _degree_parities(r), patterns
+    return tuple(tuple(m.translate(g) for g in _GATHER) for m in merged)
 
 
 @lru_cache(maxsize=16)
 def _level_tables(k: int):
-    """Row plan for level ``k``: ``(parity, patterns, tops, offsets)``, the
-    same for both rules.
+    """Row plan for level ``k``: ``(patterns, tops, offsets)``, the same for
+    both rules.
 
-    ``parity`` and ``patterns`` are :func:`_row_patterns` of ``r = min(k,
-    5)``. Row ``t`` holds the masks ``t << C(r, 2) | lo``, so ``t`` holds
-    the high slots, those past the low ``C(r, 2)``. ``tops[t]``: the
-    degree-parity vector of all ``k`` vertices in ``t``.
+    ``patterns`` is :func:`_row_patterns` of ``r = min(k, 5)``. Row ``t``
+    holds the masks ``t << C(r, 2) | lo``, so ``t`` holds the high slots,
+    those past the low ``C(r, 2)``. ``tops[t]``: the degree-parity vector
+    of all ``k`` vertices in ``t``.
     ``offsets[v][t]``: where the children of row ``t`` after deleting ``v``
     start in the previous level's table, a segment for ``v < r`` and a
     whole row for ``v >= r``. Both are built by doubling over the high
@@ -117,7 +115,7 @@ def _level_tables(k: int):
     """
     r = min(k, _ROW_VERTICES)
     low = comb(r, 2)
-    parity, patterns = _row_patterns(r)
+    patterns = _row_patterns(r)
     tops = [0]
     offsets = [[0] for _ in range(k)]
     # a child's next high slot adds one segment or one row to its offset
@@ -131,7 +129,7 @@ def _level_tables(k: int):
                 step = steps[v]
                 offs += [o + step for o in offs]
                 steps[v] = 2 * step
-    return parity, patterns, tuple(tops), tuple(map(tuple, offsets))
+    return patterns, tuple(tops), tuple(map(tuple, offsets))
 
 
 def _check_sweep_range(caller: str, max_n: int, name: str = "max_n") -> None:
@@ -178,8 +176,8 @@ def grundy_tables(
     flip = rule is not MoveRule.ODD
     tables = [bytearray([0])]
     for k in range(1, max_n + 1):
-        parity, patterns, tops, offsets = _level_tables(k)
-        row = len(parity)
+        patterns, tops, offsets = _level_tables(k)
+        row = 1 << comb(len(patterns), 2)
         # a level below 5 is shorter than one segment
         bits = tables[-1].translate(_PRESENCE).ljust(_SEGMENT, b"\0")
         low = list(enumerate(patterns))

@@ -12,12 +12,16 @@ mask is edge slot ``s``.
 """
 
 import enum
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of set bits in ``mask``, lowest first."""
+    """Yield the indices of set bits in ``mask``, lowest first; a negative
+    ``mask`` has endless set bits and is refused with ``ValueError``."""
+    if mask < 0:
+        raise ValueError(f"bit set must be nonnegative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -59,14 +63,36 @@ def _slot_vector(s: int, size: int) -> int:
     return v
 
 
+def _components(adj: tuple, alive: int) -> list:
+    """Bit set ``alive`` of rows ``adj`` partitioned into components, ordered
+    by lowest vertex. Each grows from its lowest remaining vertex one vertex
+    at a time and stops once it covers the rest, the common case."""
+    out = []
+    rem = alive
+    while rem:
+        low = rem & -rem
+        comp = adj[low.bit_length() - 1] & rem | low
+        todo = comp ^ low
+        while todo and comp != rem:
+            low = todo & -todo
+            reach = adj[low.bit_length() - 1] & rem & ~comp
+            comp |= reach
+            todo ^= low | reach
+        out.append(comp)
+        rem ^= comp
+    return out
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """A simple undirected graph with a fixed vertex count.
 
-    Instances are immutable values: hashable, comparable by structure, and
-    safe to share between tasks.
+    Instances are frozen values: hashable, comparable by structure, and
+    picklable, so they cross threads and processes.
     """
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -91,17 +117,6 @@ class Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -169,10 +184,12 @@ class Graph:
         return self.bipartition() is not None
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Position:
     """An induced subgraph in play: a host graph plus an alive-vertex bit set."""
 
-    __slots__ = ("graph", "alive")
+    graph: Graph
+    alive: int
 
     def __init__(self, graph: Graph, alive: int):
         full = (1 << graph.n) - 1
@@ -180,19 +197,6 @@ class Position:
             raise ValueError(f"alive set {alive:#x} has bits outside 0..{graph.n - 1}")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "alive", alive)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Position is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Position)
-            and self.graph == other.graph
-            and self.alive == other.alive
-        )
-
-    def __hash__(self):
-        return hash((self.graph, self.alive))
 
     def __repr__(self):
         return f"Position({self.graph!r}, alive={self.alive:#x})"
@@ -229,22 +233,7 @@ class Position:
 
     def connected_components(self) -> list:
         """Alive set partitioned into components, ordered by lowest vertex."""
-        adj = self.graph.adj
-        alive = self.alive
-        out = []
-        rem = alive
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                reach = 0
-                for v in iter_bits(frontier):
-                    reach |= adj[v]
-                frontier = reach & alive & ~comp
-                comp |= frontier
-            out.append(comp)
-            rem &= ~comp
-        return out
+        return _components(self.graph.adj, self.alive)
 
     def is_terminal(self, rule: MoveRule) -> bool:
         """True when no alive vertex is removable under ``rule``."""

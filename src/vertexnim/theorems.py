@@ -489,13 +489,6 @@ def _cycle_space(n: int) -> bytearray:
 _EMPTY = bytes(x == 0 for x in range(256))
 
 
-def _terminal_flags(n: int) -> bytes:
-    """Flag per edge mask of level ``n``: no vertex is movable under the odd
-    rule, i.e. every degree is even, one translate of the masks'
-    degree-parity vectors (:func:`_degree_parities`)."""
-    return _degree_parities(n).translate(_EMPTY)
-
-
 def _closed_trails(slots: tuple, incident: list, mask: int) -> list:
     """Hierholzer's algorithm on an edge mask: one trail per component with
     edges, as a vertex list; ``incident[v]`` is the mask of the slots at
@@ -544,13 +537,14 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     is Eulerian, on every graph up to ``max_n`` vertices.
 
     Both sides are read off edge masks, without a graph per instance.
-    "Terminal" comes from degree-parity vectors: a table of them built by
-    doubling over the slots (:func:`_terminal_flags`) for full alive sets,
-    and the search engine's deletion update ``(odd ^ adj[v]) & child`` for
-    smaller ones. "Eulerian" is membership in the cycle space of K_n
-    (:func:`_cycle_space`), and every member with edges that is checked as a
-    full position is certified by closed Hierholzer trails that use each
-    edge once. Each level's strided instances
+    "Terminal" means every degree is even, read off degree-parity vectors:
+    for full alive sets a table of them built by doubling over the slots
+    (:func:`~vertexnim.exhaustive._degree_parities`), translated to one flag
+    per mask, and the search engine's deletion update
+    ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
+    the cycle space of K_n (:func:`_cycle_space`), and every member with
+    edges that is checked as a full position is certified by closed
+    Hierholzer trails that use each edge once. Each level's strided instances
     (:func:`_strided`; in the every-alive-subset part a level's instances run
     by edge mask, then alive set) are also checked through
     :meth:`Position.is_terminal` and :meth:`Position.has_eulerian_components`.
@@ -585,7 +579,7 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
 
     for n in range(max_n + 1):
         flags = spaces[n]
-        terminals = _terminal_flags(n)
+        terminals = _degree_parities(n).translate(_EMPTY)
         full = (1 << n) - 1
         if terminals != flags:
             for mask, (t, e) in enumerate(zip(terminals, flags)):

@@ -341,6 +341,11 @@ class TestCensus:
         row = [r for r in records if r.get("grundy") == 2 and r.get("n") == 4]
         assert row[0]["count"] == 12
 
+    def test_default_scale_is_the_librarys(self, capsys):
+        bare = run_cli(capsys, "census", "--records")
+        assert bare == run_cli(capsys, "census", "--max-n", "7", "--records")
+        assert bare[0] == 0
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "census", "--max-n", "5")
         _, second, _ = run_cli(capsys, "census", "--max-n", "5")

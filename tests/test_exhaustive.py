@@ -359,9 +359,10 @@ def test_row_plan_matches_a_per_mask_extract(k):
     and offsets give each child's index, and a padding index where the
     vertex is not movable."""
     parities = _degree_parities(k)
-    parity, patterns, tops, offsets = _level_tables(k)
+    patterns, tops, offsets = _level_tables(k)
     r = len(patterns)
     assert r == min(k, 5)
+    parity = _degree_parities(r)
     row = len(parity)
     assert row == 2 ** math.comb(r, 2) and len(tops) * row == 2 ** math.comb(k, 2)
     for mask in range(0, 2 ** math.comb(k, 2), 1 if k <= 5 else 997):

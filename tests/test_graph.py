@@ -1,22 +1,29 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
 from conftest import graphs, positions, rules
 from vertexnim import (
     Graph,
+    MemoTable,
     MoveRule,
     Position,
     add_isolated_vertices,
+    census,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     from_edge_mask,
     grid_graph,
+    grundy,
     iter_bits,
     path_graph,
     star_graph,
     to_edge_mask,
+    witness,
 )
 
 
@@ -52,6 +59,8 @@ class TestGraphConstruction:
         g = path_graph(3)
         with pytest.raises(AttributeError):
             g.n = 5
+        with pytest.raises(AttributeError):
+            g.full_position().alive = 0
 
     def test_edges_sorted(self):
         g = Graph(4, [(3, 2), (1, 0)])
@@ -176,6 +185,20 @@ class TestComponents:
         assert union == p.alive
         mins = [min(iter_bits(c)) for c in comps]
         assert mins == sorted(mins)
+        adj = p.graph.adj
+        for comp in comps:
+            # connected: a search from the lowest vertex within comp reaches all
+            reached = frontier = comp & -comp
+            while frontier:
+                reach = 0
+                for v in iter_bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & comp & ~reached
+                reached |= frontier
+            assert reached == comp
+            # closed: no alive neighbour lies outside comp
+            for v in iter_bits(comp):
+                assert adj[v] & p.alive & ~comp == 0
 
 
 class TestBipartite:
@@ -245,6 +268,47 @@ def test_handshake_parity(p):
 @given(graphs(max_n=7))
 def test_edge_mask_round_trip(g):
     assert from_edge_mask(g.n, to_edge_mask(g)) == g
+
+
+def test_iter_bits_refuses_a_negative_mask():
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        next(iter_bits(-1))
+
+
+clones = pytest.mark.parametrize(
+    "clone",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_graph(4),
+        lambda: Position(cycle_graph(5), 0b10110),
+        lambda: witness(3),
+        lambda: census(3),
+    ],
+    ids=["graph", "position", "witness", "census"],
+)
+@clones
+def test_values_pickle_and_copy(make, clone):
+    value = make()
+    twin = clone(value)
+    assert twin == value and type(twin) is type(value)
+
+
+@clones
+def test_used_memo_pickles_and_copies(clone):
+    memo = MemoTable()
+    grundy(cycle_graph(5), memo=memo)
+    twin = clone(memo)
+    assert memo.entries
+    for name in MemoTable.__slots__:
+        assert getattr(twin, name) == getattr(memo, name), name
+    # the copy keeps working as a memo of the same host graph
+    assert grundy(cycle_graph(5), memo=twin).grundy == grundy(cycle_graph(5)).grundy
 
 
 def test_disjoint_union_counts():

@@ -1,4 +1,5 @@
-"""Every module-level import in the package's modules is used there."""
+"""Every module-level import in the package's modules is used there, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,53 @@ def test_every_module_level_import_is_used():
         for name in unused_imports(path)
     }
     assert unused <= ALLOWED.keys()
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """Module-level private functions, classes and constants, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unread_private_names(package: Path) -> set:
+    """``(module, name)`` for each private definition that no module of
+    ``package`` reads, as a loaded name or as an attribute."""
+    defined = set()
+    read = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {(path.stem, name) for name in private_definitions(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {(module, name) for module, name in defined if name not in read}
+
+
+def test_every_private_name_is_read_in_the_package():
+    assert unread_private_names(PACKAGE) == set()
+
+
+def test_unread_private_names_are_flagged(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(
+            path.read_text(encoding="utf-8"), encoding="utf-8"
+        )
+    theorems = tmp_path / "theorems.py"
+    theorems.write_text(
+        theorems.read_text(encoding="utf-8")
+        + "\n\ndef _leftover():\n    return 0\n\n\n_UNUSED = 1\n",
+        encoding="utf-8",
+    )
+    assert unread_private_names(tmp_path) == {
+        ("theorems", "_leftover"),
+        ("theorems", "_UNUSED"),
+    }
