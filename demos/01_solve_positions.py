@@ -5,8 +5,9 @@ Players alternate removing a vertex whose degree has the required parity
 (odd by default), deleting its incident edges; whoever cannot move loses.
 This walks through a few small games and reads off the solver's reports. A
 report's node count is the positions the search visited plus, for a
-component whose search outgrew its allowance, the 2**k subsets its lattice
-valued at once; these games are small enough to be searched outright.
+component of 8 to 18 vertices with a movable vertex, the 2**k subsets its
+lattice valued at once; these games have fewer than 8 vertices, so they are
+searched outright.
 """
 
 from vertexnim import (

@@ -203,7 +203,7 @@ class Position:
 
     def degree(self, v: int) -> int:
         """Degree of ``v`` within the alive set. ``v`` must be alive."""
-        if not self.alive >> v & 1:
+        if v < 0 or not self.alive >> v & 1:
             raise ValueError(f"vertex {v} is not alive")
         return (self.graph.adj[v] & self.alive).bit_count()
 
@@ -222,7 +222,7 @@ class Position:
 
     def remove_vertex(self, v: int) -> "Position":
         """The position after removing alive vertex ``v`` and its edges."""
-        if not self.alive >> v & 1:
+        if v < 0 or not self.alive >> v & 1:
             raise ValueError(f"vertex {v} is not alive")
         return Position(self.graph, self.alive ^ (1 << v))
 
@@ -257,6 +257,8 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     """Graph for an edge-mask encoding (see module docstring)."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if mask < 0:
+        raise ValueError(f"edge mask must be nonnegative, got {mask:#x}")
     slots = edge_slots(n)
     if mask >> len(slots):
         raise ValueError(f"edge mask {mask:#x} too large for n={n}")

@@ -13,17 +13,19 @@ miss. One engine serves both rules. :func:`solve` puts the proved closed forms
 in front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 
 A solve splits its root into components once, reading only the rows of alive
-vertices. A component the memo cannot answer is searched, but one of
-``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices is searched only within
-``allowance(k)`` nodes: if that runs out, :func:`lattice_values` values every
-subset of the component at once, bit-sliced over its subset lattice, and the
-memo keeps the result as a :class:`Lattice`, so later solves read any
-subset's value as one bit.
+vertices. A component the memo cannot answer that has ``LATTICE_MIN_N`` to
+``LATTICE_MAX_N`` vertices, a movable vertex and ``2**k`` nodes left in the
+budget goes straight to :func:`lattice_values`, which values every subset of
+it at once, bit-sliced over its subset lattice; the memo keeps the result as a
+:class:`Lattice`, so later solves read any subset's value as one bit. Any
+other component is searched. A lattice costs one kernel run, where a search
+of a dense component visits many times ``2**k / 64`` nodes (the kernel's
+measured cost in search nodes); only a path-like component, whose search
+visits few positions, is slower this way.
 """
 
 import sys
 from dataclasses import dataclass
-from itertools import count
 
 from .graph import Graph, MoveRule, Position, _check_rule, _components, iter_bits
 from .graph import _slot_vector
@@ -57,23 +59,9 @@ class NodeBudgetExceeded(RuntimeError):
 LATTICE_MAX_N = 18
 
 
-def allowance(k: int) -> int:
-    """Search nodes a component of ``k`` vertices may visit before the lattice
-    kernel values it instead: the kernel's measured cost in search nodes, so
-    that, as in ski rental, a component never costs much more than the
-    better of the two paths."""
-    # the lattice path's time beyond its allowance, times the same graph's
-    # search nodes/s (random connected graphs, p = 0.3/0.5/0.7, about ten per
-    # k; 2-vCPU Xeon, Python 3.11.7): medians of 50, 56, 67, 80, 134, 238
-    # and 347 nodes at k = 8 to 14; the kernel alone costs about 1,000-1,060
-    # nodes at k = 16 and 4,100-4,700 at 18, so about 2**k / 64 from k = 14
-    return max(1 << k >> 6, 64)
-
-
-# the lattice path costs up to its allowance plus about as much again, so it
-# can only win where a search may visit more than twice the allowance: from
-# 8 vertices on, since a search of k vertices visits at most 2**k positions
-LATTICE_MIN_N = next(k for k in count() if 1 << k > 2 * allowance(k))
+# the kernel beat the search on 14 of 15 random connected 8-vertex graphs
+# (medians 64 vs 150 us; 2-vCPU Xeon, Python 3.11.7), and on 12 of 15 at 7
+LATTICE_MIN_N = 8
 
 
 class MemoTable:
@@ -189,7 +177,8 @@ class SolveReport:
 
     ``nodes_visited`` counts the positions the search visited plus ``2**k``
     for each lattice of ``k`` vertices; ``distinct_positions`` is how many
-    more positions the memo can answer afterwards. ``optimal_move`` is the
+    more positions the memo can answer afterwards, which equals
+    ``nodes_visited`` on every report of the engine. ``optimal_move`` is the
     lowest-index removable vertex leading to a child of value 0; it is
     present exactly when ``grundy > 0``.
     """
@@ -235,14 +224,15 @@ def grundy(
     :class:`MoveRule`, is refused with ``ValueError``.
 
     The root splits into components once. A component the memo cannot
-    answer is searched; one of ``LATTICE_MIN_N <= k <= LATTICE_MAX_N``
-    vertices whose ``allowance(k) + 2**k`` nodes fit in the budget is
-    searched within ``allowance(k)`` nodes, and if those run out the
-    lattice kernel values all its subsets. ``nodes_visited`` counts the search's visits plus
+    answer that has ``LATTICE_MIN_N <= k <= LATTICE_MAX_N`` vertices, a
+    movable vertex and ``2**k`` nodes left in the budget is valued by the
+    lattice kernel, all its subsets at once; any other component is
+    searched, and a budget too small for the lattice gets the plain search
+    and its refusal. ``nodes_visited`` counts the search's visits plus
     ``2**k`` per lattice, and is what the budget bounds;
-    ``distinct_positions`` counts the positions the memo gained, each visit
-    but those a lattice replaced, plus ``2**k`` per lattice. A solve's
-    set-up follows its alive set, not its host graph.
+    ``distinct_positions`` counts the positions the memo gained, which is
+    the same number. A solve's set-up follows its alive set, not its host
+    graph.
 
     The search nests at most 2n + 2 Python frames on n alive vertices, and
     most positions nest far less: a path plus a triangle solves at n = 255
@@ -294,8 +284,6 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
     # refuse the visit that would break nodes_visited <= node_budget
     limit = budget - base
     visited = 0
-    # visits whose entries a lattice replaced
-    replaced = 0
 
     def search(mask: int, odd: int) -> int:
         # a memo miss; bit v of odd is set when v has odd degree within mask
@@ -366,25 +354,13 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
 
     def fresh(comp: int, odd: int) -> int:
         # a component the memo cannot answer
-        nonlocal limit, visited, replaced
+        nonlocal visited
         k = comp.bit_count()
-        if not LATTICE_MIN_N <= k <= LATTICE_MAX_N:
+        movable = comp ^ odd if even else odd
+        # a terminal component is one search node, far cheaper than a lattice
+        if not movable or not LATTICE_MIN_N <= k <= LATTICE_MAX_N or 1 << k > limit - visited:
             return search(comp, odd)
-        cap = allowance(k)
-        if cap + (1 << k) > limit - visited:
-            return search(comp, odd)
-        mark, saved, limit = len(entries), limit, visited + cap
-        try:
-            return search(comp, odd)
-        except NodeBudgetExceeded:
-            pass
-        finally:
-            limit = saved
-        # the lattice also answers the abandoned search's entries
-        while len(entries) > mark:
-            entries.popitem()
         visited += 1 << k
-        replaced += cap
         lattice = Lattice(comp, rows, even)
         for bit in lattice.local:
             lattices[bit] = lattice
@@ -409,7 +385,7 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
         ) from None
     finally:
         memo.nodes_visited = base + visited
-    return SolveReport(value, visited, visited - replaced, move)
+    return SolveReport(value, visited, visited, move)
 
 
 def grundy_even_even(g: Graph) -> int:

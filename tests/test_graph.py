@@ -138,6 +138,12 @@ class TestRemoveVertex:
         with pytest.raises(ValueError, match="not alive"):
             p.remove_vertex(0)
 
+    @pytest.mark.parametrize("method", ["degree", "remove_vertex"])
+    def test_negative_vertex_is_not_alive(self, method):
+        p = path_graph(3).full_position()
+        with pytest.raises(ValueError, match="vertex -1 is not alive"):
+            getattr(p, method)(-1)
+
     @given(positions(max_n=6), rules)
     def test_removal_shrinks_alive_and_edges(self, p, rule):
         for v in iter_bits(p.movable_vertices(rule)):
@@ -329,6 +335,11 @@ def test_add_isolated_vertices():
 def test_from_edge_mask_negative_n():
     with pytest.raises(ValueError, match="nonnegative"):
         from_edge_mask(-1, 0)
+
+
+def test_from_edge_mask_negative_mask():
+    with pytest.raises(ValueError, match="edge mask must be nonnegative, got -0x1"):
+        from_edge_mask(3, -1)
 
 
 def test_position_alive_out_of_range():

@@ -26,10 +26,11 @@ from vertexnim import (
     nim_sum,
     path_graph,
     solve,
+    star_graph,
 )
 import vertexnim.solver
 from vertexnim.formats import MAX_VERTICES, from_graph6
-from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, allowance, lattice_values
+from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, lattice_values
 from vertexnim.theorems import random_graph
 
 
@@ -282,49 +283,48 @@ def pinned_positions():
 # (grundy, nodes_visited, distinct_positions, optimal_move) with a fresh memo;
 # the engine's traversal order and its choice between search and the lattice
 # kernel fix every counter, so a rewrite that keeps both keeps these. A
-# lattice of k vertices shows as allowance(k) + 2**k visits and 2**k
-# distinct positions
+# lattice of k vertices shows as 2**k visits and 2**k distinct positions
 PINNED_REPORTS = [
     (0, 48, 48, None),  # n=7 alive=7 ODD
     (1, 51, 51, 0),  # n=8 alive=7 ODD
     (0, 23, 23, None),  # n=6 alive=6 EVEN
     (0, 30, 30, None),  # n=10 alive=6 EVEN
-    (2, 1088, 1024, 4),  # n=10 alive=10 ODD
-    (2, 320, 256, 0),  # n=9 alive=8 ODD
-    (1, 4162, 4098, 0),  # n=13 alive=13 EVEN
+    (2, 1024, 1024, 4),  # n=10 alive=10 ODD
+    (2, 256, 256, 0),  # n=9 alive=8 ODD
+    (1, 4098, 4098, 0),  # n=13 alive=13 EVEN
     (1, 5, 5, 2),  # n=7 alive=5 EVEN
-    (0, 8320, 8192, None),  # n=13 alive=13 ODD
+    (0, 8192, 8192, None),  # n=13 alive=13 ODD
     (2, 25, 25, 3),  # n=9 alive=6 ODD
-    (0, 35, 35, None),  # n=8 alive=8 EVEN
-    (1, 576, 512, 0),  # n=10 alive=9 EVEN
+    (0, 256, 256, None),  # n=8 alive=8 EVEN
+    (1, 512, 512, 0),  # n=10 alive=9 EVEN
     (1, 7, 7, 1),  # n=6 alive=6 ODD
     (0, 8, 8, None),  # n=6 alive=5 ODD
-    (1, 576, 512, 0),  # n=9 alive=9 EVEN
+    (1, 512, 512, 0),  # n=9 alive=9 EVEN
     (1, 19, 19, 3),  # n=7 alive=5 EVEN
-    (1, 4160, 4096, 1),  # n=12 alive=12 ODD
+    (1, 4096, 4096, 1),  # n=12 alive=12 ODD
     (1, 12, 12, 1),  # n=7 alive=6 ODD
-    (0, 1088, 1024, None),  # n=10 alive=10 EVEN
+    (0, 1024, 1024, None),  # n=10 alive=10 EVEN
     (0, 9, 9, None),  # n=7 alive=6 EVEN
-    (1, 320, 256, 0),  # n=8 alive=8 ODD
+    (1, 256, 256, 0),  # n=8 alive=8 ODD
     (1, 4, 4, 5),  # n=7 alive=3 ODD
     (0, 12, 12, None),  # n=10 alive=10 EVEN
     (0, 10, 10, None),  # n=11 alive=8 EVEN
-    (0, 576, 512, None),  # n=9 alive=9 ODD
+    (0, 512, 512, None),  # n=9 alive=9 ODD
     (1, 6, 6, 1),  # n=9 alive=5 ODD
-    (0, 4160, 4096, None),  # n=12 alive=12 EVEN
+    (0, 4096, 4096, None),  # n=12 alive=12 EVEN
     (1, 23, 23, 3),  # n=9 alive=5 EVEN
     (0, 9, 9, None),  # n=6 alive=6 ODD
     (0, 13, 13, None),  # n=10 alive=7 ODD
-    (0, 26, 26, None),  # n=8 alive=8 EVEN
+    (0, 256, 256, None),  # n=8 alive=8 EVEN
     (0, 23, 23, None),  # n=7 alive=6 EVEN
-    (1, 1089, 1025, 0),  # n=11 alive=11 ODD
+    (1, 1025, 1025, 0),  # n=11 alive=11 ODD
     (2, 25, 25, 1),  # n=8 alive=6 ODD
-    (1, 2115, 2051, 0),  # n=13 alive=13 EVEN
+    (1, 2051, 2051, 0),  # n=13 alive=13 EVEN
     (1, 19, 19, 0),  # n=6 alive=5 EVEN
     (0, 72, 72, None),  # n=7 alive=7 ODD
     (0, 19, 19, None),  # n=7 alive=5 ODD
     (1, 24, 24, 4),  # n=7 alive=7 EVEN
-    (1, 2112, 2048, 0),  # n=13 alive=11 EVEN
+    (1, 2048, 2048, 0),  # n=13 alive=11 EVEN
 ]
 
 
@@ -447,12 +447,9 @@ def test_component_growth_shapes(shape, rule):
     report = grundy(position, rule, memo)
     assert report.grundy == naive_subset_dp(position.graph, rule, position.alive)
     # a fresh memo retraces the same search, and every visit stores one entry,
-    # except the allowance each lattice's 2**k positions replaced
+    # a lattice's 2**k visits included
     assert grundy(position, rule) == report
-    masks = {lattice.mask for lattice in memo.lattices.values()}
-    replaced = sum(allowance(mask.bit_count()) for mask in masks)
-    assert report.nodes_visited == len(memo) + replaced
-    assert report.distinct_positions == len(memo)
+    assert report.nodes_visited == report.distinct_positions == len(memo)
 
 
 def test_no_vertex_cap():
@@ -650,30 +647,50 @@ def search_only(monkeypatch, *args, **kwargs):
 
 
 def test_lattice_path_starts_at_eight_vertices():
-    # a search of k vertices visits at most 2**k positions, and the lattice
-    # path costs up to twice the allowance, so it starts at 8 vertices
     assert LATTICE_MIN_N == 8
-    assert all(2**k <= 2 * allowance(k) for k in range(LATTICE_MIN_N))
-    # a connected 7-vertex position searched past its allowance (72 nodes)
+    # a connected 7-vertex position is searched (72 nodes)
     position, rule = pinned_positions()[36]
     assert position.alive.bit_count() == 7
     memo = MemoTable()
-    assert grundy(position, rule, memo).nodes_visited == 72 > allowance(7)
+    assert grundy(position, rule, memo).nodes_visited == 72
     assert not memo.lattices
-    # a connected 8-vertex position whose search (105 nodes) outgrows it
+    # a connected 8-vertex position is valued by its lattice, 2**8 nodes
     position, rule = pinned_positions()[20]
     assert position.alive.bit_count() == 8
     memo = MemoTable()
-    assert grundy(position, rule, memo).nodes_visited == allowance(8) + 2**8
+    assert grundy(position, rule, memo).nodes_visited == 2**8
     assert {lattice.mask for lattice in memo.lattices.values()} == {position.alive}
 
 
+@pytest.mark.parametrize(
+    "g,rule",
+    [
+        pytest.param(star_graph(18), MoveRule.EVEN, id="star-even"),
+        pytest.param(complete_graph(17), MoveRule.ODD, id="K17-odd"),
+    ],
+)
+def test_terminal_component_never_pays_the_kernel(g, rule):
+    # no vertex is movable, so the search visits the root alone
+    memo = MemoTable()
+    report = grundy(g, rule, memo)
+    assert (report.grundy, report.nodes_visited, report.optimal_move) == (0, 1, None)
+    assert len(memo) == 1 and not memo.lattices
+
+
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
-def test_search_that_fits_its_allowance_is_unchanged(rule):
-    # path plus triangle on 18 vertices: 154 (odd) and 836 (even) positions,
-    # within allowance(18), so no lattice is built
+def test_path_like_component_is_valued_by_its_lattice(rule, monkeypatch):
+    # path plus triangle on 18 vertices: a plain search visits only 154 (odd)
+    # or 836 (even) positions, but the lattice values it whenever the budget
+    # covers 2**18 nodes
     g = Graph(18, [(i, i + 1) for i in range(17)] + [(0, 2)])
     memo = MemoTable()
+    report = grundy(g, rule, memo)
+    assert len({lattice.mask for lattice in memo.lattices.values()}) == 1
+    assert report.nodes_visited == report.distinct_positions == len(memo) == 2**18
+    plain = search_only(monkeypatch, g, rule)
+    assert (report.grundy, report.optimal_move) == (plain.grundy, plain.optimal_move)
+    # one node short of the lattice, the plain search as before
+    memo = MemoTable(2**18 - 1)
     report = grundy(g, rule, memo)
     assert report.nodes_visited == {MoveRule.ODD: 154, MoveRule.EVEN: 836}[rule]
     assert report.nodes_visited == report.distinct_positions == len(memo)
@@ -685,12 +702,10 @@ def test_dense_component_is_valued_by_its_lattice(rule, monkeypatch):
     g = dense_16()
     memo = MemoTable()
     report = grundy(g, rule, memo)
-    assert report.nodes_visited == memo.nodes_visited == allowance(16) + 2**16
-    # the abandoned search's entries gave way to the lattice
+    assert report.nodes_visited == memo.nodes_visited == 2**16
     assert report.distinct_positions == len(memo) == 2**16
     assert not memo.entries
     plain = search_only(monkeypatch, g, rule)
-    assert plain.nodes_visited > allowance(16)
     assert (report.grundy, report.optimal_move) == (plain.grundy, plain.optimal_move)
     # the memo stays sound: a retry reads the same answer and visits nothing
     again = grundy(g, rule, memo)
@@ -713,17 +728,17 @@ def test_children_of_a_lattice_root_visit_nothing(rule, monkeypatch):
         assert report.nodes_visited == 0
         plain = search_only(monkeypatch, child, rule, reference)
         assert (report.grundy, report.optimal_move) == (plain.grundy, plain.optimal_move)
-    assert memo.nodes_visited == allowance(16) + 2**16
+    assert memo.nodes_visited == 2**16
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
 def test_budget_below_the_lattice_leaves_the_search_as_it_was(rule, monkeypatch):
-    # a budget that cannot cover allowance(16) + 2**16 nodes gets the plain
-    # search: the same refusal where it refuses, the same report where not
+    # a budget that cannot cover 2**16 nodes gets the plain search: the same
+    # refusal where it refuses, the same report where not
     g = dense_16()
-    need = allowance(16) + 2**16
+    need = 2**16
     searched = search_only(monkeypatch, g, rule).nodes_visited
-    for budget in (0, allowance(16), searched - 1, searched, need - 1):
+    for budget in (0, 1000, searched - 1, searched, need - 1):
         memo, plain = MemoTable(budget), MemoTable(budget)
         try:
             report = grundy(g, rule, memo)
@@ -741,7 +756,7 @@ def test_budget_below_the_lattice_leaves_the_search_as_it_was(rule, monkeypatch)
 @pytest.mark.parametrize("rule,entries", [(MoveRule.ODD, 1987), (MoveRule.EVEN, 1989)])
 def test_cli_sized_budget_refusal(rule, entries):
     # the shape of `solve --budget 2000` on a random 18-vertex graph: the
-    # lattice would need allowance(18) + 2**18 nodes, so the search refuses
+    # lattice would need 2**18 nodes, so the search refuses
     rng = random.Random(18)
     edges = {(i, j) for j in range(18) for i in range(j) if rng.random() < 0.5}
     g = Graph(18, sorted(edges | {(0, 1), (0, 2), (1, 2)}))
