@@ -133,6 +133,10 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def degree(self, v: int) -> int:
+        """Degree of vertex ``v``; a ``v`` outside ``0..n-1`` is refused
+        with ``ValueError``."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self.adj[v].bit_count()
 
     def odd_degree_vertices(self) -> int:

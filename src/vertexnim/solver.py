@@ -13,12 +13,15 @@ miss. One engine serves both rules. :func:`solve` puts the proved closed forms
 in front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 
 A solve splits its root into components once, reading only the rows of alive
-vertices. A component the memo cannot answer that has ``LATTICE_MIN_N`` to
-``LATTICE_MAX_N`` vertices, a movable vertex and ``2**k`` nodes left in the
-budget goes straight to :func:`lattice_values`, which values every subset of
-it at once, bit-sliced over its subset lattice; the memo keeps the result as a
-:class:`Lattice`, so later solves read any subset's value as one bit. Any
-other component is searched. A lattice costs one kernel run, where a search
+vertices, and a memo hit builds nothing: the rows are filled on the first
+component the memo cannot answer, and the degree-parity vector only when a
+miss or the move search needs it. A component the memo cannot answer that
+has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a movable vertex and
+``2**k`` nodes left in the budget goes straight to :func:`lattice_values`,
+which values every subset of it at once, bit-sliced over its subset lattice;
+the memo keeps the result as a :class:`Lattice`, so later solves read any
+subset's value as one bit, and a search on a memo that already holds
+lattices reads them too. Any other component is searched. A lattice costs one kernel run, where a search
 of a dense component visits many times ``2**k / 64`` nodes (the kernel's
 measured cost in search nodes); only a path-like component, whose search
 visits few positions, is slower this way.
@@ -26,6 +29,7 @@ visits few positions, is slower this way.
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .graph import Graph, MoveRule, Position, _check_rule, _components, iter_bits
 from .graph import _slot_vector
@@ -92,6 +96,24 @@ class MemoTable:
         return len(self.entries) + sum(1 << mask.bit_count() for mask in masks)
 
 
+# the kernel's subset vectors are built once per process up to this many
+# vertices, 14 KB for every k up to 12. Their build is a fixed cost that
+# weighs most on the small kernels (10 us at k = 12, where a kernel takes
+# 60-200 us), while caching k = 13 to 18 too would hold 1.2 MB more for 1-2%
+# of those kernels (196 us at k = 18 against 13-18 ms; 2-vCPU Xeon, Python
+# 3.11.7)
+_SUBSET_CACHE_MAX_N = 12
+
+
+def _subset_vectors(k: int) -> tuple:
+    # bit m of entry i says that subset m holds i, as edge mask m holds slot i
+    size = 1 << k
+    return tuple(_slot_vector(i, size) for i in range(k))
+
+
+_cached_subset_vectors = cache(_subset_vectors)
+
+
 def lattice_values(rows: list, even: bool) -> list:
     """Value every subset of a graph on ``k = len(rows)`` vertices at once.
 
@@ -107,14 +129,18 @@ def lattice_values(rows: list, even: bool) -> list:
     """
     k = len(rows)
     size = 1 << k
-    # the subsets holding i, as the edge masks holding slot i
-    alive = [_slot_vector(i, size) for i in range(k)]
+    alive = (_cached_subset_vectors if k <= _SUBSET_CACHE_MAX_N else _subset_vectors)(k)
     moves = []
     for i, row in enumerate(rows):
         odd = 0
-        for j in iter_bits(row):
-            odd ^= alive[j]
-        moves.append((1 << i, alive[i] & ~odd if even else alive[i] & odd))
+        while row:
+            low = row & -row
+            odd ^= alive[low.bit_length() - 1]
+            row ^= low
+        held = alive[i]
+        # a ^ (a & b) is a & ~b without building ~b, about 4x faster at 2**18
+        # bits; so is the round's test below
+        moves.append((1 << i, held ^ (held & odd) if even else held & odd))
     values = []
     # subsets of value at least len(values)
     rest = (1 << size) - 1
@@ -124,7 +150,7 @@ def lattice_values(rows: list, even: bool) -> list:
             reach = 0
             for shift, movable in moves:
                 reach |= out << shift & movable
-            new = rest & ~reach
+            new = rest ^ (rest & reach)
             if new == out:
                 break
             out = new
@@ -137,18 +163,23 @@ class Lattice:
     """Every subset's value of one component, one bit per subset and value.
 
     Local subset ``m`` holds the component's ``i``-th lowest vertex when bit
-    ``i`` of ``m`` is set. The value sets are kept as bytes, so a read is one
-    byte lookup per value, whatever ``k``.
+    ``i`` of ``m`` is set. A component of consecutive vertices, such as the
+    root of any connected graph, maps a subset to ``m`` with one shift;
+    another walks its bits through ``local``. The value sets are kept as
+    bytes, so a read is one byte lookup per value, whatever ``k``.
     """
 
-    __slots__ = ("mask", "local", "values")
+    __slots__ = ("mask", "shift", "local", "values")
 
     def __init__(self, mask: int, rows: dict, even: bool):
         self.mask = mask
-        self.local = {}
-        for i, v in enumerate(iter_bits(mask)):
-            self.local[1 << v] = 1 << i
-        local_rows = [self._index(rows[bit] & mask) for bit in self.local]
+        low = mask & -mask
+        self.shift = low.bit_length() - 1
+        # adding its lowest bit carries through a run of consecutive bits
+        self.local = None if mask + low & mask == 0 else {
+            1 << v: 1 << i for i, v in enumerate(iter_bits(mask))
+        }
+        local_rows = [self._index(rows[1 << v] & mask) for v in iter_bits(mask)]
         nbytes = ((1 << len(local_rows)) + 7) >> 3
         self.values = [
             bits.to_bytes(nbytes, "little")
@@ -157,6 +188,8 @@ class Lattice:
 
     def _index(self, mask: int) -> int:
         local = self.local
+        if local is None:
+            return mask >> self.shift
         m = 0
         while mask:
             low = mask & -mask
@@ -168,7 +201,9 @@ class Lattice:
         """The value of ``mask``, a subset of the component."""
         m = self._index(mask)
         byte, bit = m >> 3, m & 7
-        return next(g for g, bits in enumerate(self.values) if bits[byte] >> bit & 1)
+        for g, bits in enumerate(self.values):
+            if bits[byte] >> bit & 1:
+                return g
 
 
 @dataclass(frozen=True)
@@ -232,7 +267,8 @@ def grundy(
     ``2**k`` per lattice, and is what the budget bounds;
     ``distinct_positions`` counts the positions the memo gained, which is
     the same number. A solve's set-up follows its alive set, not its host
-    graph.
+    graph, and a memo hit builds nothing: a solve that the memo answers
+    reads no host row, and its move search reads only the alive rows.
 
     The search nests at most 2n + 2 Python frames on n alive vertices, and
     most positions nest far less: a path plus a triangle solves at n = 255
@@ -267,14 +303,10 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
     elif memo.rule is not rule or (memo.graph is not graph and memo.graph != graph):
         raise ValueError("this memo table holds another host graph or rule")
     adj = graph.adj
-    # adjacency keyed by the vertex's bit, so no bit_length() per lookup; the
-    # empty mask's lowest bit is 0, whose empty row gives an empty component
-    rows = {0: 0}
-    odd = 0
-    for v in iter_bits(alive):
-        row = rows[1 << v] = adj[v]
-        odd ^= row
-    odd &= alive
+    # adjacency keyed by the vertex's bit, so no bit_length() per lookup,
+    # filled on the first memo miss; the empty mask's lowest bit is 0, whose
+    # empty row gives an empty component
+    rows = {}
     even = rule is MoveRule.EVEN
     entries = memo.entries
     get = entries.get
@@ -309,7 +341,7 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
             if comp == mask:
                 break
             # no edge leaves a component, so its degrees are those in mask
-            part = get(comp)
+            part = probe(comp)
             if part is None:
                 part = search(comp, odd & comp)
             value ^= part
@@ -323,7 +355,7 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
             low = movable & -movable
             movable ^= low
             child = mask ^ low
-            got = get(child)
+            got = probe(child)
             if got is None:
                 got = search(child, (odd ^ rows[low]) & child)
             seen |= 1 << got
@@ -340,11 +372,12 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
                 return lattice.value(mask)
         return value
 
-    def answer(mask: int, odd: int) -> int:
-        # a memo read, else the nim-sum of the components of mask
-        value = known(mask)
-        if value is not None:
-            return value
+    # a fresh memo's lattices and this solve's searches cover disjoint
+    # components, so only a reused memo's lattices can answer a search
+    probe = known if lattices else get
+
+    def split(mask: int, odd: int) -> int:
+        # the nim-sum of the components of mask, which the memo cannot answer
         value = 0
         for comp in _components(adj, mask):
             part = known(comp) if comp != mask else None
@@ -355,6 +388,10 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
     def fresh(comp: int, odd: int) -> int:
         # a component the memo cannot answer
         nonlocal visited
+        if not rows:
+            rows[0] = 0
+            for v in iter_bits(alive):
+                rows[1 << v] = adj[v]
         k = comp.bit_count()
         movable = comp ^ odd if even else odd
         # a terminal component is one search node, far cheaper than a lattice
@@ -362,20 +399,31 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
             return search(comp, odd)
         visited += 1 << k
         lattice = Lattice(comp, rows, even)
-        for bit in lattice.local:
-            lattices[bit] = lattice
+        for v in iter_bits(comp):
+            lattices[1 << v] = lattice
         return lattice.value(comp)
 
     try:
-        value = answer(alive, odd)
+        # a memo hit builds nothing, and its move search only the parities
         move = None
+        value = known(alive)
+        if value is None or find_move and value > 0:
+            odd = 0
+            for v in iter_bits(alive):
+                odd ^= adj[v]
+            odd &= alive
+            if value is None:
+                value = split(alive, odd)
         if find_move and value > 0:
             # a move to a 0-child exists from any positive position; take the
             # lowest-index one for determinism
             movable = alive ^ odd if even else odd
             for v in iter_bits(movable):
                 child = alive ^ 1 << v
-                if answer(child, (odd ^ rows[1 << v]) & child) == 0:
+                got = known(child)
+                if got is None:
+                    got = split(child, (odd ^ adj[v]) & child)
+                if got == 0:
                     move = v
                     break
     except RecursionError:

@@ -87,6 +87,13 @@ class TestDegreeAndMoves:
     def test_isolated_degree(self):
         assert Graph(1).full_position().degree(0) == 0
 
+    @pytest.mark.parametrize("v", [-1, -4, 4, 5])
+    def test_graph_degree_refuses_a_vertex_out_of_range(self, v):
+        # a negative index must not wrap to another vertex's row
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range for n=4$"):
+            star_graph(4).degree(v)
+        assert [star_graph(4).degree(u) for u in range(4)] == [3, 1, 1, 1]
+
     def test_degree_of_dead_vertex(self):
         p = path_graph(3).full_position().remove_vertex(2)
         with pytest.raises(ValueError, match="not alive"):

@@ -30,7 +30,8 @@ from vertexnim import (
 )
 import vertexnim.solver
 from vertexnim.formats import MAX_VERTICES, from_graph6
-from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, lattice_values
+from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, Lattice, lattice_values
+from vertexnim.solver import _SUBSET_CACHE_MAX_N
 from vertexnim.theorems import random_graph
 
 
@@ -631,6 +632,107 @@ def test_lattice_kernel_matches_naive_dp_sampled(rule):
         values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
         table = naive_subset_table(g, rule)
         assert [lattice_value(values, m) for m in range(1 << g.n)] == table
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_lattice_kernel_past_the_subset_cache_sampled(rule):
+    # a 12-vertex kernel reads its subset vectors from the per-process cache,
+    # a 13-vertex one builds them per call; neither disturbs the other
+    assert _SUBSET_CACHE_MAX_N == 12
+    rng = random.Random(21)
+    for n in (12, 13, 12):
+        g = random_graph(rng, n)
+        values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+        table = naive_subset_table(g, rule)
+        assert [lattice_value(values, m) for m in range(1 << n)] == table
+
+
+def spread_mask(m, stride, offset=0):
+    """Bit ``i`` of ``m`` moved to bit ``stride * i + offset``."""
+    return sum(1 << stride * i + offset for i in iter_bits(m))
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_lattice_index_paths_agree(rule):
+    # one 9-vertex graph placed three ways in larger hosts: at vertices
+    # 0..8, at 5..13 (both consecutive, read by a shift) and at the even
+    # vertices 0, 2, ..., 16 (read by a walk over its bits); the other host
+    # vertices have edges into it, which its rows must mask out
+    g = random_graph(random.Random(21), 9)
+    even = rule is MoveRule.EVEN
+    table = naive_subset_table(g, rule)
+
+    def placed(stride, offset, n):
+        edges = {(stride * u + offset, stride * v + offset) for u, v in g.edges()}
+        inside = {stride * v + offset for v in range(9)}
+        edges |= {(min(u, v), max(u, v)) for u in inside for v in (u - 1, u + 1)
+                  if 0 <= v < n and v not in inside}
+        host = Graph(n, sorted(edges))
+        mask = spread_mask((1 << 9) - 1, stride, offset)
+        return Lattice(mask, {1 << v: row for v, row in enumerate(host.adj)}, even)
+
+    compact, shifted, spread = placed(1, 0, 9), placed(1, 5, 20), placed(2, 0, 18)
+    assert compact.local is None and shifted.local is None
+    assert spread.local is not None
+    for m in range(1 << 9):
+        assert compact.value(m) == table[m]
+        assert shifted.value(spread_mask(m, 1, 5)) == table[m]
+        assert spread.value(spread_mask(m, 2)) == table[m]
+
+
+def spy_graph(host, read):
+    """``host`` with rows that record each vertex read in ``read`` and
+    refuse to be walked whole."""
+
+    class Rows(tuple):
+        def __getitem__(self, v):
+            read.add(v)
+            return tuple.__getitem__(self, v)
+
+        def __iter__(self):
+            raise AssertionError("walked every host row")
+
+    return Graph._from_adj(host.n, Rows(host.adj))
+
+
+def test_a_memo_hit_builds_nothing():
+    read = set()
+    spy = spy_graph(path_graph(1000), read)
+    # a 13-vertex path (value 0) valued by its lattice; its child at vertex
+    # 500 is a 12-vertex path (value 1) whose best move is to remove 501
+    root = Position(spy, ((1 << 13) - 1) << 500)
+    memo = MemoTable()
+    assert grundy(root, MoveRule.ODD, memo).nodes_visited == 2**13
+    assert read == set(range(500, 513))
+    child = root.remove_vertex(500)
+    read.clear()
+    assert grundy_value(child, MoveRule.ODD, memo) == 1
+    assert not read
+    # the move search needs the child's degree parities, and nothing more
+    report = grundy(child, MoveRule.ODD, memo)
+    assert (report.grundy, report.optimal_move, report.nodes_visited) == (1, 501, 0)
+    assert read == set(range(501, 513))
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_search_on_a_reused_memo_reads_its_lattices(rule):
+    # a dense 10-vertex block with a 12-vertex path hanging off vertex 9: the
+    # whole graph is searched, and once the block alone has been solved, the
+    # search reads the block's subsets from its lattice
+    rng = random.Random(10)
+    block = [(i, j) for j in range(10) for i in range(j) if rng.random() < 0.5]
+    g = Graph(22, block + [(v, v + 1) for v in range(9, 21)])
+    block_mask = (1 << 10) - 1
+    assert Position(g, block_mask).connected_components() == [block_mask]
+    fresh = grundy(g, rule)
+    memo = MemoTable()
+    assert grundy(Position(g, block_mask), rule, memo).nodes_visited == 2**10
+    report = grundy(g, rule, memo)
+    assert (report.grundy, report.optimal_move) == (fresh.grundy, fresh.optimal_move)
+    assert report.nodes_visited < fresh.nodes_visited
+    # no position is stored twice
+    assert not [key for key in memo.entries if key and not key & ~block_mask]
+    assert len(memo) == memo.nodes_visited == 2**10 + report.nodes_visited
 
 
 def dense_16():
