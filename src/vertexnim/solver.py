@@ -18,13 +18,14 @@ component the memo cannot answer, and the degree-parity vector only when a
 miss or the move search needs it. A component the memo cannot answer that
 has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a movable vertex and
 ``2**k`` nodes left in the budget goes straight to :func:`lattice_values`,
-which values every subset of it at once, bit-sliced over its subset lattice;
-the memo keeps the result as a :class:`Lattice`, so later solves read any
-subset's value as one bit, and a search on a memo that already holds
-lattices reads them too. Any other component is searched. A lattice costs one kernel run, where a search
-of a dense component visits many times ``2**k / 64`` nodes (the kernel's
-measured cost in search nodes); only a path-like component, whose search
-visits few positions, is slower this way.
+which values every subset of it at once, bit-sliced over its subset lattice
+one slab of ``2**12`` subsets at a time; the memo keeps the result as a
+:class:`Lattice`, so later solves read any subset's value as one bit, and a
+search on a memo that already holds lattices reads them too. Any other
+component is searched. A lattice costs one kernel run, where a search of a
+dense component visits many times ``2**k / 64`` nodes (the kernel's measured
+cost in search nodes); only a path-like component, whose search visits few
+positions, is slower this way.
 """
 
 import sys
@@ -54,17 +55,20 @@ class NodeBudgetExceeded(RuntimeError):
 
 
 # The lattice kernel values a component only when it has at most this many
-# vertices, which bounds its working set: about (2k + values) * 2**k / 8
-# bytes, doubling with each vertex (peak traced memory 1.7 MB at k = 18,
-# 7.3 MB at 20, 31 MB at 22). Kernel times on random graphs at p = 0.2, 0.5
-# and 0.8 (medians of nine; 2-vCPU Xeon, Python 3.11.7): k = 12/14/16/18
-# take 0.2/0.6/2.1/11-14 ms. At k = 20 the kernel takes 52-90 ms, and a
-# dense graph's search 1.7-2.1 s.
+# vertices, which bounds its working set: the finished slabs' value sets and
+# the bytes joined from them, about 2 * values * 2**k / 8 bytes, doubling
+# with each vertex (peak traced memory 0.43 MB at k = 18, 1.8 MB at 20,
+# 6.9 MB at 22). Kernel times on random graphs at p = 0.2, 0.5 and 0.8
+# (medians of nine, two rounds; 2-vCPU Xeon, Python 3.11.7): k = 12/14/16/18
+# take 0.14-0.20/0.37-0.71/1.4-2.4/5.5-8.6 ms, and k = 20/22 take 20-36/
+# 88-125 ms. At k = 20 a dense graph's search takes 1.7-2.1 s.
 LATTICE_MAX_N = 18
 
 
-# the kernel beat the search on 14 of 15 random connected 8-vertex graphs
-# (medians 64 vs 150 us; 2-vCPU Xeon, Python 3.11.7), and on 12 of 15 at 7
+# the kernel beat the search on 15 of 15 random connected 8-vertex graphs
+# (medians 42-44 vs 95-112 us) and on 14 of 15 at 7 (38-50 vs 63-74 us;
+# grundy on a fresh memo, 2-vCPU Xeon, Python 3.11.7). Moving the bound to 7
+# would change the counters of every 7-vertex solve, so it stays at 8
 LATTICE_MIN_N = 8
 
 
@@ -96,40 +100,52 @@ class MemoTable:
         return len(self.entries) + sum(1 << mask.bit_count() for mask in masks)
 
 
-# the kernel's subset vectors are built once per process up to this many
-# vertices, 14 KB for every k up to 12. Their build is a fixed cost that
-# weighs most on the small kernels (10 us at k = 12, where a kernel takes
-# 60-200 us), while caching k = 13 to 18 too would hold 1.2 MB more for 1-2%
-# of those kernels (196 us at k = 18 against 13-18 ms; 2-vCPU Xeon, Python
-# 3.11.7)
-_SUBSET_CACHE_MAX_N = 12
+# a slab spans at most this many vertices, whose subset vectors are built once
+# per process (14 KB for every width up to 12). Of widths 10 to 13, 12 was the
+# fastest or tied at each k from 12 to 20, and 13 the slowest from 14 on (at
+# k = 16, 1.2-2.0 ms against 1.4-2.0 at 11 and 2.2-3.8 at 13; 2-vCPU Xeon,
+# Python 3.11.7)
+_SLAB_MAX_N = 12
 
 
+@cache
 def _subset_vectors(k: int) -> tuple:
     # bit m of entry i says that subset m holds i, as edge mask m holds slot i
     size = 1 << k
     return tuple(_slot_vector(i, size) for i in range(k))
 
 
-_cached_subset_vectors = cache(_subset_vectors)
-
-
 def lattice_values(rows: list, even: bool) -> list:
     """Value every subset of a graph on ``k = len(rows)`` vertices at once.
 
-    ``rows[i]`` is vertex ``i``'s neighbourhood. Returns one int per Grundy
-    value ``g``, with bit ``m`` set when the subset ``m`` has value ``g``.
-    The sets are bit-sliced over the subset lattice (Biham, FSE 1997): bit
-    ``m`` of ``alive[i]`` says that ``i`` is in ``m``, and the subsets from
-    which removing ``i`` reaches a set ``s`` are ``s << 2**i``, masked by
-    the subsets in which ``i`` is movable. The value-``g`` subsets are the
-    unique fixpoint of "value at least ``g`` and no child of value ``g``";
-    the iteration from "value at least ``g``" is exact on subsets of size
-    below ``j`` after ``j`` rounds, and usually stops well before ``k + 1``.
+    ``rows[i]`` is vertex ``i``'s neighbourhood. Returns one ``bytes`` per
+    Grundy value ``g``, with bit ``m`` (bit ``m & 7`` of byte ``m >> 3``)
+    set when the subset ``m`` has value ``g``. The sets are bit-sliced over
+    the subset lattice (Biham, FSE 1997), one slab at a time. The ``w``
+    lowest vertices, at most ``_SLAB_MAX_N``, are the low vertices, and
+    slab ``h`` holds the ``2**w`` subsets ``h << w | l`` whose other (top)
+    vertices are the set ``h``. Bit ``l`` of ``alive[i]`` says that ``i``
+    is in ``l``, and the subsets from which removing a low vertex ``i``
+    reaches a set ``s`` of the slab are ``s << 2**i``, masked by the
+    subsets in which ``i`` is movable; that mask is one of two per vertex,
+    picked by the parity of ``i``'s top neighbours in ``h``. Removing top
+    vertex ``t`` leads to slab ``h ^ 2**t < h``, so the slabs are valued in
+    increasing ``h`` and those exits read finished slabs. In a slab, the
+    value-``g`` subsets are the unique fixpoint of "value at least ``g``,
+    no exit of value ``g`` and no low child of value ``g``"; the iteration
+    is exact on subsets of fewer than ``j`` low vertices after ``j``
+    rounds, and usually stops well before ``w + 1``.
     """
     k = len(rows)
-    size = 1 << k
-    alive = (_cached_subset_vectors if k <= _SUBSET_CACHE_MAX_N else _subset_vectors)(k)
+    width = k if k <= _SLAB_MAX_N else _SLAB_MAX_N
+    size = 1 << width
+    full = (1 << size) - 1
+    held_of = alive = _subset_vectors(width)
+    if k > width:
+        # a top vertex is in every subset of a slab that holds it
+        held_of += (full,) * (k - width)
+        tops = [row >> width for row in rows]
+        rows = [row & size - 1 for row in rows]
     moves = []
     for i, row in enumerate(rows):
         odd = 0
@@ -137,26 +153,67 @@ def lattice_values(rows: list, even: bool) -> list:
             low = row & -row
             odd ^= alive[low.bit_length() - 1]
             row ^= low
-        held = alive[i]
+        held = held_of[i]
         # a ^ (a & b) is a & ~b without building ~b, about 4x faster at 2**18
-        # bits; so is the round's test below
+        # bits; so are the tests below
         moves.append((1 << i, held ^ (held & odd) if even else held & odd))
-    values = []
-    # subsets of value at least len(values)
-    rest = (1 << size) - 1
-    while rest:
-        out = rest
-        while True:
-            reach = 0
-            for shift, movable in moves:
-                reach |= out << shift & movable
-            new = rest ^ (rest & reach)
-            if new == out:
-                break
-            out = new
-        values.append(out)
-        rest ^= out
-    return values
+    if k > width:
+        # per vertex, its top neighbours and its movable subsets of a slab
+        # whose top part holds an even, then an odd, number of them
+        variants = [
+            (up, (movable, held ^ movable))
+            for up, held, (_, movable) in zip(tops, held_of, moves)
+        ]
+        del moves[width:]
+    slabs = []
+    exits = ()
+    for h in range(1 << k - width):
+        if h:
+            moves = [
+                (1 << i, pair[(up & h).bit_count() & 1])
+                for i, (up, pair) in enumerate(variants[:width])
+            ]
+            exits = []
+            for t in iter_bits(h):
+                up, pair = variants[width + t]
+                exits.append((slabs[h ^ 1 << t], pair[(up & h).bit_count() & 1]))
+        values = []
+        # subsets of the slab of value at least len(values)
+        rest = full
+        while rest:
+            base = rest
+            if exits:
+                # drop the subsets with a move into a finished slab's
+                # subsets of value len(values)
+                g = len(values)
+                hit = 0
+                for done, movable in exits:
+                    if g < len(done):
+                        hit |= done[g] & movable
+                base ^= base & hit
+            out = base
+            while True:
+                reach = 0
+                for shift, movable in moves:
+                    reach |= out << shift & movable
+                new = base ^ (base & reach)
+                if new == out:
+                    break
+                out = new
+            values.append(out)
+            rest ^= out
+        slabs.append(values)
+    nbytes = (size + 7) >> 3
+    if len(slabs) == 1:
+        return [bits.to_bytes(nbytes, "little") for bits in values]
+    zero = bytes(nbytes)
+    return [
+        b"".join(
+            values[g].to_bytes(nbytes, "little") if g < len(values) else zero
+            for values in slabs
+        )
+        for g in range(max(map(len, slabs)))
+    ]
 
 
 class Lattice:
@@ -180,11 +237,7 @@ class Lattice:
             1 << v: 1 << i for i, v in enumerate(iter_bits(mask))
         }
         local_rows = [self._index(rows[1 << v] & mask) for v in iter_bits(mask)]
-        nbytes = ((1 << len(local_rows)) + 7) >> 3
-        self.values = [
-            bits.to_bytes(nbytes, "little")
-            for bits in lattice_values(local_rows, even)
-        ]
+        self.values = lattice_values(local_rows, even)
 
     def _index(self, mask: int) -> int:
         local = self.local
@@ -277,7 +330,8 @@ def grundy(
     refused with ``ValueError``; the memo holds only completed entries, so
     it stays sound for later solves.
     """
-    return _solve(position, rule, memo, True)
+    value, visited, move = _solve(position, rule, memo, True)
+    return SolveReport(value, visited, visited, move)
 
 
 def grundy_value(
@@ -286,16 +340,17 @@ def grundy_value(
     memo: MemoTable | None = None,
 ) -> int:
     """Just the Grundy value of :func:`grundy`, without its search for an
-    optimal move."""
-    return _solve(position, rule, memo, False).grundy
+    optimal move or its report."""
+    return _solve(position, rule, memo, False)[0]
 
 
-def _solve(position, rule, memo, find_move) -> SolveReport:
+def _solve(position, rule, memo, find_move) -> tuple:
+    # (value, nodes visited, optimal move or None)
     _check_rule(rule)
     if isinstance(position, Graph):
-        position = position.full_position()
-    alive = position.alive
-    graph = position.graph
+        graph, alive = position, (1 << position.n) - 1
+    else:
+        graph, alive = position.graph, position.alive
     if memo is None:
         memo = MemoTable()
     if memo.graph is None:
@@ -433,7 +488,7 @@ def _solve(position, rule, memo, find_move) -> SolveReport:
         ) from None
     finally:
         memo.nodes_visited = base + visited
-    return SolveReport(value, visited, visited, move)
+    return value, visited, move
 
 
 def grundy_even_even(g: Graph) -> int:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from vertexnim import (
 import vertexnim.solver
 from vertexnim.formats import MAX_VERTICES, from_graph6
 from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, Lattice, lattice_values
-from vertexnim.solver import _SUBSET_CACHE_MAX_N
+from vertexnim.solver import _SLAB_MAX_N, _subset_vectors
 from vertexnim.theorems import random_graph
 
 
@@ -583,6 +584,23 @@ def test_solve_reads_only_the_alive_rows():
         assert read == {500, 501, 700}
 
 
+def test_value_only_builds_no_report_or_position(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an object grundy_value does not need")
+
+    g = disjoint_union(complete_graph(3), path_graph(10))
+    memo = MemoTable()
+    expected = grundy(g, memo=memo).grundy
+    monkeypatch.setattr(vertexnim.solver, "SolveReport", refuse)
+    monkeypatch.setattr(Graph, "full_position", refuse)
+    # a fresh solve, a memo hit, and a position of the same host
+    assert grundy_value(g) == expected
+    assert grundy_value(g, memo=memo) == expected
+    assert grundy_value(Position(g, 0b111), memo=memo) == 0
+    with pytest.raises(AssertionError):
+        grundy(g, memo=memo)
+
+
 def test_value_only_skips_the_move_search():
     # paw (value 2) beside a 66-vertex path (value 1): grundy also looks for
     # an optimal move among the root's children, grundy_value does not
@@ -610,7 +628,7 @@ def test_value_only_skips_the_move_search():
 
 
 def lattice_value(values, m):
-    (value,) = [g for g, bits in enumerate(values) if bits >> m & 1]
+    (value,) = [g for g, bits in enumerate(values) if bits[m >> 3] >> (m & 7) & 1]
     return value
 
 
@@ -635,16 +653,40 @@ def test_lattice_kernel_matches_naive_dp_sampled(rule):
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
-def test_lattice_kernel_past_the_subset_cache_sampled(rule):
-    # a 12-vertex kernel reads its subset vectors from the per-process cache,
-    # a 13-vertex one builds them per call; neither disturbs the other
-    assert _SUBSET_CACHE_MAX_N == 12
-    rng = random.Random(21)
-    for n in (12, 13, 12):
-        g = random_graph(rng, n)
-        values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
-        table = naive_subset_table(g, rule)
-        assert [lattice_value(values, m) for m in range(1 << n)] == table
+@pytest.mark.parametrize(
+    "n", [_SLAB_MAX_N, _SLAB_MAX_N + 1, _SLAB_MAX_N + 3, LATTICE_MAX_N]
+)
+def test_lattice_kernel_across_slab_counts(rule, n):
+    # 12 vertices fill one slab of 2**12 subsets; 13, 15 and 18 take 2, 8
+    # and 64 slabs, whose top vertices exit into finished slabs
+    g = random_graph(random.Random(2200 + n), n)
+    values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+    assert {len(bits) for bits in values} == {((1 << n) + 7) >> 3}
+    table = naive_subset_table(g, rule)
+    assert [lattice_value(values, m) for m in range(1 << n)] == table
+
+
+def test_lattice_working_set_stays_near_what_it_keeps():
+    # the kernel holds the finished slabs' value sets and the bytes joined
+    # from them, about twice what the lattice keeps
+    g = random_graph(random.Random(2218), 18)
+    rows = {1 << v: row for v, row in enumerate(g.adj)}
+    # built once per process, not by this lattice
+    _subset_vectors(_SLAB_MAX_N)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        lattice = Lattice((1 << 18) - 1, rows, False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = sum(map(len, lattice.values))
+    assert kept == len(lattice.values) * 2**15
+    assert peak <= 4 * kept
 
 
 def spread_mask(m, stride, offset=0):
