@@ -1,6 +1,10 @@
 """Whole-census machinery: Grundy values for every labeled graph on <= 7
 vertices, bipartite classification, and the value census.
 
+A sweep takes no budget: its range check, ``max_n <= SWEEP_MAX_N``, bounds
+it at 2,131,020 labeled graphs, which take tens of milliseconds and a few
+megabytes.
+
 The sweep exploits that a position's value depends only on its induced
 subgraph: relabel the surviving vertices in increasing order and any position
 of any n-vertex graph becomes a labeled graph on fewer vertices. Evaluating
@@ -25,12 +29,11 @@ edge mask ``m``; splitting the level's masks by the planes leaves one cell
 per (value, edge count), counted with ``int.bit_count``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .graph import MoveRule, _check_rule, _slot_vector, edge_slots, from_edge_mask
-from .solver import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
 
 SWEEP_MAX_N = 7
 
@@ -141,38 +144,14 @@ def _check_sweep_range(caller: str, max_n: int, name: str = "max_n") -> None:
         )
 
 
-def _levels_within(max_n: int, graph_budget: int) -> tuple:
-    """How many levels ``0, 1, ..., max_n`` fit ``graph_budget`` labeled
-    graphs, taken in order, and how many graphs those levels hold."""
-    if graph_budget < 0:
-        raise ValueError(f"graph budget must be nonnegative, got {graph_budget}")
-    levels = graphs = 0
-    for k in range(max_n + 1):
-        size = 1 << k * (k - 1) // 2
-        if graphs + size > graph_budget:
-            break
-        levels += 1
-        graphs += size
-    return levels, graphs
-
-
-def grundy_tables(
-    max_n: int,
-    rule: MoveRule = MoveRule.ODD,
-    graph_budget: int = DEFAULT_NODE_BUDGET,
-) -> list:
+def grundy_tables(max_n: int, rule: MoveRule = MoveRule.ODD) -> list:
     """Grundy value of every labeled graph with at most ``max_n`` vertices.
 
     Returns a list indexed by vertex count ``k``; entry ``k`` is a bytearray
-    indexed by edge mask. The budget counts graph evaluations, level 0's one
-    graph included, and is checked once before any level, so a refusal is
-    explicit and costs no sweeping.
+    indexed by edge mask.
     """
     _check_sweep_range("exhaustive sweep", max_n)
     _check_rule(rule)
-    levels, graphs = _levels_within(max_n, graph_budget)
-    if levels <= max_n:
-        raise NodeBudgetExceeded(graphs, graph_budget)
     flip = rule is not MoveRule.ODD
     tables = [bytearray([0])]
     for k in range(1, max_n + 1):
@@ -324,33 +303,22 @@ class CensusReport:
     """Value census over all labeled graphs with ``n <= max_n``.
 
     ``minimal_examples[v]`` is the first graph of value ``v`` by vertex
-    count, then edge count, then edge mask. ``completed_n`` trails ``max_n``
-    only when a budget stopped the sweep early (``partial``).
+    count, then edge count, then edge mask; ``graphs_evaluated`` counts
+    every labeled graph of every level ``0..max_n``.
     """
 
     max_n: int
-    rows: list = field(default_factory=list)
-    minimal_examples: dict = field(default_factory=dict)
-    graphs_evaluated: int = 0
-    completed_n: int = -1
-
-    @property
-    def partial(self) -> bool:
-        return self.completed_n < self.max_n
+    rows: list
+    minimal_examples: dict
+    graphs_evaluated: int
 
 
-def census(
-    max_n: int = SWEEP_MAX_N, graph_budget: int = DEFAULT_NODE_BUDGET
-) -> CensusReport:
+def census(max_n: int = SWEEP_MAX_N) -> CensusReport:
     """Tabulate odd-rule Grundy values of every labeled graph with at most
     ``max_n`` vertices: counts per (value, n, edge count) plus minimal
     examples."""
     _check_sweep_range("census", max_n)
-    levels, graphs = _levels_within(max_n, graph_budget)
-    report = CensusReport(max_n=max_n)
-    if not levels:
-        return report
-    tables = grundy_tables(levels - 1, graph_budget=graph_budget)
+    tables = grundy_tables(max_n)
     counts: dict = {}
     minima: dict = {}
     for k, table in enumerate(tables):
@@ -376,10 +344,9 @@ def census(
             counts[value, k, key & (1 << bits) - 1] = cell.bit_count()
             if value not in minima:
                 minima[value] = from_edge_mask(k, (cell & -cell).bit_length() - 1)
-    report.completed_n = levels - 1
-    report.graphs_evaluated = graphs
-    report.rows = [
-        CensusRow(value, k, e, c) for (value, k, e), c in sorted(counts.items())
-    ]
-    report.minimal_examples = dict(sorted(minima.items()))
-    return report
+    return CensusReport(
+        max_n,
+        [CensusRow(value, k, e, c) for (value, k, e), c in sorted(counts.items())],
+        dict(sorted(minima.items())),
+        sum(map(len, tables)),
+    )

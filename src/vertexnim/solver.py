@@ -264,18 +264,21 @@ class SolveReport:
     """Outcome of one solve: the value, search counters and the method used.
 
     ``nodes_visited`` counts the positions the search visited plus ``2**k``
-    for each lattice of ``k`` vertices; ``distinct_positions`` is how many
-    more positions the memo can answer afterwards, which equals
-    ``nodes_visited`` on every report of the engine. ``optimal_move`` is the
-    lowest-index removable vertex leading to a child of value 0; it is
-    present exactly when ``grundy > 0``.
+    for each lattice of ``k`` vertices. ``optimal_move`` is the lowest-index
+    removable vertex leading to a child of value 0; it is present exactly
+    when ``grundy > 0``.
     """
 
     grundy: int
     nodes_visited: int
-    distinct_positions: int
     optimal_move: int | None
     method: str = SEARCH_METHOD
+
+    @property
+    def distinct_positions(self) -> int:
+        """Positions the memo gained in the solve, which is always
+        ``nodes_visited``; read by the CLI's ``distinct positions`` output."""
+        return self.nodes_visited
 
 
 def mex(values) -> int:
@@ -317,11 +320,11 @@ def grundy(
     lattice kernel, all its subsets at once; any other component is
     searched, and a budget too small for the lattice gets the plain search
     and its refusal. ``nodes_visited`` counts the search's visits plus
-    ``2**k`` per lattice, and is what the budget bounds;
-    ``distinct_positions`` counts the positions the memo gained, which is
-    the same number. A solve's set-up follows its alive set, not its host
-    graph, and a memo hit builds nothing: a solve that the memo answers
-    reads no host row, and its move search reads only the alive rows.
+    ``2**k`` per lattice, and is what the budget bounds; it is also the
+    number of positions the memo gained. A solve's set-up follows its alive
+    set, not its host graph, and a memo hit builds nothing: a solve that the
+    memo answers reads no host row, and its move search reads only the alive
+    rows.
 
     The search nests at most 2n + 2 Python frames on n alive vertices, and
     most positions nest far less: a path plus a triangle solves at n = 255
@@ -331,7 +334,7 @@ def grundy(
     it stays sound for later solves.
     """
     value, visited, move = _solve(position, rule, memo, True)
-    return SolveReport(value, visited, visited, move)
+    return SolveReport(value, visited, move)
 
 
 def grundy_value(
@@ -520,4 +523,4 @@ def solve(
         # every move from a positive closed-form position wins, so the lowest
         # removable vertex is also the search engine's deterministic choice
         move = min(iter_bits(graph.full_position().movable_vertices(rule)))
-    return SolveReport(value, 0, 0, move, method)
+    return SolveReport(value, 0, move, method)

@@ -280,7 +280,9 @@ def check_bipartite_parity(
     the XOR of the value table with the edge-count parity bytes is nonzero in
     some byte under a flag exactly when some bipartite mask fails; only then
     are the masks walked, in ascending order. Each level's strided instances
-    (:func:`_strided`) are re-solved with the per-graph engine.
+    (:func:`_strided`) are re-solved with the per-graph engine. ``budget``
+    bounds each per-graph engine solve; the sweep takes none, as its range
+    check bounds it.
     """
     _check_sweep_range("bipartite-parity", max_n)
     _check_scale("bipartite-parity", "count", count, 1)
@@ -290,7 +292,7 @@ def check_bipartite_parity(
     result = TheoremCheckResult(
         TheoremId.BIPARTITE_PARITY, scale={"parts": [sweep, terminal, sample]}
     )
-    tables = grundy_tables(max_n, MoveRule.ODD, graph_budget=budget)
+    tables = grundy_tables(max_n, MoveRule.ODD)
     levels = []
     crosschecks = 0
     for k in range(max_n + 1):
@@ -637,10 +639,12 @@ def check_even_even(
 ) -> TheoremCheckResult:
     """The even-rule engine value equals the vertex-count parity for every
     labeled graph up to ``max_n`` vertices; each level's strided instances
-    (:func:`_strided`) are re-solved with the per-graph engine."""
+    (:func:`_strided`) are re-solved with the per-graph engine, each within
+    ``budget`` positions. The sweep takes no budget; its range check bounds
+    it."""
     _check_sweep_range("even-even", max_n)
     result = TheoremCheckResult(TheoremId.EVEN_EVEN, scale={"max_n": max_n})
-    tables = grundy_tables(max_n, MoveRule.EVEN, graph_budget=budget)
+    tables = grundy_tables(max_n, MoveRule.EVEN)
     crosschecks = 0
     for k in range(max_n + 1):
         expected = grundy_even_even(Graph(k))

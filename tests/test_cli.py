@@ -231,11 +231,24 @@ class TestVerify:
         assert code == 2
 
     def test_budget_exhaustion(self, capsys):
-        code, _, err = run_cli(
+        # the sweep takes no budget; an engine cross-check needs more than 50
+        code, out, err = run_cli(
+            capsys, "verify", "even-even", "--max-n", "7", "--budget", "50"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: even-even: node budget exhausted after 50 positions (budget 50); "
+            "retry with a larger budget\n"
+        )
+
+    def test_budget_counts_positions_not_swept_graphs(self, capsys):
+        # every engine solve fits in 100 positions; the 2,131,020 swept graphs
+        # are not counted against it
+        code, out, err = run_cli(
             capsys, "verify", "even-even", "--max-n", "7", "--budget", "100"
         )
-        assert code == 3
-        assert "budget" in err
+        assert (code, err) == (0, "")
+        assert out == "even-even: PASS (2131020 instances checked)\n"
 
     def test_budget_bounds_every_solve(self, capsys):
         # the sweep and the sample fit in 30, the 3x3 grid spot check does not
@@ -361,20 +374,6 @@ class TestCensus:
         assert code == 2
         assert out == "" and "got -1" in err
 
-    def test_budget_partial(self, capsys):
-        code, out, _ = run_cli(capsys, "census", "--max-n", "6", "--budget", "100")
-        assert code == 3
-        assert "PARTIAL" in out
-
-    def test_budget_admitting_no_level(self, capsys):
-        code, out, _ = run_cli(capsys, "census", "--max-n", "3", "--budget", "0")
-        assert code == 3
-        assert out == (
-            "grundy    n  edges      count\n"
-            "labeled graphs evaluated: 0 (no level fit the budget)\n"
-            "PARTIAL: budget stopped the census before n=0 of n<=3\n"
-        )
-
 
 @pytest.mark.parametrize(
     "argv,message",
@@ -387,12 +386,8 @@ class TestCensus:
             ("generate", "2", "-", "--budget", "-3"),
             "node budget must be nonnegative, got -3",
         ),
-        (
-            ("census", "--max-n", "3", "--budget", "-1"),
-            "graph budget must be nonnegative, got -1",
-        ),
     ],
-    ids=["verify", "generate", "census"],
+    ids=["verify", "generate"],
 )
 def test_negative_budget_is_a_usage_error(capsys, argv, message):
     # the library refuses a negative budget; the CLI only reports it
@@ -400,6 +395,28 @@ def test_negative_budget_is_a_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,accepted",
+    [
+        (("solve", None), True),
+        (("generate", "2", "-"), True),
+        (("verify", "nim-sum", "--count", "2"), True),
+        (("census", "--max-n", "3"), False),
+        (("convert", None), False),
+    ],
+    ids=["solve", "generate", "verify", "census", "convert"],
+)
+def test_budget_flag_contract(capsys, p4_file, argv, accepted):
+    # --budget counts positions, so only the commands that solve take it
+    argv = [p4_file if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--budget", "1000")
+    if accepted:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --budget 1000" in err
 
 
 def test_zero_budget_still_refuses_work(capsys, tmp_path):
@@ -487,7 +504,7 @@ class TestExitCodeOne:
         from vertexnim.solver import SolveReport
 
         monkeypatch.setattr(
-            cli_module, "grundy", lambda *a, **k: SolveReport(9, 1, 1, 0)
+            cli_module, "grundy", lambda *a, **k: SolveReport(9, 1, 0)
         )
         code, out, _ = run_cli(capsys, "solve", p4_file, "--verify")
         assert code == 1

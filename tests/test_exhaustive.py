@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 from collections import Counter
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from vertexnim import (
     MoveRule,
-    NodeBudgetExceeded,
     bipartite_table,
     census,
     from_edge_mask,
@@ -73,33 +73,10 @@ class TestGrundyTables:
         with pytest.raises(ValueError, match="from 0 to at most 7, got -3"):
             grundy_tables(-3)
 
-    def test_budget(self):
-        with pytest.raises(NodeBudgetExceeded):
-            grundy_tables(7, graph_budget=1000)
-
-    def test_negative_budget(self):
-        with pytest.raises(ValueError, match="nonnegative, got -1"):
-            grundy_tables(3, graph_budget=-1)
-
     @pytest.mark.parametrize("rule", ["odd", "even", 1, 0, None])
     def test_refuses_a_rule_that_is_not_a_move_rule(self, rule):
         with pytest.raises(ValueError, match="rule must be a MoveRule"):
             grundy_tables(3, rule)
-
-    def test_zero_budget_refuses_level_0(self):
-        with pytest.raises(NodeBudgetExceeded) as info:
-            grundy_tables(0, graph_budget=0)
-        assert (info.value.nodes_visited, info.value.node_budget) == (0, 0)
-
-    def test_budget_refuses_before_any_level(self, monkeypatch):
-        def never(k):
-            raise AssertionError("swept a level before refusing")
-
-        monkeypatch.setattr("vertexnim.exhaustive._level_tables", never)
-        with pytest.raises(NodeBudgetExceeded) as info:
-            grundy_tables(7, graph_budget=40_000)
-        # levels 0-6 fit, level 7's 2**21 graphs do not
-        assert info.value.nodes_visited == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
 
 
 class TestBipartiteTable:
@@ -166,20 +143,6 @@ class TestCensus:
         assert sum(r.count for r in report.rows) == report.graphs_evaluated
         assert report.graphs_evaluated == 1 + 1 + 2 + 8 + 64 + 1024
 
-    def test_budget_gives_partial_report(self):
-        report = census(7, graph_budget=2000)
-        assert report.partial
-        assert report.completed_n == 5
-        assert not report.minimal_examples.get(3)
-
-    def test_negative_budget(self):
-        with pytest.raises(ValueError, match="nonnegative, got -1"):
-            census(3, graph_budget=-1)
-
-    def test_zero_budget_is_an_empty_partial_report(self):
-        report = census(3, graph_budget=0)
-        assert (report.partial, report.completed_n, report.rows) == (True, -1, [])
-
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             census(8)
@@ -225,43 +188,21 @@ def counter_census(tables):
 @settings(max_examples=60, deadline=None)
 @given(value_tables())
 def test_tally_matches_a_counter_over_key_bytes(tables):
+    def stub(max_n, rule=MoveRule.ODD):
+        assert rule is MoveRule.ODD
+        return tables[: max_n + 1]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            "vertexnim.exhaustive.grundy_tables",
-            lambda max_n, graph_budget: tables[: max_n + 1],
-        )
+        patch.setattr("vertexnim.exhaustive.grundy_tables", stub)
         report = census(len(tables) - 1)
     rows = [((r.grundy, r.n, r.edge_count), r.count) for r in report.rows]
     assert (rows, report.minimal_examples) == counter_census(tables)
 
 
-def test_census_and_grundy_tables_agree_on_the_levels_that_fit(monkeypatch):
-    class Swept(Exception):
-        pass
-
-    def sweep_started(k):
-        raise Swept
-
-    def census_asks_for(max_n, graph_budget):
-        raise Swept(max_n)
-
-    # the refusal comes before any level, so a stubbed level never runs
-    monkeypatch.setattr("vertexnim.exhaustive._level_tables", sweep_started)
-    monkeypatch.setattr("vertexnim.exhaustive.grundy_tables", census_asks_for)
-    sizes = [2 ** math.comb(k, 2) for k in range(8)]
-    for budget in range(40_001):
-        try:
-            fit = census(7, graph_budget=budget).completed_n
-        except Swept as asked:
-            (fit,) = asked.args
-        if fit >= 0:
-            try:
-                grundy_tables(fit, graph_budget=budget)
-            except Swept:
-                pass
-        with pytest.raises(NodeBudgetExceeded) as info:
-            grundy_tables(fit + 1, graph_budget=budget)
-        assert info.value.nodes_visited == sum(sizes[: fit + 1]), budget
+def test_sweeps_take_no_budget():
+    # the range check bounds a sweep, so it counts no graphs against a budget
+    assert list(inspect.signature(grundy_tables).parameters) == ["max_n", "rule"]
+    assert list(inspect.signature(census).parameters) == ["max_n"]
 
 
 def test_paw_value_across_engines(odd_tables):

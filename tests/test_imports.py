@@ -1,5 +1,6 @@
-"""Every module-level import in the package's modules is used there, and
-every module-level private name is read somewhere in the package."""
+"""Every module-level import in the package's modules is used there, every
+module-level private name is read somewhere in the package, and the lower
+layers import only the layers below them."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,41 @@ def test_every_module_level_import_is_used():
         for name in unused_imports(path)
     }
     assert unused <= ALLOWED.keys()
+
+
+# module -> the package modules it may import: the graph layer stands alone,
+# and the exhaustive sweep, bounded by its range check, needs no solver
+LAYERS = {"graph": set(), "exhaustive": {"graph"}}
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that ``path`` imports anywhere in its body."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, [PACKAGE.name, module]))
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    prefix = PACKAGE.name + "."
+    return {name.split(".")[1] for name in names if name.startswith(prefix)}
+
+
+def test_lower_layers_import_only_the_layers_below():
+    imports = {module: package_imports(PACKAGE / f"{module}.py") for module in LAYERS}
+    assert imports == LAYERS
+
+
+def test_a_layer_violation_is_flagged(tmp_path):
+    path = tmp_path / "exhaustive.py"
+    path.write_text(
+        "from .graph import edge_slots\n\n\ndef f():\n"
+        "    from vertexnim.solver import grundy\n    from . import formats\n",
+        encoding="utf-8",
+    )
+    assert package_imports(path) == {"graph", "solver", "formats"}
 
 
 def private_definitions(tree: ast.Module) -> set:

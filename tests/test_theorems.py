@@ -268,8 +268,8 @@ class TestCheckSuites:
         ] == ["?", "@", "A?", "B?", "C?"]
 
     def test_bipartite_parity_reports_wrong_values_in_mask_order(self, monkeypatch):
-        def corrupted(max_n, rule, graph_budget):
-            tables = grundy_tables(max_n, rule, graph_budget=graph_budget)
+        def corrupted(max_n, rule):
+            tables = grundy_tables(max_n, rule)
             tables[4][3] = 2  # two edges at vertex 0: value 0
             tables[4][1] = 0  # one edge: value 1
             tables[3][7] = 1  # the triangle is not bipartite, so not checked
