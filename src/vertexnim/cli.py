@@ -83,13 +83,13 @@ def cmd_solve(args) -> CommandOutcome:
     memo = MemoTable(_budget(args))
     report = solve(g, rule, memo)
     value, move, method = report.grundy, report.optimal_move, report.method
-    nodes, distinct = report.nodes_visited, report.distinct_positions
+    nodes = report.nodes_visited
     fast = method != SEARCH_METHOD
 
     outcome = CommandOutcome()
     if fast and args.verify:
         check = grundy(g, rule, memo)
-        nodes, distinct = check.nodes_visited, check.distinct_positions
+        nodes = check.nodes_visited
         if check.grundy != value:
             outcome.exit_code = EXIT_CHECK_FAILED
             outcome.lines.append(
@@ -104,7 +104,7 @@ def cmd_solve(args) -> CommandOutcome:
             f"method: {method}",
             f"grundy: {value}",
             f"nodes visited: {nodes}",
-            f"distinct positions: {distinct}",
+            f"distinct positions: {nodes}",
         ]
     )
     terminal = g.full_position().is_terminal(rule)
@@ -126,7 +126,7 @@ def cmd_solve(args) -> CommandOutcome:
             "method": method,
             "grundy": value,
             "nodes_visited": nodes,
-            "distinct_positions": distinct,
+            "distinct_positions": nodes,
             "optimal_move": move,
             "terminal": terminal,
             "verified": bool(args.verify) if fast else None,

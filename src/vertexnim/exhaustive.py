@@ -21,7 +21,10 @@ previous level's table. Deleting ``v < r`` moves them by a fixed gather from
 one 64-byte segment of that table, a single ``bytes.translate``. The values
 of a row's children are OR-ed as presence bits through ``int.from_bytes``,
 and one more translate takes the mex, in the manner of bit-slicing (Biham,
-FSE 1997).
+FSE 1997). Every byte table that XORs a per-slot step into each mask, the
+degree parities, the row plan's parities and gather patterns, and the
+edge-count parities of the bipartite-parity check, comes from one doubling
+builder, :func:`_xor_doubled`.
 
 The census tallies a level the same way. Its value table becomes three bit
 planes and its edge counts up to five more, one big int each with bit ``m`` for
@@ -31,6 +34,7 @@ per (value, edge count), counted with ``int.bit_count``.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import comb
 
 from .graph import MoveRule, _check_rule, _slot_vector, edge_slots, from_edge_mask
@@ -69,37 +73,42 @@ def _xor_table(d: int) -> bytes:
     return bytes(x ^ d for x in range(256))
 
 
-def _degree_parities(n: int) -> bytes:
-    """Degree-parity vector of every edge mask on ``n`` vertices, one byte
-    each (bit ``v`` set when ``v`` has odd degree), built by doubling over
-    the slots."""
-    parity = b"\0"
-    for i, j in edge_slots(n):
-        parity += parity.translate(_xor_table(1 << i | 1 << j))
-    return parity
+def _xor_doubled(steps) -> bytes:
+    """Byte table over the masks of ``len(steps)`` slots: entry ``m`` is the
+    XOR of ``steps[s]`` over the slots ``s`` set in ``m``, built by doubling:
+    each slot appends a copy of the table so far, translated through
+    :func:`_xor_table` of its step."""
+    table = b"\0"
+    for step in steps:
+        table += table.translate(_xor_table(step))
+    return table
+
+
+def _degree_parities(slots) -> bytes:
+    """Degree-parity vector of every mask over the edge ``slots``, one byte
+    each (bit ``v`` set when ``v`` has odd degree)."""
+    return _xor_doubled([1 << i | 1 << j for i, j in slots])
 
 
 @lru_cache(maxsize=None)
 def _row_patterns(r: int):
-    """Gather patterns for a row over the slots among vertices ``0..r-1``,
-    built by doubling over those slots.
+    """Gather patterns for a row over the slots among vertices ``0..r-1``.
 
     ``patterns[v][q][lo]``: where the child of the low mask ``lo`` after
     deleting ``v`` lies in its segment, when ``v`` is movable under the odd
     rule with degree parity ``q`` outside the low slots, else the padding
     index :data:`_SEGMENT`. The even rule reads ``patterns[v][q ^ 1]``.
+    Each vertex's merged pattern byte is one :func:`_xor_doubled` table:
+    a slot at ``v`` steps bit 7, and ``v``'s other slots step the bits of
+    the child index in turn.
     """
-    merged = [b"\0"] * r
-    ranks = [0] * r
-    for i, j in edge_slots(r):
-        for v in range(r):
-            if v == i or v == j:
-                step = 0x80
-            else:
-                step = 1 << ranks[v]
-                ranks[v] += 1
-            merged[v] += merged[v].translate(_xor_table(step))
-    return tuple(tuple(m.translate(g) for g in _GATHER) for m in merged)
+    slots = edge_slots(r)
+    patterns = []
+    for v in range(r):
+        rank = count()
+        merged = _xor_doubled([0x80 if v in pair else 1 << next(rank) for pair in slots])
+        patterns.append(tuple(merged.translate(g) for g in _GATHER))
+    return tuple(patterns)
 
 
 @lru_cache(maxsize=16)
@@ -110,21 +119,18 @@ def _level_tables(k: int):
     ``patterns`` is :func:`_row_patterns` of ``r = min(k, 5)``. Row ``t``
     holds the masks ``t << C(r, 2) | lo``, so ``t`` holds the high slots,
     those past the low ``C(r, 2)``. ``tops[t]``: the degree-parity vector
-    of all ``k`` vertices in ``t``.
-    ``offsets[v][t]``: where the children of row ``t`` after deleting ``v``
-    start in the previous level's table, a segment for ``v < r`` and a
-    whole row for ``v >= r``. Both are built by doubling over the high
-    slots.
+    of all ``k`` vertices in ``t``, the :func:`_degree_parities` of the high
+    slots. ``offsets[v][t]``: where the children of row ``t`` after deleting
+    ``v`` start in the previous level's table, a segment for ``v < r`` and a
+    whole row for ``v >= r``, built by doubling over the high slots.
     """
     r = min(k, _ROW_VERTICES)
     low = comb(r, 2)
-    patterns = _row_patterns(r)
-    tops = [0]
+    high = edge_slots(k)[low:]
     offsets = [[0] for _ in range(k)]
     # a child's next high slot adds one segment or one row to its offset
     steps = [1 << comb(max(r - 1, 0), 2)] * r + [1 << low] * (k - r)
-    for i, j in edge_slots(k)[low:]:
-        tops += [top ^ (1 << i | 1 << j) for top in tops]
+    for i, j in high:
         for v, offs in enumerate(offsets):
             if v == i or v == j:
                 offs += offs
@@ -132,7 +138,7 @@ def _level_tables(k: int):
                 step = steps[v]
                 offs += [o + step for o in offs]
                 steps[v] = 2 * step
-    return patterns, tuple(tops), tuple(map(tuple, offsets))
+    return _row_patterns(r), _degree_parities(high), tuple(map(tuple, offsets))
 
 
 def _check_sweep_range(caller: str, max_n: int, name: str = "max_n") -> None:
@@ -188,12 +194,6 @@ def _drop_slots(marked: int, vectors) -> int:
     return marked
 
 
-# slots 0-2 select a bit within a byte of the bit vector, so their closure
-# is one translate of its bytes: the closure of all 256 bytes side by side
-_CLOSE_IN_BYTE = _drop_slots(
-    int.from_bytes(bytes(range(256)), "little"),
-    [(s, _slot_vector(s, 8 * 256)) for s in range(3)],
-).to_bytes(256, "little")
 # _MOVE_BIT[p][b] keeps bit p of a byte and moves it to bit b: runs of 2**p
 # zeros and 2**p bytes 1 << b
 _MOVE_BIT = tuple(
@@ -204,7 +204,6 @@ _MOVE_BIT = tuple(
 # no object but the flags themselves grows with the level: at n = 7 one
 # 256 KB vector raises the process's peak memory by about 0.45 MB.
 _PIECE_SLOTS = 15
-_INCREMENT = bytes(range(1, 256)) + b"\0"
 
 
 def bipartite_table(n: int) -> bytearray:
@@ -213,8 +212,8 @@ def bipartite_table(n: int) -> bytearray:
     A graph is bipartite when all its edges cross one cut, so the flags are
     the downward closure of the cuts' crossing masks. A cut and its
     complement cross the same edges, so the cuts with vertex ``n - 1`` on
-    side 0 suffice. The closure works on one bit per edge mask
-    (:func:`_drop_slots`): within each piece of ``2**15`` masks for the low
+    side 0 suffice. The closure works on one bit per edge mask: slot shifts
+    (:func:`_drop_slots`) inside each piece of ``2**15`` masks for the low
     slots, then piece into piece for the slots above. Independent of the
     breadth-first coloring in :meth:`Graph.bipartition`, which makes the two
     usable as cross-checks.
@@ -230,7 +229,7 @@ def bipartite_table(n: int) -> bytearray:
             if (cut >> i ^ cut >> j) & 1:
                 crossing |= 1 << s
         pieces[crossing >> low] |= 1 << (crossing & (1 << low) - 1)
-    vectors = [(s, _slot_vector(s, 1 << low)) for s in range(3, low)]
+    vectors = [(s, _slot_vector(s, 1 << low)) for s in range(low)]
     pieces = [_drop_slots(piece, vectors) for piece in pieces]
     for s in range(len(pieces).bit_length() - 1):
         for p in range(len(pieces)):
@@ -240,7 +239,7 @@ def bipartite_table(n: int) -> bytearray:
     flags = bytearray(max(size, 8))
     step = max(1 << low, 8)
     for p in range(len(pieces)):
-        block = pieces[p].to_bytes(step // 8, "little").translate(_CLOSE_IN_BYTE)
+        block = pieces[p].to_bytes(step // 8, "little")
         pieces[p] = None
         for b in range(8):
             flags[p * step + b : (p + 1) * step : 8] = block.translate(_MOVE_BIT[b][0])
@@ -277,15 +276,6 @@ def _edge_count_planes(k: int) -> list:
         if carry:
             planes.append(carry)
     return planes
-
-
-def _edge_counts(k: int) -> bytes:
-    """Edge count of every edge mask on ``k`` vertices, one byte each,
-    built by doubling over the slots."""
-    counts = b"\0"
-    for _ in range(comb(k, 2)):
-        counts += counts.translate(_INCREMENT)
-    return counts
 
 
 @dataclass(frozen=True)

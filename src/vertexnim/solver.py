@@ -72,6 +72,12 @@ LATTICE_MAX_N = 18
 LATTICE_MIN_N = 8
 
 
+def _check_budget(node_budget: int) -> None:
+    """Refuse a negative node budget with ``ValueError``."""
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
+
+
 class MemoTable:
     """Cache of Grundy values for positions of one host graph and rule.
 
@@ -87,8 +93,7 @@ class MemoTable:
     __slots__ = ("entries", "lattices", "nodes_visited", "node_budget", "graph", "rule")
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
-        if node_budget < 0:
-            raise ValueError(f"node budget must be nonnegative, got {node_budget}")
+        _check_budget(node_budget)
         self.entries: dict = {}
         self.lattices: dict = {}
         self.nodes_visited = 0
@@ -277,7 +282,8 @@ class SolveReport:
     @property
     def distinct_positions(self) -> int:
         """Positions the memo gained in the solve, which is always
-        ``nodes_visited``; read by the CLI's ``distinct positions`` output."""
+        ``nodes_visited``; kept for readers of the old field, such as
+        perfbench's ``spans.describe``."""
         return self.nodes_visited
 
 

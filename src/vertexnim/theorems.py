@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import compress
 
 from .exhaustive import SWEEP_MAX_N, _bit_planes, _check_sweep_range, _degree_parities
-from .exhaustive import _edge_counts, bipartite_table, grundy_tables
+from .exhaustive import _xor_doubled, bipartite_table, grundy_tables
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -38,6 +38,7 @@ from .solver import (
     SEARCH_METHOD,
     MemoTable,
     NodeBudgetExceeded,
+    _check_budget,
     grundy_even_even,
     grundy_value,
     mex,
@@ -281,11 +282,12 @@ def check_bipartite_parity(
     some byte under a flag exactly when some bipartite mask fails; only then
     are the masks walked, in ascending order. Each level's strided instances
     (:func:`_strided`) are re-solved with the per-graph engine. ``budget``
-    bounds each per-graph engine solve; the sweep takes none, as its range
-    check bounds it.
+    bounds each per-graph engine solve, and a negative one is refused before
+    any work; the sweep takes none, as its range check bounds it.
     """
     _check_sweep_range("bipartite-parity", max_n)
     _check_scale("bipartite-parity", "count", count, 1)
+    _check_budget(budget)
     sweep = {"max_n": max_n}
     terminal = {"max_n": max_n, "check": "terminal-edge-parity"}
     sample = {"count": count, "max_n": FAST_PATH_MAX_N, "seed": seed, "check": "fast-path"}
@@ -298,7 +300,7 @@ def check_bipartite_parity(
     for k in range(max_n + 1):
         flags = bipartite_table(k)
         table = tables[k]
-        parity = _edge_counts(k).translate(_LOW_BIT)
+        parity = _xor_doubled([1] * len(edge_slots(k)))
         differ = int.from_bytes(table, "little") ^ int.from_bytes(parity, "little")
         # flags are 0/1 bytes, so 255 times them is 0xFF under each flag
         if differ & int.from_bytes(flags, "little") * 255:
@@ -371,10 +373,6 @@ def _nth_bit(x: int, rank: int) -> int:
             index += half
             width -= half
     return index
-
-
-# an edge count's parity
-_LOW_BIT = bytes(x & 1 for x in range(256))
 
 
 def _terminal_sweep(k: int, bipartite: int):
@@ -540,9 +538,10 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
 
     Both sides are read off edge masks, without a graph per instance.
     "Terminal" means every degree is even, read off degree-parity vectors:
-    for full alive sets a table of them built by doubling over the slots
-    (:func:`~vertexnim.exhaustive._degree_parities`), translated to one flag
-    per mask, and the search engine's deletion update
+    for full alive sets the sweep's own table of them
+    (:func:`~vertexnim.exhaustive._degree_parities`, which also gives the
+    row plan its top parities), translated to one flag per mask, and the
+    search engine's deletion update
     ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
     the cycle space of K_n (:func:`_cycle_space`), and every member with
     edges that is checked as a full position is certified by closed
@@ -581,7 +580,7 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
 
     for n in range(max_n + 1):
         flags = spaces[n]
-        terminals = _degree_parities(n).translate(_EMPTY)
+        terminals = _degree_parities(edge_slots(n)).translate(_EMPTY)
         full = (1 << n) - 1
         if terminals != flags:
             for mask, (t, e) in enumerate(zip(terminals, flags)):
@@ -640,9 +639,10 @@ def check_even_even(
     """The even-rule engine value equals the vertex-count parity for every
     labeled graph up to ``max_n`` vertices; each level's strided instances
     (:func:`_strided`) are re-solved with the per-graph engine, each within
-    ``budget`` positions. The sweep takes no budget; its range check bounds
-    it."""
+    ``budget`` positions; a negative budget is refused before any work. The
+    sweep takes no budget; its range check bounds it."""
     _check_sweep_range("even-even", max_n)
+    _check_budget(budget)
     result = TheoremCheckResult(TheoremId.EVEN_EVEN, scale={"max_n": max_n})
     tables = grundy_tables(max_n, MoveRule.EVEN)
     crosschecks = 0

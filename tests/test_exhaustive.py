@@ -16,7 +16,7 @@ from vertexnim import (
     grundy_value,
     to_graph6,
 )
-from vertexnim.exhaustive import _SEGMENT, _degree_parities, _level_tables
+from vertexnim.exhaustive import _SEGMENT, _degree_parities, _level_tables, _xor_doubled
 from vertexnim.graph import edge_slots
 
 # derived by the sweep itself and double-checked against the per-graph
@@ -293,23 +293,38 @@ def degree_parities(k: int, mask: int) -> int:
     return vector
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8))
+def test_xor_doubled_xors_the_steps_of_each_slot(steps):
+    table = _xor_doubled(steps)
+    assert len(table) == 2 ** len(steps)
+    for mask in range(2 ** len(steps)):
+        expected = 0
+        for s, step in enumerate(steps):
+            if mask >> s & 1:
+                expected ^= step
+        assert table[mask] == expected, (steps, mask)
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_row_plan_matches_a_per_mask_extract(k):
     """Every mask of levels 0-5, and a sample of levels 6 and 7: the
     degree-parity table and the row plan's parity vectors, gather patterns
     and offsets give each child's index, and a padding index where the
     vertex is not movable."""
-    parities = _degree_parities(k)
+    parities = _degree_parities(edge_slots(k))
+    edge_parities = _xor_doubled([1] * math.comb(k, 2))
     patterns, tops, offsets = _level_tables(k)
     r = len(patterns)
     assert r == min(k, 5)
-    parity = _degree_parities(r)
+    parity = _degree_parities(edge_slots(r))
     row = len(parity)
     assert row == 2 ** math.comb(r, 2) and len(tops) * row == 2 ** math.comb(k, 2)
     for mask in range(0, 2 ** math.comb(k, 2), 1 if k <= 5 else 997):
         t, lo = divmod(mask, row)
         odd = degree_parities(k, mask)
         assert parities[mask] == odd, (k, mask)
+        assert edge_parities[mask] == bin(mask).count("1") & 1, (k, mask)
         assert parity[lo] ^ tops[t] == odd, (k, mask)
         for v in range(k):
             child = pext_child(k, mask, v)

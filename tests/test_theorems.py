@@ -236,6 +236,19 @@ def test_every_sweep_refuses_a_bad_max_n_before_any_work(
         sweep(max_n)
 
 
+@pytest.mark.parametrize("sweep", [check_even_even, check_bipartite_parity])
+def test_sweeping_suites_refuse_a_negative_budget_before_any_work(sweep, monkeypatch):
+    def never(*args):
+        raise AssertionError("built a table before refusing")
+
+    for builder in ("exhaustive.edge_slots", "exhaustive._level_tables"):
+        monkeypatch.setattr(f"vertexnim.{builder}", never)
+    for builder in ("_degree_parities", "bipartite_table", "_cycle_space"):
+        monkeypatch.setattr(f"vertexnim.theorems.{builder}", never)
+    with pytest.raises(ValueError, match="^node budget must be nonnegative, got -1$"):
+        sweep(budget=-1)
+
+
 class TestCheckSuites:
     def test_closed_forms_small(self):
         result = check_closed_forms(max_n=6)
