@@ -73,14 +73,10 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _budget(args) -> int:
-    return args.budget if args.budget is not None else DEFAULT_NODE_BUDGET
-
-
 def cmd_solve(args) -> CommandOutcome:
     g = load_graph(_read_text(args.graph))
     rule = MoveRule.ODD if args.rule == "odd" else MoveRule.EVEN
-    memo = MemoTable(_budget(args))
+    memo = MemoTable(args.budget)
     report = solve(g, rule, memo)
     value, move, method = report.grundy, report.optimal_move, report.method
     nodes = report.nodes_visited
@@ -136,7 +132,7 @@ def cmd_solve(args) -> CommandOutcome:
 
 
 def cmd_generate(args) -> CommandOutcome:
-    w = witness(args.k, node_budget=_budget(args))
+    w = witness(args.k, node_budget=args.budget)
     record = witness_record(w)
     record["command"] = "generate"
     text = serialize_graph(w.graph)
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check any fast path against brute force",
     )
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=cmd_solve, budget=DEFAULT_NODE_BUDGET)
 
     generate = sub.add_parser(
         "generate", help="construct a certified witness of a given Grundy value"
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "out", help="output path for the edge list, or - for standard output"
     )
-    generate.set_defaults(func=cmd_generate)
+    generate.set_defaults(func=cmd_generate, budget=DEFAULT_NODE_BUDGET)
 
     verify = sub.add_parser("verify", help="run a theorem verification suite")
     verify.add_argument("theorem", choices=[t.value for t in TheoremId])
@@ -308,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--out", default="-")
     convert.set_defaults(func=cmd_convert)
 
+    # verify's default stays None, so a suite that takes no budget refuses it
     for p in (solve, generate, verify):
         p.add_argument("--budget", type=int, help="positions each solve may visit")
     for p in (solve, generate, verify, census_cmd, convert):

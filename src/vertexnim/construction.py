@@ -71,7 +71,6 @@ class ConstructionRecipe:
     attachments and the apex clique are all computed from ``parts``.
     """
 
-    k: int
     parts: tuple
 
     @property
@@ -139,8 +138,7 @@ def construct_next(parts) -> Witness:
     if K % 2 == 0:
         indexed.insert(0, (-1, path_graph(3)))
     recipe = ConstructionRecipe(
-        k=K + 1,
-        parts=tuple(RecipePart(idx, g, max(idx, 0)) for idx, g in indexed),
+        tuple(RecipePart(idx, g, max(idx, 0)) for idx, g in indexed)
     )
     edges = []
     for p, offset, apex in recipe.placed():

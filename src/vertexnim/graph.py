@@ -258,21 +258,24 @@ class Position:
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Graph for an edge-mask encoding (see module docstring)."""
+    """Graph for an edge-mask encoding (see module docstring), decoded column
+    by column as :func:`to_edge_mask` encodes it."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if mask < 0:
         raise ValueError(f"edge mask must be nonnegative, got {mask:#x}")
-    slots = edge_slots(n)
-    if mask >> len(slots):
+    if mask >> n * (n - 1) // 2:
         raise ValueError(f"edge mask {mask:#x} too large for n={n}")
     rows = [0] * n
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        i, j = slots[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
+    for j in range(1, n):
+        # column j holds j's lower neighbours; later columns add its higher ones
+        bit = 1 << j
+        column = rows[j] = mask & bit - 1
+        mask >>= j
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= bit
+            column ^= low
     return Graph._from_adj(n, tuple(rows))
 
 

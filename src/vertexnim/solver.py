@@ -20,12 +20,12 @@ has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a movable vertex and
 ``2**k`` nodes left in the budget goes straight to :func:`lattice_values`,
 which values every subset of it at once, bit-sliced over its subset lattice
 one slab of ``2**12`` subsets at a time; the memo keeps the result as a
-:class:`Lattice`, so later solves read any subset's value as one bit, and a
-search on a memo that already holds lattices reads them too. Any other
-component is searched. A lattice costs one kernel run, where a search of a
-dense component visits many times ``2**k / 64`` nodes (the kernel's measured
-cost in search nodes); only a path-like component, whose search visits few
-positions, is slower this way.
+:class:`Lattice`, so later solves read any subset's value as one bit, its
+index remapped run by run, and a search on a memo that holds lattices reads
+them too. Any other component is searched. A lattice costs one kernel run,
+where a search of a dense component visits many times ``2**k / 64`` nodes
+(the kernel's measured cost in search nodes); only a path-like component,
+whose search visits few positions, is slower this way.
 """
 
 import sys
@@ -225,34 +225,32 @@ class Lattice:
     """Every subset's value of one component, one bit per subset and value.
 
     Local subset ``m`` holds the component's ``i``-th lowest vertex when bit
-    ``i`` of ``m`` is set. A component of consecutive vertices, such as the
-    root of any connected graph, maps a subset to ``m`` with one shift;
-    another walks its bits through ``local``. The value sets are kept as
-    bytes, so a read is one byte lookup per value, whatever ``k``.
+    ``i`` of ``m`` is set. A subset maps to ``m`` one run of consecutive
+    vertices at a time: ``runs`` holds each run's lowest vertex, bits shifted
+    down and first local bit, so the root of a connected graph is one run.
+    The value sets are bytes, so a read is one byte lookup per value.
     """
 
-    __slots__ = ("mask", "shift", "local", "values")
+    __slots__ = ("mask", "runs", "values")
 
     def __init__(self, mask: int, rows: dict, even: bool):
         self.mask = mask
-        low = mask & -mask
-        self.shift = low.bit_length() - 1
-        # adding its lowest bit carries through a run of consecutive bits
-        self.local = None if mask + low & mask == 0 else {
-            1 << v: 1 << i for i, v in enumerate(iter_bits(mask))
-        }
+        self.runs = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            # adding its lowest bit carries through the lowest run
+            run = rest ^ (rest & rest + low)
+            shift = low.bit_length() - 1
+            self.runs.append((shift, run >> shift, (mask & low - 1).bit_count()))
+            rest ^= run
         local_rows = [self._index(rows[1 << v] & mask) for v in iter_bits(mask)]
         self.values = lattice_values(local_rows, even)
 
     def _index(self, mask: int) -> int:
-        local = self.local
-        if local is None:
-            return mask >> self.shift
         m = 0
-        while mask:
-            low = mask & -mask
-            m |= local[low]
-            mask ^= low
+        for shift, bits, start in self.runs:
+            m |= (mask >> shift & bits) << start
         return m
 
     def value(self, mask: int) -> int:

@@ -225,6 +225,17 @@ def _check_scale(suite: str, name: str, value: int, least: int) -> None:
         raise ValueError(f"{suite}: {name} must be at least {least}, got {value}")
 
 
+def _engine_crosscheck(result, k: int, masks, table: bytes, rule, budget: int) -> int:
+    """Re-solve each edge mask on ``k`` vertices with the per-graph engine
+    within ``budget``, fail where it differs from ``table``; return the count."""
+    for mask in masks:
+        g = from_edge_mask(k, mask)
+        direct = grundy_value(g, rule=rule, memo=MemoTable(budget))
+        if direct != table[mask]:
+            result.fail(g, table[mask], direct, "sweep vs per-graph engine")
+    return len(masks)
+
+
 def _strided(count: int, start: int = 0) -> range:
     """The ranks ``r < count`` of a level's instances ``start + r`` that are
     cross-checked: those whose rank within the level is a multiple of
@@ -311,13 +322,8 @@ def check_bipartite_parity(
         levels.append(bipartite)
         graphs = bipartite.bit_count()
         result.instances_checked += graphs
-        checked = [_nth_bit(bipartite, rank) for rank in _strided(graphs)]
-        crosschecks += len(checked)
-        for mask in checked:
-            g = from_edge_mask(k, mask)
-            direct = grundy_value(g, memo=MemoTable(budget))
-            if direct != table[mask]:
-                result.fail(g, table[mask], direct, "sweep vs per-graph engine")
+        masks = [_nth_bit(bipartite, rank) for rank in _strided(graphs)]
+        crosschecks += _engine_crosscheck(result, k, masks, table, MoveRule.ODD, budget)
     for rows, cols in ((2, 2), (2, 3), (3, 3)):
         g = grid_graph(rows, cols)
         got = grundy_value(g, memo=MemoTable(budget))
@@ -655,13 +661,9 @@ def check_even_even(
             for mask, got in enumerate(table):
                 if got != expected:
                     result.fail(from_edge_mask(k, mask), expected, got)
-        checked = _strided(size)
-        crosschecks += len(checked)
-        for mask in checked:
-            g = from_edge_mask(k, mask)
-            direct = grundy_value(g, MoveRule.EVEN, MemoTable(budget))
-            if direct != table[mask]:
-                result.fail(g, table[mask], direct, "sweep vs per-graph engine")
+        crosschecks += _engine_crosscheck(
+            result, k, _strided(size), table, MoveRule.EVEN, budget
+        )
     result.scale["engine_crosschecks"] = crosschecks
     return result
 

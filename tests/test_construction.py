@@ -217,7 +217,7 @@ class TestRecipe:
 
     def test_records_only_its_parts(self):
         recipe = witness(3).recipe
-        assert [f.name for f in dataclasses.fields(recipe)] == ["k", "parts"]
+        assert [f.name for f in dataclasses.fields(recipe)] == ["parts"]
 
 
 class TestWitnessRecord:

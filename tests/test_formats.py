@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,8 @@ from vertexnim import (
     Graph,
     GraphFormatError,
     complete_graph,
+    edge_slots,
+    from_edge_mask,
     from_graph6,
     load_graph,
     parse_graph,
@@ -170,6 +173,18 @@ class TestGraph6:
     @given(graphs(max_n=8))
     def test_round_trip(self, g):
         assert from_graph6(to_graph6(g)) == g
+
+    def test_large_decodes_leave_nothing_cached(self):
+        rng = random.Random(255)
+        strings = [
+            to_graph6(from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+            for n in range(200, 256)
+        ]
+        # building the strings may have cached these sizes' slot tables
+        edge_slots.cache_clear()
+        for s in strings:
+            from_graph6(s)
+        assert edge_slots.cache_info().currsize == 0
 
 
 class TestGraph6Interop:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -281,6 +282,18 @@ def test_handshake_parity(p):
 @given(graphs(max_n=7))
 def test_edge_mask_round_trip(g):
     assert from_edge_mask(g.n, to_edge_mask(g)) == g
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 200, 255])
+def test_edge_mask_round_trip_seeded(n, p):
+    # edge (i, j), i < j, is slot j(j-1)/2 + i
+    rng = random.Random(f"{n} {p}")
+    edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+    g = Graph(n, edges)
+    mask = sum(1 << j * (j - 1) // 2 + i for i, j in edges)
+    assert to_edge_mask(g) == mask
+    assert from_edge_mask(n, mask) == g
 
 
 def test_iter_bits_refuses_a_negative_mask():

@@ -39,8 +39,15 @@ def test_every_module_level_import_is_used():
 
 
 # module -> the package modules it may import: the graph layer stands alone,
-# and the exhaustive sweep, bounded by its range check, needs no solver
-LAYERS = {"graph": set(), "exhaustive": {"graph"}}
+# the exhaustive sweep, bounded by its range check, needs no solver, and the
+# solver, the formats and the graph families need only the graph layer
+LAYERS = {
+    "graph": set(),
+    "exhaustive": {"graph"},
+    "solver": {"graph"},
+    "formats": {"graph"},
+    "families": {"graph"},
+}
 
 
 def package_imports(path: Path) -> set:

@@ -697,9 +697,9 @@ def spread_mask(m, stride, offset=0):
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
 def test_lattice_index_paths_agree(rule):
     # one 9-vertex graph placed three ways in larger hosts: at vertices
-    # 0..8, at 5..13 (both consecutive, read by a shift) and at the even
-    # vertices 0, 2, ..., 16 (read by a walk over its bits); the other host
-    # vertices have edges into it, which its rows must mask out
+    # 0..8, at 5..13 (both consecutive, one run) and at the even vertices
+    # 0, 2, ..., 16 (nine runs of one vertex); the other host vertices have
+    # edges into it, which its rows must mask out
     g = random_graph(random.Random(21), 9)
     even = rule is MoveRule.EVEN
     table = naive_subset_table(g, rule)
@@ -714,8 +714,9 @@ def test_lattice_index_paths_agree(rule):
         return Lattice(mask, {1 << v: row for v, row in enumerate(host.adj)}, even)
 
     compact, shifted, spread = placed(1, 0, 9), placed(1, 5, 20), placed(2, 0, 18)
-    assert compact.local is None and shifted.local is None
-    assert spread.local is not None
+    assert compact.runs == [(0, (1 << 9) - 1, 0)]
+    assert shifted.runs == [(5, (1 << 9) - 1, 0)]
+    assert spread.runs == [(2 * i, 1, i) for i in range(9)]
     for m in range(1 << 9):
         assert compact.value(m) == table[m]
         assert shifted.value(spread_mask(m, 1, 5)) == table[m]
