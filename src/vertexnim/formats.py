@@ -117,6 +117,8 @@ def serialize_graph(g: Graph) -> str:
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
+# each graph6 body character to its six bits, high bit first, for str.translate
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 def to_graph6(g: Graph) -> str:
@@ -177,7 +179,7 @@ def from_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(body)} characters, expected {expected} for n={n}"
         )
-    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    bits = body.translate(_G6_BITS)
     if "1" in bits[nslots:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
     return from_edge_mask(n, int(bits[:nslots][::-1] or "0", 2))

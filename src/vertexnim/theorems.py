@@ -10,7 +10,7 @@ import enum
 import inspect
 import random
 from dataclasses import asdict, dataclass, field
-from itertools import compress
+from itertools import compress, groupby
 
 from .exhaustive import SWEEP_MAX_N, _bit_planes, _check_sweep_range, _degree_parities
 from .exhaustive import _xor_doubled, bipartite_table, grundy_tables
@@ -381,6 +381,19 @@ def _nth_bit(x: int, rank: int) -> int:
     return index
 
 
+def _slot_vectors(k: int) -> tuple:
+    """The slot vectors over every edge mask on ``k`` vertices
+    (:func:`~vertexnim.graph._slot_vector`), and the same by endpoints:
+    ``between[u][v]`` marks the graphs holding edge uv, none for u == v."""
+    slots = edge_slots(k)
+    size = 1 << len(slots)
+    vectors = [_slot_vector(s, size) for s in range(len(slots))]
+    between = [[0] * k for _ in range(k)]
+    for (i, j), vector in zip(slots, vectors):
+        between[i][j] = between[j][i] = vector
+    return vectors, between
+
+
 def _terminal_sweep(k: int, bipartite: int):
     """Every reachable terminal position of every bipartite graph on ``k``
     vertices, bit-sliced over edge masks: one big-int bit per labeled graph,
@@ -398,12 +411,7 @@ def _terminal_sweep(k: int, bipartite: int):
     ``alive``.
     """
     slots = edge_slots(k)
-    size = 1 << len(slots)
-    vectors = [_slot_vector(s, size) for s in range(len(slots))]
-    # between[u][v]: the graphs holding edge uv (none for u == v)
-    between = [[0] * k for _ in range(k)]
-    for (i, j), vector in zip(slots, vectors):
-        between[i][j] = between[j][i] = vector
+    vectors, between = _slot_vectors(k)
     full = (1 << k) - 1
     reach = {full: bipartite}
     for alive in range(full, -1, -1):
@@ -538,30 +546,79 @@ def _covers_once(mask: int, trails: list) -> bool:
     return used == mask
 
 
+def _alive_subsets(n: int, flags):
+    """Every alive set on ``n`` vertices with its terminal and Eulerian sets,
+    bit-sliced over edge masks: bit ``m`` of each says that the position of
+    edge mask ``m`` restricted to ``alive`` is terminal under the odd rule, or
+    that its edges there lie in the cycle space given by ``flags``.
+
+    Terminal follows the search engine's deletion update
+    ``(odd ^ adj[dead]) & alive`` on bit planes: plane ``v`` of an alive set
+    marks the graphs where ``v`` has odd degree inside it. The full set's
+    planes are split from every host graph's
+    :meth:`~vertexnim.graph.Graph.odd_degree_vertices`; removing the lowest
+    dead vertex ``d`` XORs the slot vector of ``vd`` into each alive ``v``'s
+    plane, and the terminal graphs are those where no plane is set. The walk
+    is depth first, so a parent's planes are freed once its children are
+    stacked. Eulerian keeps the cycle-space masks that lie inside the alive
+    set's slots, then spreads each over every choice of the slots outside.
+    Yields ``(alive, terminal, eulerian)``.
+    """
+    slots = edge_slots(n)
+    vectors, between = _slot_vectors(n)
+    graphs = (1 << len(flags)) - 1
+    cycles = _bit_planes(flags, 1)[0]
+    odd = bytes(from_edge_mask(n, m).odd_degree_vertices() for m in range(len(flags)))
+    stack = [((1 << n) - 1, _bit_planes(odd, n))]
+    while stack:
+        alive, planes = stack.pop()
+        movable = 0
+        for plane in planes:
+            movable |= plane
+        eulerian = cycles
+        for s, (i, j) in enumerate(slots):
+            if not alive >> i & alive >> j & 1:
+                eulerian ^= eulerian & vectors[s]
+                eulerian |= eulerian << (1 << s)
+        yield alive, graphs ^ movable, eulerian
+        # the children whose lowest dead vertex is d: every d below alive's own
+        for d in range((~alive & (alive + 1)).bit_length() - 1):
+            child = alive ^ 1 << d
+            step = [
+                plane ^ between[v][d] if child >> v & 1 else 0
+                for v, plane in enumerate(planes)
+            ]
+            stack.append((child, step))
+
+
 def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     """A position is terminal under the odd rule exactly when every component
     is Eulerian, on every graph up to ``max_n`` vertices.
 
-    Both sides are read off edge masks, without a graph per instance.
-    "Terminal" means every degree is even, read off degree-parity vectors:
-    for full alive sets the sweep's own table of them
+    Both sides are read off edge masks; a graph is built only for each host
+    graph of the every-alive-subset part, each strided instance and each
+    failure. "Terminal" means every degree is even, read off degree-parity
+    vectors: for full alive sets the sweep's own table of them
     (:func:`~vertexnim.exhaustive._degree_parities`, which also gives the
-    row plan its top parities), translated to one flag per mask, and the
-    search engine's deletion update
-    ``(odd ^ adj[v]) & child`` for smaller ones. "Eulerian" is membership in
-    the cycle space of K_n (:func:`_cycle_space`), and every member with
-    edges that is checked as a full position is certified by closed
-    Hierholzer trails that use each edge once. Each level's strided instances
-    (:func:`_strided`; in the every-alive-subset part a level's instances run
-    by edge mask, then alive set) are also checked through
-    :meth:`Position.is_terminal` and :meth:`Position.has_eulerian_components`.
+    row plan its top parities), translated to one flag per mask. "Eulerian"
+    is membership in the cycle space of K_n (:func:`_cycle_space`), and every
+    member with edges that is checked as a full position is certified by
+    closed Hierholzer trails that use each edge once.
 
     Full alive sets are checked for every labeled graph; positions with dead
     vertices relabel to smaller enumerated graphs, and are additionally
     checked directly for every alive subset up to
     :data:`EULER_ALL_SUBSETS_MAX_N` vertices. That part does not shrink with
     ``max_n``: at ``max_n=3`` it still checks every alive subset of every
-    graph on up to 5 vertices.
+    graph on up to 5 vertices. It is bit-sliced over edge masks
+    (:func:`_alive_subsets`): each side is one big int per alive set, and one
+    XOR compares them.
+
+    Each level's strided instances (:func:`_strided`; in the every-alive-subset
+    part a level's instances run by edge mask, then alive set) are also
+    checked through :meth:`Position.is_terminal` and
+    :meth:`Position.has_eulerian_components`. Failures come by host graph,
+    then by alive set, each graph's Position API failures last.
     """
     _check_sweep_range("euler-terminal", max_n)
     result = TheoremCheckResult(
@@ -613,28 +670,23 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
 
     for n in range(EULER_ALL_SUBSETS_MAX_N + 1):
         flags = spaces[n]
-        full = (1 << n) - 1
-        slots = edge_slots(n)
-        inside = [
-            sum(1 << s for s, (i, j) in enumerate(slots) if alive >> i & alive >> j & 1)
-            for alive in range(full + 1)
+        subsets = 1 << n
+        sets = {alive: (t, e) for alive, t, e in _alive_subsets(n, flags)}
+        found = [
+            (mask, False, alive)
+            for alive, (terminal, eulerian) in sets.items()
+            for mask in iter_bits(terminal ^ eulerian)
         ]
-        for mask in range(len(flags)):
+        for rank in _strided(len(flags) * subsets):
+            mask, alive = divmod(rank, subsets)
+            found.append((mask, True, alive))
+        # a host graph's mismatches by alive set, then its Position API checks
+        for mask, rows in groupby(sorted(found), key=lambda row: row[0]):
             g = from_edge_mask(n, mask)
-            adj = g.adj
-            odd = [0] * (full + 1)
-            odd[full] = g.odd_degree_vertices()
-            for alive in range(full - 1, -1, -1):
-                dead = ~alive & (alive + 1)
-                odd[alive] = (odd[alive | dead] ^ adj[dead.bit_length() - 1]) & alive
-            for alive in range(full + 1):
-                terminal = not odd[alive]
-                eulerian = flags[mask & inside[alive]] == 1
-                if terminal != eulerian:
-                    mismatch(g, alive, terminal, eulerian)
-            for alive in _strided(full + 1, mask * (full + 1)):
-                crosscheck(g, alive, not odd[alive], flags[mask & inside[alive]] == 1)
-        result.instances_checked += len(flags) * (full + 1)
+            for _, api, alive in rows:
+                terminal, eulerian = (bits >> mask & 1 == 1 for bits in sets[alive])
+                (crosscheck if api else mismatch)(g, alive, terminal, eulerian)
+        result.instances_checked += len(flags) * subsets
     return result
 
 

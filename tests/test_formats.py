@@ -174,6 +174,37 @@ class TestGraph6:
     def test_round_trip(self, g):
         assert from_graph6(to_graph6(g)) == g
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 255])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    def test_round_trip_seeded(self, n, p):
+        rng = random.Random(n * 100 + int(p * 100))
+        mask = sum(1 << s for s in range(n * (n - 1) // 2) if rng.random() < p)
+        g = from_edge_mask(n, mask)
+        encoded = to_graph6(g)
+        # from 63 vertices up the count takes the long form
+        assert encoded.startswith("~") == (n >= 63)
+        assert from_graph6(encoded) == g
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("B w", "invalid graph6 character ' '"),
+            ("A\x7f", "invalid graph6 character '\\x7f'"),
+            ("Bww", "graph6 body has 2 characters, expected 1 for n=3"),
+            ("~?@B", "graph6 body has 0 characters, expected 369 for n=67"),
+            ("B" + chr(63 + 0b000111), "nonzero padding bits in graph6 body"),
+            ("A" + chr(63 + 0b000001), "nonzero padding bits in graph6 body"),
+            (":Fa@x^", "sparse6 input is not supported"),
+            (";Fa@x^", "sparse6 input is not supported"),
+            ("&B\\o", "digraph6 input is not supported"),
+            ("~~??????", "graph6 vertex counts above 258047 not supported"),
+        ],
+    )
+    def test_refusal_messages_are_pinned(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            from_graph6(text)
+        assert str(info.value) == message
+
     def test_large_decodes_leave_nothing_cached(self):
         rng = random.Random(255)
         strings = [

@@ -39,14 +39,18 @@ def test_every_module_level_import_is_used():
 
 
 # module -> the package modules it may import: the graph layer stands alone,
-# the exhaustive sweep, bounded by its range check, needs no solver, and the
-# solver, the formats and the graph families need only the graph layer
+# the exhaustive sweep, bounded by its range check, needs no solver, the
+# solver, the formats and the graph families need only the graph layer, and
+# the witness construction and the check suites sit below the CLI, which
+# neither imports
 LAYERS = {
     "graph": set(),
     "exhaustive": {"graph"},
     "solver": {"graph"},
     "formats": {"graph"},
     "families": {"graph"},
+    "construction": {"families", "formats", "graph", "solver"},
+    "theorems": {"construction", "exhaustive", "families", "formats", "graph", "solver"},
 }
 
 

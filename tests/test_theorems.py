@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -43,6 +44,7 @@ from vertexnim.theorems import (
     FAILURE_CAP,
     SUITES,
     CheckFailure,
+    _alive_subsets,
     _closed_trails,
     _covers_once,
     _cycle_space,
@@ -208,6 +210,140 @@ class TestEulerCertificate:
     )
     def test_certificate_rejects(self, trails):
         assert not _covers_once(to_edge_mask(BOWTIE), trails)
+
+
+def per_position(n: int, flags) -> dict:
+    """``(terminal, eulerian)`` of every ``(mask, alive)`` on ``n`` vertices,
+    one position at a time: a graph per edge mask, its degree-parity vectors
+    walked down by the engine's deletion update, and the cycle-space flag of
+    the edges inside each alive set."""
+    full = (1 << n) - 1
+    slots = edge_slots(n)
+    inside = [
+        sum(1 << s for s, (i, j) in enumerate(slots) if alive >> i & alive >> j & 1)
+        for alive in range(full + 1)
+    ]
+    out = {}
+    for mask in range(len(flags)):
+        g = from_edge_mask(n, mask)
+        odd = [0] * (full + 1)
+        odd[full] = g.odd_degree_vertices()
+        for alive in range(full - 1, -1, -1):
+            dead = ~alive & (alive + 1)
+            odd[alive] = (odd[alive | dead] ^ g.adj[dead.bit_length() - 1]) & alive
+        for alive in range(full + 1):
+            out[mask, alive] = (not odd[alive], flags[mask & inside[alive]] == 1)
+    return out
+
+
+def failure_rows(result) -> list:
+    return [(f.graph6, f.expected, f.got, f.note) for f in result.failures]
+
+
+def rows_digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestAliveSubsets:
+    @pytest.mark.parametrize("n", range(theorems.EULER_ALL_SUBSETS_MAX_N + 1))
+    def test_bits_match_the_per_position_walk(self, n):
+        flags = _cycle_space(n)
+        expected = per_position(n, flags)
+        walked = list(_alive_subsets(n, flags))
+        assert sorted(alive for alive, _, _ in walked) == list(range(1 << n))
+        for alive, terminal, eulerian in walked:
+            assert terminal >> len(flags) == eulerian >> len(flags) == 0
+            for mask in range(len(flags)):
+                got = (terminal >> mask & 1 == 1, eulerian >> mask & 1 == 1)
+                assert got == expected[mask, alive]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_eulerian_bits_spread_any_flag_table(self, n):
+        # seeded flags that are no cycle space: each alive set's Eulerian
+        # bits are still the flag of the edges inside it
+        rng = random.Random(n)
+        flags = bytearray(rng.randrange(2) for _ in range(1 << math.comb(n, 2)))
+        expected = per_position(n, flags)
+        for alive, _, eulerian in _alive_subsets(n, flags):
+            for mask in range(len(flags)):
+                assert (eulerian >> mask & 1 == 1) == expected[mask, alive][1]
+
+    # check_euler_terminal(max_n=4) under three faults, as the per-position
+    # loop reported them: (count, truncated, SHA-256 of the capped rows, SHA-256
+    # of the rows with no cap, first rows)
+    FAULTS = {
+        "wrong flag table": (
+            1000,
+            True,
+            "aa6215e4191379d6b5bc820f6027a77f2cb1b3a3b0bbe96446b1b27223965541",
+            (1006, "5e93d7faaa94c458941eeb590a0f6ffabc150b1486f22222cbb3d23ab8fdfe20"),
+            [
+                ("A_", "terminal == eulerian", (False, True), "alive set 0x3"),
+                ("A_", "closed trails using each edge once", [[1, 0]], "alive set 0x3"),
+                ("B_", "terminal == eulerian", (False, True), "alive set 0x7"),
+            ],
+        ),
+        "no odd-degree vertex": (
+            1000,
+            True,
+            "c51616b5079f786f4431f099c6398b7182968df4e04d950c341bc539d7e8b94e",
+            (13211, "ad9d3e88901defcd1cb5932645012f891c7338f58ba4a505863bf53de09cd098"),
+            [
+                ("A_", "terminal == eulerian", (False, True), "alive set 0x1"),
+                ("A_", "terminal == eulerian", (False, True), "alive set 0x2"),
+                ("A_", "terminal == eulerian", (True, False), "alive set 0x3"),
+            ],
+        ),
+        "inverted is_terminal": (
+            14,
+            False,
+            "81935539f20f12dba3aec5d36673cb3d52b221e8d2946af5540e8c746924c686",
+            (14, "81935539f20f12dba3aec5d36673cb3d52b221e8d2946af5540e8c746924c686"),
+            [
+                ("?", (True, True), (False, True), "alive set 0x0, Position API"),
+                ("@", (True, True), (False, True), "alive set 0x1, Position API"),
+                ("A?", (True, True), (False, True), "alive set 0x3, Position API"),
+            ],
+        ),
+    }
+
+    @staticmethod
+    def inject(fault, monkeypatch):
+        if fault == "wrong flag table":
+            cycle_space = _cycle_space
+
+            def wrong(n):
+                flags = cycle_space(n)
+                if n >= 2:
+                    flags[1] = 1
+                return flags
+
+            monkeypatch.setattr("vertexnim.theorems._cycle_space", wrong)
+        elif fault == "no odd-degree vertex":
+            monkeypatch.setattr(Graph, "odd_degree_vertices", lambda self: 0)
+        else:
+            is_terminal = Position.is_terminal
+            monkeypatch.setattr(
+                Position, "is_terminal", lambda self, rule: not is_terminal(self, rule)
+            )
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_faults_are_reported_in_order(self, fault, monkeypatch):
+        count, truncated, digest, _, head = self.FAULTS[fault]
+        self.inject(fault, monkeypatch)
+        result = check_euler_terminal(max_n=4)
+        rows = failure_rows(result)
+        assert (len(rows), result.truncated, rows[:3]) == (count, truncated, head)
+        assert rows_digest(rows) == digest
+        assert result.instances_checked == 33943
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_faults_past_the_cap_are_reported_in_order(self, fault, monkeypatch):
+        uncapped = self.FAULTS[fault][3]
+        self.inject(fault, monkeypatch)
+        monkeypatch.setattr("vertexnim.theorems.FAILURE_CAP", 10**6)
+        rows = failure_rows(check_euler_terminal(max_n=4))
+        assert (len(rows), rows_digest(rows)) == uncapped
 
 
 @pytest.mark.parametrize("max_n", [-1, 8])
