@@ -109,7 +109,11 @@ class TheoremCheckResult:
 
     def fail(self, graph: Graph, expected, got, note: str = "") -> None:
         """Record a counterexample without counting an instance, for loops that
-        compare inline so a passing instance encodes no graph6 for its note."""
+        compare inline so a passing instance encodes no graph6 for its note;
+        past :data:`FAILURE_CAP` none is encoded either."""
+        if len(self.failures) >= FAILURE_CAP:
+            self.truncated = True
+            return
         self.add_failure(CheckFailure(to_graph6(graph), expected, got, note))
 
     def check(self, graph: Graph, expected, got, note: str = "") -> None:
@@ -555,8 +559,11 @@ def _alive_subsets(n: int, flags):
     Terminal follows the search engine's deletion update
     ``(odd ^ adj[dead]) & alive`` on bit planes: plane ``v`` of an alive set
     marks the graphs where ``v`` has odd degree inside it. The full set's
-    planes are split from every host graph's
-    :meth:`~vertexnim.graph.Graph.odd_degree_vertices`; removing the lowest
+    planes are split from every host graph's degree-parity vector, which is
+    linear over GF(2) in the edge mask: :func:`_xor_doubled` builds them all
+    from one single-edge graph's
+    :meth:`~vertexnim.graph.Graph.odd_degree_vertices` per edge slot, so a
+    graph is built per slot, not per host graph. Removing the lowest
     dead vertex ``d`` XORs the slot vector of ``vd`` into each alive ``v``'s
     plane, and the terminal graphs are those where no plane is set. The walk
     is depth first, so a parent's planes are freed once its children are
@@ -568,7 +575,9 @@ def _alive_subsets(n: int, flags):
     vectors, between = _slot_vectors(n)
     graphs = (1 << len(flags)) - 1
     cycles = _bit_planes(flags, 1)[0]
-    odd = bytes(from_edge_mask(n, m).odd_degree_vertices() for m in range(len(flags)))
+    odd = _xor_doubled(
+        [from_edge_mask(n, 1 << s).odd_degree_vertices() for s in range(len(slots))]
+    )
     stack = [((1 << n) - 1, _bit_planes(odd, n))]
     while stack:
         alive, planes = stack.pop()
@@ -595,12 +604,12 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     """A position is terminal under the odd rule exactly when every component
     is Eulerian, on every graph up to ``max_n`` vertices.
 
-    Both sides are read off edge masks; a graph is built only for each host
-    graph of the every-alive-subset part, each strided instance and each
-    failure. "Terminal" means every degree is even, read off degree-parity
-    vectors: for full alive sets the sweep's own table of them
-    (:func:`~vertexnim.exhaustive._degree_parities`, which also gives the
-    row plan its top parities), translated to one flag per mask. "Eulerian"
+    Both sides are read off edge masks; a graph is built only for each edge
+    slot of the every-alive-subset part (its single-edge graph), each strided
+    instance and each failure. "Terminal" means every degree is even, read
+    off degree-parity vectors: for full alive sets the sweep's own table of
+    them (:func:`~vertexnim.exhaustive._degree_parities`, which also gives
+    the row plan its top parities), translated to one flag per mask. "Eulerian"
     is membership in the cycle space of K_n (:func:`_cycle_space`), and every
     member with edges that is checked as a full position is certified by
     closed Hierholzer trails that use each edge once.

@@ -225,6 +225,17 @@ class TestVerify:
             '"theorem": "bipartite-parity", "truncated": false}\n'
         )
 
+    def test_euler_terminal_record_is_pinned(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "euler-terminal", "--max-n", "6", "--records"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"command": "verify", "failures": [], "instances_checked": 67735, '
+            '"passed": true, "scale": {"all_subsets_max_n": 5, "max_n": 6}, '
+            '"theorem": "euler-terminal", "truncated": false}\n'
+        )
+
     def test_unknown_theorem(self, capsys):
         code = main(["verify", "flat-earth"])
         capsys.readouterr()

@@ -268,6 +268,24 @@ class TestAliveSubsets:
             for mask in range(len(flags)):
                 assert (eulerian >> mask & 1 == 1) == expected[mask, alive][1]
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_start_is_every_host_graphs_odd_degree_vertices(self, n, monkeypatch):
+        # the start is XOR-doubled from single-edge graphs; a degree-parity
+        # vector is linear over GF(2) in the edge mask, so it matches a graph
+        # per edge mask, up to n = 6 (32,768 graphs) for a part bounded there
+        bit_planes = theorems._bit_planes
+        tables = []
+
+        def record(table, width):
+            tables.append(table)
+            return bit_planes(table, width)
+
+        monkeypatch.setattr("vertexnim.theorems._bit_planes", record)
+        next(_alive_subsets(n, _cycle_space(n)))
+        masks = range(1 << math.comb(n, 2))
+        odd = bytes(from_edge_mask(n, m).odd_degree_vertices() for m in masks)
+        assert tables[-1] == odd
+
     # check_euler_terminal(max_n=4) under three faults, as the per-position
     # loop reported them: (count, truncated, SHA-256 of the capped rows, SHA-256
     # of the rows with no cap, first rows)
@@ -336,6 +354,23 @@ class TestAliveSubsets:
         assert (len(rows), result.truncated, rows[:3]) == (count, truncated, head)
         assert rows_digest(rows) == digest
         assert result.instances_checked == 33943
+
+    def test_failures_past_the_cap_encode_no_graph6(self, monkeypatch):
+        count, truncated, digest, _, _ = self.FAULTS["no odd-degree vertex"]
+        self.inject("no odd-degree vertex", monkeypatch)
+        encode = theorems.to_graph6
+        encoded = []
+
+        def to_graph6(graph):
+            encoded.append(graph)
+            return encode(graph)
+
+        monkeypatch.setattr("vertexnim.theorems.to_graph6", to_graph6)
+        result = check_euler_terminal(max_n=4)
+        rows = failure_rows(result)
+        assert (len(encoded), len(rows)) == (FAILURE_CAP, count)
+        assert result.truncated == truncated
+        assert rows_digest(rows) == digest
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_faults_past_the_cap_are_reported_in_order(self, fault, monkeypatch):
