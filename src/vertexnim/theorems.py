@@ -9,6 +9,7 @@ of aborting, so a failure report alone reproduces the offending graph.
 import enum
 import inspect
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from itertools import compress, groupby
 
@@ -107,13 +108,16 @@ class TheoremCheckResult:
         else:
             self.truncated = True
 
-    def fail(self, graph: Graph, expected, got, note: str = "") -> None:
+    def fail(self, graph: Graph, expected, got, note: str = "", *graphs: Graph) -> None:
         """Record a counterexample without counting an instance, for loops that
         compare inline so a passing instance encodes no graph6 for its note;
-        past :data:`FAILURE_CAP` none is encoded either."""
+        past :data:`FAILURE_CAP` none is encoded either. With ``graphs``,
+        ``note`` is a format string whose fields take their graph6."""
         if len(self.failures) >= FAILURE_CAP:
             self.truncated = True
             return
+        if graphs:
+            note = note.format(*map(to_graph6, graphs))
         self.add_failure(CheckFailure(to_graph6(graph), expected, got, note))
 
     def check(self, graph: Graph, expected, got, note: str = "") -> None:
@@ -511,7 +515,8 @@ def _closed_trails(slots: tuple, incident: list, mask: int) -> list:
     """Hierholzer's algorithm on an edge mask: one trail per component with
     edges, as a vertex list; ``incident[v]`` is the mask of the slots at
     ``v``. The trails are closed and use each edge once exactly when every
-    degree is even; :func:`_covers_once` checks that from the lists alone."""
+    degree is even; :func:`_covers_once` checks that from the lists alone.
+    It is :func:`_uncertified`'s fallback, and gives a failure's trails."""
     trails = []
     rest = mask
     while rest:
@@ -548,6 +553,59 @@ def _covers_once(mask: int, trails: list) -> bool:
                 return False
             used |= bit
     return used == mask
+
+
+def _cycles(n: int) -> list:
+    """Every simple cycle of K_n as an edge mask, listed under its highest
+    slot, shortest first, if :func:`_covers_once` accepts its vertex list.
+    Those under slot (b, t) run t, b, ..., x, t through vertices below t,
+    with x < b."""
+    bit = [[0] * n for _ in range(n)]
+    for s, (i, j) in enumerate(edge_slots(n)):
+        bit[i][j] = bit[j][i] = 1 << s
+    lists = []
+    for t in range(n):
+        for b in range(t):
+            found = []
+            # the loop reads the paths it appends: shortest first
+            paths = [([t, b], bit[t][b])]
+            for path, mask in paths:
+                v = path[-1]
+                for u in range(t):
+                    if u not in path:
+                        step = mask | bit[v][u]
+                        if u < b:
+                            found.append((path + [u, t], step | bit[u][t]))
+                        paths.append((path + [u], step))
+            lists.append([mask for trail, mask in found if _covers_once(mask, [trail])])
+    return lists
+
+
+def _uncertified(n: int, flags, cycles: list):
+    """Yield ``(mask, trails)`` for each flagged mask on ``n`` vertices,
+    ascending, that closed trails using each edge once do not certify. A mask
+    is certified if the first of ``cycles`` (:func:`_cycles`) under its
+    highest slot inside it leaves a rest certified before it, or else by
+    :func:`_closed_trails`, whose trails a failure reports."""
+    slots = edge_slots(n)
+    incident = [
+        sum(1 << s for s, pair in enumerate(slots) if v in pair) for v in range(n)
+    ]
+    certified = set()
+    # the flagged masks, ascending
+    for flagged in re.finditer(b"\x01", flags):
+        mask = flagged.start()
+        for cycle in cycles[mask.bit_length() - 1] if mask else ():
+            if cycle & mask == cycle:
+                if mask ^ cycle in certified:
+                    certified.add(mask)
+                break
+        if mask not in certified:
+            trails = _closed_trails(slots, incident, mask)
+            if _covers_once(mask, trails):
+                certified.add(mask)
+            else:
+                yield mask, trails
 
 
 def _alive_subsets(n: int, flags):
@@ -611,8 +669,8 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     them (:func:`~vertexnim.exhaustive._degree_parities`, which also gives
     the row plan its top parities), translated to one flag per mask. "Eulerian"
     is membership in the cycle space of K_n (:func:`_cycle_space`), and every
-    member with edges that is checked as a full position is certified by
-    closed Hierholzer trails that use each edge once.
+    member checked as a full position is certified by closed trails that use
+    each edge once (:func:`_uncertified`).
 
     Full alive sets are checked for every labeled graph; positions with dead
     vertices relabel to smaller enumerated graphs, and are additionally
@@ -636,6 +694,8 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     )
     top = max(max_n, EULER_ALL_SUBSETS_MAX_N)
     spaces = [_cycle_space(n) for n in range(top + 1)]
+    # K_n's cycle lists are the first C(n, 2) of K_max_n's
+    cycles = _cycles(max_n)
 
     def mismatch(g: Graph, alive: int, terminal: bool, eulerian: bool) -> None:
         result.fail(
@@ -658,19 +718,13 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
             for mask, (t, e) in enumerate(zip(terminals, flags)):
                 if t != e:
                     mismatch(from_edge_mask(n, mask), full, bool(t), bool(e))
-        slots = edge_slots(n)
-        incident = [
-            sum(1 << s for s, pair in enumerate(slots) if v in pair) for v in range(n)
-        ]
-        for mask in compress(range(len(flags)), flags):
-            trails = _closed_trails(slots, incident, mask)
-            if not _covers_once(mask, trails):
-                result.fail(
-                    from_edge_mask(n, mask),
-                    "closed trails using each edge once",
-                    trails,
-                    f"alive set {full:#x}",
-                )
+        for mask, trails in _uncertified(n, flags, cycles):
+            result.fail(
+                from_edge_mask(n, mask),
+                "closed trails using each edge once",
+                trails,
+                f"alive set {full:#x}",
+            )
         for mask in _strided(len(flags)):
             crosscheck(
                 from_edge_mask(n, mask), full, bool(terminals[mask]), bool(flags[mask])
@@ -754,7 +808,7 @@ def check_nim_sum(
         got = grundy_value(union, memo=MemoTable(budget))
         result.instances_checked += 1
         if got != expected:
-            result.fail(union, expected, got, f"parts {to_graph6(g)} and {to_graph6(h)}")
+            result.fail(union, expected, got, "parts {} and {}", g, h)
     return result
 
 
@@ -787,7 +841,7 @@ def check_isolated_substitution(
         got = grundy_value(replaced, memo=MemoTable(budget))
         result.instances_checked += 1
         if got != expected:
-            result.fail(g, expected, got, f"replaced: {to_graph6(replaced)}")
+            result.fail(g, expected, got, "replaced: {}", replaced)
     return result
 
 

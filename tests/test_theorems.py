@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import random
@@ -48,10 +49,12 @@ from vertexnim.theorems import (
     _closed_trails,
     _covers_once,
     _cycle_space,
+    _cycles,
     _nth_bit,
     _terminal_edge_parity,
     _terminal_masks,
     _terminal_sweep,
+    _uncertified,
 )
 
 
@@ -212,6 +215,94 @@ class TestEulerCertificate:
         assert not _covers_once(to_edge_mask(BOWTIE), trails)
 
 
+def hierholzer_loop(n: int, flags) -> list:
+    """``(mask, trails)`` of each flagged mask whose Hierholzer trails fail
+    :func:`_covers_once`, one walk per mask: the loop that peeling replaced."""
+    slots = edge_slots(n)
+    incident = [
+        sum(1 << s for s, pair in enumerate(slots) if v in pair) for v in range(n)
+    ]
+    failing = []
+    for mask in itertools.compress(range(len(flags)), flags):
+        trails = _closed_trails(slots, incident, mask)
+        if not _covers_once(mask, trails):
+            failing.append((mask, trails))
+    return failing
+
+
+# a triangle on {1, 2, 3} and a pendant edge 01: the triangle lies under
+# the mask's highest slot, 23, but the rest, the lone edge, is no cycle
+TRIANGLE_AND_PENDANT = to_edge_mask(Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]))
+
+
+class TestPeelingCertificate:
+    @pytest.mark.parametrize("n", range(8))
+    def test_cycle_counts(self, n):
+        lists = _cycles(n)
+        assert len(lists) == math.comb(n, 2)
+        assert sum(map(len, lists)) == [0, 0, 0, 1, 7, 37, 197, 1172][n]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_each_cycle_is_one_two_regular_component(self, n):
+        for slot, masks in enumerate(_cycles(n)):
+            assert len(set(masks)) == len(masks)
+            sizes = [mask.bit_count() for mask in masks]
+            assert sizes == sorted(sizes)
+            for mask in masks:
+                assert mask.bit_length() - 1 == slot
+                g = from_edge_mask(n, mask)
+                parts = g.full_position().connected_components()
+                (cycle,) = [part for part in parts if part.bit_count() > 1]
+                assert all(g.degree(v) == 2 for v in iter_bits(cycle))
+
+    def test_a_cycle_the_check_rejects_is_not_listed(self, monkeypatch):
+        covers_once = _covers_once
+        triangle = to_edge_mask(complete_graph(3))
+        monkeypatch.setattr(
+            "vertexnim.theorems._covers_once",
+            lambda mask, trails: mask != triangle and covers_once(mask, trails),
+        )
+        lists = _cycles(4)
+        assert triangle not in lists[2]
+        assert sum(map(len, lists)) == 6
+
+    @pytest.mark.parametrize("flips", [1, 5, 40])
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_the_per_mask_loop(self, n, flips):
+        # seeded flips flag masks outside the cycle space and unflag members,
+        # so both the peeling chain and its fallback are exercised
+        rng = random.Random(100 * n + flips)
+        flags = _cycle_space(n)
+        for mask in rng.sample(range(len(flags)), min(flips, len(flags))):
+            flags[mask] ^= 1
+        assert list(_uncertified(n, flags, _cycles(6))) == hierholzer_loop(n, flags)
+
+    def test_a_cycle_with_an_uncertified_rest_is_reported(self, monkeypatch):
+        cycle_space = _cycle_space
+
+        def with_pendant(n):
+            flags = cycle_space(n)
+            if n == 4:
+                flags[TRIANGLE_AND_PENDANT] = 1
+            return flags
+
+        flags = with_pendant(4)
+        expected = [(TRIANGLE_AND_PENDANT, [[1, 3, 2, 1, 0]])]
+        assert list(_uncertified(4, flags, _cycles(4))) == expected
+        assert hierholzer_loop(4, flags) == expected
+        monkeypatch.setattr("vertexnim.theorems._cycle_space", with_pendant)
+        rows = failure_rows(check_euler_terminal(max_n=4))
+        assert rows[:2] == [
+            ("Cj", "terminal == eulerian", (False, True), "alive set 0xf"),
+            (
+                "Cj",
+                "closed trails using each edge once",
+                [[1, 3, 2, 1, 0]],
+                "alive set 0xf",
+            ),
+        ]
+
+
 def per_position(n: int, flags) -> dict:
     """``(terminal, eulerian)`` of every ``(mask, alive)`` on ``n`` vertices,
     one position at a time: a graph per edge mask, its degree-parity vectors
@@ -242,6 +333,19 @@ def failure_rows(result) -> list:
 
 def rows_digest(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def count_encodings(monkeypatch) -> list:
+    """Wrap ``theorems.to_graph6``; the list collects each encoded graph."""
+    encode = theorems.to_graph6
+    encoded = []
+
+    def to_graph6(graph):
+        encoded.append(graph)
+        return encode(graph)
+
+    monkeypatch.setattr("vertexnim.theorems.to_graph6", to_graph6)
+    return encoded
 
 
 class TestAliveSubsets:
@@ -358,14 +462,7 @@ class TestAliveSubsets:
     def test_failures_past_the_cap_encode_no_graph6(self, monkeypatch):
         count, truncated, digest, _, _ = self.FAULTS["no odd-degree vertex"]
         self.inject("no odd-degree vertex", monkeypatch)
-        encode = theorems.to_graph6
-        encoded = []
-
-        def to_graph6(graph):
-            encoded.append(graph)
-            return encode(graph)
-
-        monkeypatch.setattr("vertexnim.theorems.to_graph6", to_graph6)
+        encoded = count_encodings(monkeypatch)
         result = check_euler_terminal(max_n=4)
         rows = failure_rows(result)
         assert (len(encoded), len(rows)) == (FAILURE_CAP, count)
@@ -759,6 +856,49 @@ class TestVerifyTheorem:
         monkeypatch.setattr("vertexnim.theorems._cycle_space", never)
         with pytest.raises(ValueError, match="got 8"):
             check_euler_terminal(max_n=8)
+
+
+class TestNotesPastTheCap:
+    # the kept rows are pinned as recorded before the notes were deferred
+    def test_nim_sum_encodes_no_parts_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr("vertexnim.theorems.nim_sum", lambda a, b: -1)
+        encoded = count_encodings(monkeypatch)
+        result = check_nim_sum(count=3000, max_n=6)
+        rows = failure_rows(result)
+        assert len(encoded) == 3 * FAILURE_CAP
+        assert (len(rows), result.truncated, rows[0]) == (
+            1000,
+            True,
+            ("C?", -1, 0, "parts @ and B?"),
+        )
+        assert (
+            rows_digest(rows)
+            == "2fa2e2c9155019f1d798eb9a5cb2c7b4ef2731915608fd057da27234b9e621ac"
+        )
+
+    def test_isolated_substitution_encodes_no_replacement_past_the_cap(
+        self, monkeypatch
+    ):
+        # every other solve, the unreplaced graph's, is off by one
+        value = theorems.grundy_value
+        calls = itertools.count()
+        monkeypatch.setattr(
+            "vertexnim.theorems.grundy_value",
+            lambda g, **kw: value(g, **kw) + (next(calls) % 2 == 0),
+        )
+        encoded = count_encodings(monkeypatch)
+        result = check_isolated_substitution(count=3000, max_n=6)
+        rows = failure_rows(result)
+        assert len(encoded) == 2 * FAILURE_CAP
+        assert (len(rows), result.truncated, rows[0]) == (
+            1000,
+            True,
+            ("C?", 1, 0, "replaced: K?_I?C_?G_?@"),
+        )
+        assert (
+            rows_digest(rows)
+            == "504eeb3577c4320f438c3e2d0b936d40215e7aebfcd6e8513f734e0755d0962c"
+        )
 
 
 class TestTheoremCheckResult:
