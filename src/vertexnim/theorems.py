@@ -326,6 +326,8 @@ def check_bipartite_parity(
             for mask in compress(range(len(flags)), flags):
                 if table[mask] != parity[mask]:
                     result.fail(from_edge_mask(k, mask), parity[mask], table[mask])
+                    if result.truncated:
+                        break
         (bipartite,) = _bit_planes(flags, 1)
         levels.append(bipartite)
         graphs = bipartite.bit_count()
@@ -391,15 +393,44 @@ def _nth_bit(x: int, rank: int) -> int:
 
 def _slot_vectors(k: int) -> tuple:
     """The slot vectors over every edge mask on ``k`` vertices
-    (:func:`~vertexnim.graph._slot_vector`), and the same by endpoints:
-    ``between[u][v]`` marks the graphs holding edge uv, none for u == v."""
+    (:func:`~vertexnim.graph._slot_vector`), the same by endpoints
+    (``between[u][v]``, 0 for u == v), and the full set's planes and parity
+    for :func:`_alive_sets`: each vector XORed into both endpoints and the parity."""
     slots = edge_slots(k)
     size = 1 << len(slots)
     vectors = [_slot_vector(s, size) for s in range(len(slots))]
     between = [[0] * k for _ in range(k)]
+    planes = [0] * k
+    parity = 0
     for (i, j), vector in zip(slots, vectors):
         between[i][j] = between[j][i] = vector
-    return vectors, between
+        planes[i] ^= vector
+        planes[j] ^= vector
+        parity ^= vector
+    return vectors, between, planes, parity
+
+
+def _alive_sets(between: list, planes: list, parity: int):
+    """Every alive set in descending order, so supersets first, from the full
+    set's planes and parity, bit-sliced over edge masks: bit ``m`` of plane
+    ``v`` says that ``v`` has odd degree inside the set in the graph of edge
+    mask ``m`` (0 for a dead ``v``), bit ``m`` of the parity that the graph
+    has an odd number of edges inside it. It is the search engine's deletion
+    update ``(odd ^ adj[d]) & alive`` on bit planes: a set's children drop
+    each ``d`` below its lowest dead vertex, XOR ``between[d][v]`` into each
+    alive ``v``'s plane and ``planes[d]`` into the parity. Depth first, the
+    largest child popped first. Yields ``(alive, planes, parity)``."""
+    alive, low, stack = (1 << len(planes)) - 1, len(planes), []
+    while True:
+        yield alive, planes, parity
+        # each child waits with its parent's planes, the smallest stacked first
+        for d in reversed(range(low)):
+            stack.append((alive ^ 1 << d, d, planes, parity))
+        if not stack:
+            return
+        alive, low, planes, parity = stack.pop()
+        row, parity = between[low], parity ^ planes[low]
+        planes = [p ^ row[v] if alive >> v & 1 else 0 for v, p in enumerate(planes)]
 
 
 def _terminal_sweep(k: int, bipartite: int):
@@ -409,38 +440,26 @@ def _terminal_sweep(k: int, bipartite: int):
 
     Bit ``m`` of ``reach[alive]`` says that ``alive`` is reachable in the
     graph with edge mask ``m``; the full set starts from ``bipartite``, the
-    level's bipartite graphs as one such bit vector. Alive sets are taken in
-    descending order. Vertex ``v``'s odd-degree vector inside ``alive`` is
-    the XOR of the slot vectors of its edges there; the child ``alive - v``
-    gains the graphs where it is set, and the graphs where no vertex has one
-    are terminal at ``alive``.
-    Yields ``(alive, terminal, parity)`` for each alive set terminal in some
-    graph, ``parity`` marking the graphs with an odd number of edges inside
-    ``alive``.
+    level's bipartite graphs as one such bit vector. The alive sets come
+    supersets first from :func:`_alive_sets`; the child ``alive - v`` gains
+    the graphs where ``v``'s plane is set, and the graphs where no plane is
+    set are terminal at ``alive``. Yields ``(alive, terminal, parity)`` for
+    each alive set terminal in some graph, with its parity from the walk.
     """
-    slots = edge_slots(k)
-    vectors, between = _slot_vectors(k)
-    full = (1 << k) - 1
-    reach = {full: bipartite}
-    for alive in range(full, -1, -1):
+    _, between, planes, parity = _slot_vectors(k)
+    reach = {(1 << k) - 1: bipartite}
+    for alive, planes, parity in _alive_sets(between, planes, parity):
         graphs = reach.pop(alive, 0)
         if not graphs:
             continue
-        members = [v for v in range(k) if alive >> v & 1]
         movable = 0
-        for v in members:
-            odd = 0
-            for u in members:
-                odd ^= between[u][v]
-            movable |= odd
-            child = alive ^ (1 << v)
-            reach[child] = reach.get(child, 0) | graphs & odd
+        for v, odd in enumerate(planes):
+            if odd:
+                movable |= odd
+                child = alive ^ 1 << v
+                reach[child] = reach.get(child, 0) | graphs & odd
         terminal = graphs & ~movable
         if terminal:
-            parity = 0
-            for (i, j), vector in zip(slots, vectors):
-                if alive >> i & alive >> j & 1:
-                    parity ^= vector
             yield alive, terminal, parity
 
 
@@ -611,34 +630,23 @@ def _uncertified(n: int, flags, cycles: list):
 def _alive_subsets(n: int, flags):
     """Every alive set on ``n`` vertices with its terminal and Eulerian sets,
     bit-sliced over edge masks: bit ``m`` of each says that the position of
-    edge mask ``m`` restricted to ``alive`` is terminal under the odd rule, or
-    that its edges there lie in the cycle space given by ``flags``.
-
-    Terminal follows the search engine's deletion update
-    ``(odd ^ adj[dead]) & alive`` on bit planes: plane ``v`` of an alive set
-    marks the graphs where ``v`` has odd degree inside it. The full set's
-    planes are split from every host graph's degree-parity vector, which is
-    linear over GF(2) in the edge mask: :func:`_xor_doubled` builds them all
-    from one single-edge graph's
-    :meth:`~vertexnim.graph.Graph.odd_degree_vertices` per edge slot, so a
-    graph is built per slot, not per host graph. Removing the lowest
-    dead vertex ``d`` XORs the slot vector of ``vd`` into each alive ``v``'s
-    plane, and the terminal graphs are those where no plane is set. The walk
-    is depth first, so a parent's planes are freed once its children are
-    stacked. Eulerian keeps the cycle-space masks that lie inside the alive
-    set's slots, then spreads each over every choice of the slots outside.
-    Yields ``(alive, terminal, eulerian)``.
-    """
+    edge mask ``m`` restricted to ``alive`` is terminal under the odd rule
+    (no plane of :func:`_alive_sets` is set), or that its edges there lie in
+    the cycle space given by ``flags``. The start planes are split from the
+    host graphs' degree-parity vectors, linear over GF(2) in the edge mask,
+    so :func:`_xor_doubled` builds them from one single-edge graph's
+    :meth:`~vertexnim.graph.Graph.odd_degree_vertices` per slot. Eulerian
+    keeps the cycle-space masks inside the alive set's slots, then spreads
+    each over every choice of the slots outside. Yields ``(alive, terminal,
+    eulerian)``."""
     slots = edge_slots(n)
-    vectors, between = _slot_vectors(n)
+    vectors, between, _, parity = _slot_vectors(n)
     graphs = (1 << len(flags)) - 1
     cycles = _bit_planes(flags, 1)[0]
     odd = _xor_doubled(
         [from_edge_mask(n, 1 << s).odd_degree_vertices() for s in range(len(slots))]
     )
-    stack = [((1 << n) - 1, _bit_planes(odd, n))]
-    while stack:
-        alive, planes = stack.pop()
+    for alive, planes, _ in _alive_sets(between, _bit_planes(odd, n), parity):
         movable = 0
         for plane in planes:
             movable |= plane
@@ -648,14 +656,6 @@ def _alive_subsets(n: int, flags):
                 eulerian ^= eulerian & vectors[s]
                 eulerian |= eulerian << (1 << s)
         yield alive, graphs ^ movable, eulerian
-        # the children whose lowest dead vertex is d: every d below alive's own
-        for d in range((~alive & (alive + 1)).bit_length() - 1):
-            child = alive ^ 1 << d
-            step = [
-                plane ^ between[v][d] if child >> v & 1 else 0
-                for v, plane in enumerate(planes)
-            ]
-            stack.append((child, step))
 
 
 def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
@@ -718,6 +718,8 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
             for mask, (t, e) in enumerate(zip(terminals, flags)):
                 if t != e:
                     mismatch(from_edge_mask(n, mask), full, bool(t), bool(e))
+                    if result.truncated:
+                        break
         for mask, trails in _uncertified(n, flags, cycles):
             result.fail(
                 from_edge_mask(n, mask),
@@ -725,6 +727,8 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
                 trails,
                 f"alive set {full:#x}",
             )
+            if result.truncated:
+                break
         for mask in _strided(len(flags)):
             crosscheck(
                 from_edge_mask(n, mask), full, bool(terminals[mask]), bool(flags[mask])
@@ -745,6 +749,8 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
             found.append((mask, True, alive))
         # a host graph's mismatches by alive set, then its Position API checks
         for mask, rows in groupby(sorted(found), key=lambda row: row[0]):
+            if result.truncated:
+                break
             g = from_edge_mask(n, mask)
             for _, api, alive in rows:
                 terminal, eulerian = (bits >> mask & 1 == 1 for bits in sets[alive])
@@ -776,6 +782,8 @@ def check_even_even(
             for mask, got in enumerate(table):
                 if got != expected:
                     result.fail(from_edge_mask(k, mask), expected, got)
+                    if result.truncated:
+                        break
         crosschecks += _engine_crosscheck(
             result, k, _strided(size), table, MoveRule.EVEN, budget
         )

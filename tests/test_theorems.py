@@ -40,17 +40,19 @@ from vertexnim import (
 from vertexnim import theorems
 from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table, census, grundy_tables
 from vertexnim.graph import from_edge_mask, iter_bits
-from vertexnim.solver import grundy, solve
+from vertexnim.solver import grundy, grundy_even_even, solve
 from vertexnim.theorems import (
     FAILURE_CAP,
     SUITES,
     CheckFailure,
+    _alive_sets,
     _alive_subsets,
     _closed_trails,
     _covers_once,
     _cycle_space,
     _cycles,
     _nth_bit,
+    _slot_vectors,
     _terminal_edge_parity,
     _terminal_masks,
     _terminal_sweep,
@@ -173,6 +175,52 @@ class TestTerminalSweep:
             bits = list(iter_bits(x))
             rank = rng.randrange(len(bits))
             assert _nth_bit(x, rank) == bits[rank]
+
+
+def planes_of(alive: int, between: list) -> list:
+    """Each vertex's odd-degree plane inside ``alive``, one XOR of
+    ``between[u][v]`` per alive ``u``: the reference the walk is checked
+    against."""
+    k = len(between)
+    planes = []
+    for v in range(k):
+        odd = 0
+        for u in range(k):
+            if alive >> u & 1:
+                odd ^= between[u][v]
+        planes.append(odd if alive >> v & 1 else 0)
+    return planes
+
+
+class TestAliveSets:
+    @pytest.mark.parametrize("k", range(7))
+    def test_every_set_once_descending_with_its_planes_and_parity(self, k):
+        # the full set's start is checked as the walk's first set
+        vectors, between, planes, parity = _slot_vectors(k)
+        slots = edge_slots(k)
+        order = []
+        for alive, planes, parity in _alive_sets(between, planes, parity):
+            order.append(alive)
+            assert list(planes) == planes_of(alive, between)
+            inside = 0
+            for (i, j), vector in zip(slots, vectors):
+                if alive >> i & alive >> j & 1:
+                    inside ^= vector
+            assert parity == inside
+        assert order == list(range((1 << k) - 1, -1, -1))
+
+    def test_terminal_sweep_yields_are_pinned(self):
+        # recorded from the sweep that recomputed every member's odd vector
+        digest = hashlib.sha256()
+        for k in range(7):
+            for alive, terminal, parity in _terminal_sweep(
+                k, bit_vector(bipartite_table(k))
+            ):
+                digest.update(f"{k} {alive} {terminal:x} {parity:x}\n".encode())
+        assert (
+            digest.hexdigest()
+            == "5d60a084b1469ce6888176fbd757b6a37ca43b7bd318f445c35c78feaec1d342"
+        )
 
 
 BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
@@ -899,6 +947,53 @@ class TestNotesPastTheCap:
             rows_digest(rows)
             == "504eeb3577c4320f438c3e2d0b936d40215e7aebfcd6e8513f734e0755d0962c"
         )
+
+
+def off_by_one(max_n, rule):
+    return [bytes(value + 1 for value in table) for table in grundy_tables(max_n, rule)]
+
+
+class TestLevelLoopsStopAtTheCap:
+    # each fault at max_n=6 as (the suite's call, the name it patches, the
+    # fault, SHA-256 of the 1,000 kept rows), recorded when every failing mask
+    # still built its graph: 33,878, 5,622 and 66,664 graphs
+    FAULTS = {
+        "wrong even-rule closed form": (
+            lambda: check_even_even(max_n=6),
+            "grundy_even_even",
+            lambda g: grundy_even_even(g) ^ 1,
+            "034dba209e0c44916e3714a4acf23ac5a62c2df9e84f73577b518b46384d9960",
+        ),
+        "every value off by one": (
+            lambda: check_bipartite_parity(max_n=6, count=1),
+            "grundy_tables",
+            off_by_one,
+            "857e21130d7cc389e473dd9fdd952e8078b14ebae0d74888d74fbde364121fde",
+        ),
+        "all-ones flag table": (
+            lambda: check_euler_terminal(max_n=6),
+            "_cycle_space",
+            lambda n: bytearray([1]) * 2 ** math.comb(n, 2),
+            "8d25187a4e79881b0d12d15c8291c2455a5c36783b33c8ad6591989d7ccc54f1",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_kept_rows_and_graphs_built(self, fault, monkeypatch):
+        suite, name, patched, digest = self.FAULTS[fault]
+        monkeypatch.setattr(f"vertexnim.theorems.{name}", patched)
+        build = theorems.from_edge_mask
+        built = []
+
+        def from_edge_mask(n, mask):
+            built.append(mask)
+            return build(n, mask)
+
+        monkeypatch.setattr("vertexnim.theorems.from_edge_mask", from_edge_mask)
+        result = suite()
+        rows = failure_rows(result)
+        assert (len(rows), result.truncated, rows_digest(rows)) == (1000, True, digest)
+        assert len(built) <= 1100
 
 
 class TestTheoremCheckResult:
