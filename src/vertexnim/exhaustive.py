@@ -266,15 +266,18 @@ def _bit_planes(table, planes: int) -> list:
 
 def _edge_count_planes(k: int) -> list:
     """Bit planes of the edge count of every edge mask on ``k`` vertices,
-    low plane first: the slot vectors added in a ripple-carry adder."""
-    size = 1 << comb(k, 2)
+    low plane first, built by doubling: the masks holding slot ``s`` are the
+    ``2**s`` masks below it plus one edge, so each slot appends above the
+    planes so far a copy incremented by one in a bit-sliced ripple carry."""
     planes = []
     for s in range(comb(k, 2)):
-        carry = _slot_vector(s, size)
+        width = 1 << s
+        carry = (1 << width) - 1
         for p, plane in enumerate(planes):
-            planes[p], carry = plane ^ carry, plane & carry
+            planes[p] = plane | (plane ^ carry) << width
+            carry &= plane
         if carry:
-            planes.append(carry)
+            planes.append(carry << width)
     return planes
 
 

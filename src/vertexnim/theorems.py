@@ -209,21 +209,29 @@ def replace_isolated_with_p3(g: Graph) -> Graph:
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
-    """Uniform-slot random graph; edge probability drawn from ER_EDGE_PROBS."""
+    """Uniform-slot random graph; edge probability drawn from ER_EDGE_PROBS.
+    The rows are built from the slot draws, with no per-edge validation."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     p = rng.choice(ER_EDGE_PROBS)
-    return Graph(n, [e for e in edge_slots(n) if rng.random() < p])
+    rows = [0] * n
+    for i, j in edge_slots(n):
+        if rng.random() < p:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph._from_adj(n, tuple(rows))
 
 
 def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
     """Random bipartition of ``n`` vertices, then random edges across only."""
     cut = rng.getrandbits(n) if n else 0
     p = rng.choice(ER_EDGE_PROBS)
-    edges = [
-        (i, j)
-        for (i, j) in edge_slots(n)
-        if (cut >> i & 1) != (cut >> j & 1) and rng.random() < p
-    ]
-    return Graph(n, edges)
+    rows = [0] * n
+    for i, j in edge_slots(n):
+        if (cut >> i & 1) != (cut >> j & 1) and rng.random() < p:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph._from_adj(n, tuple(rows))
 
 
 def _check_scale(suite: str, name: str, value: int, least: int) -> None:
@@ -257,7 +265,18 @@ def check_closed_forms(
 ) -> TheoremCheckResult:
     """Solver versus the closed forms for paths, complete graphs and stars up
     to ``max_n`` vertices, and complete bipartite graphs with sides up to
-    :data:`CLOSED_FORMS_MAX_SIDE`."""
+    :data:`CLOSED_FORMS_MAX_SIDE`.
+
+    Each family's largest member is solved once, on one memo bounded by
+    ``budget``, and every member is read from that memo as a position of it:
+    a path, complete graph or star on ``n`` vertices is its first ``n``
+    vertices, with the same labels and rows, and K_{a,b} is ``a`` vertices of
+    one side of K_{s,s} and ``b`` of the other, K_{a,b} up to labels. A
+    member that the shared memo's budget cannot cover is solved again on a
+    fresh memo of its own, so a budget fails exactly where one fresh memo per
+    member fails. A member's own graph is built only when it fails, for its
+    graph6.
+    """
     _check_scale("closed-forms", "max_n", max_n, 0)
     result = TheoremCheckResult(
         TheoremId.CLOSED_FORMS,
@@ -268,16 +287,40 @@ def check_closed_forms(
         ("complete", complete_graph, closed_form_complete),
         ("star", star_graph, closed_form_star),
     )
+
+    def members(host: Graph):
+        # the largest member first, so every other one reads its memo
+        memo = MemoTable(budget)
+        grundy_value(host, memo=memo)
+
+        def read(alive: int) -> int:
+            position = Position(host, alive)
+            try:
+                return grundy_value(position, memo=memo)
+            except NodeBudgetExceeded:
+                # a member that the largest one's search did not reach, such
+                # as K_{4,4} in K_{5,5}, keeps a budget of its own
+                return grundy_value(position, memo=MemoTable(budget))
+
+        return read
+
+    reads = [members(build(max_n)) for _, build, _ in families] if max_n else []
     for n in range(1, max_n + 1):
-        for name, build, formula in families:
-            g = build(n)
-            got = grundy_value(g, memo=MemoTable(budget))
-            result.check(g, formula(n), got, f"{name} n={n}")
-    for a in range(1, CLOSED_FORMS_MAX_SIDE + 1):
-        for b in range(1, CLOSED_FORMS_MAX_SIDE + 1):
-            g = complete_bipartite_graph(a, b)
-            got = grundy_value(g, memo=MemoTable(budget))
-            result.check(g, closed_form_complete_bipartite(a, b), got, f"K_{{{a},{b}}}")
+        for (name, build, formula), read in zip(families, reads):
+            expected, got = formula(n), read((1 << n) - 1)
+            result.instances_checked += 1
+            if got != expected:
+                result.fail(build(n), expected, got, f"{name} n={n}")
+    side = CLOSED_FORMS_MAX_SIDE
+    read = members(complete_bipartite_graph(side, side))
+    for a in range(1, side + 1):
+        for b in range(1, side + 1):
+            expected = closed_form_complete_bipartite(a, b)
+            got = read((1 << a) - 1 | ((1 << b) - 1) << side)
+            result.instances_checked += 1
+            if got != expected:
+                g = complete_bipartite_graph(a, b)
+                result.fail(g, expected, got, f"K_{{{a},{b}}}")
     return result
 
 
@@ -798,7 +841,15 @@ def check_nim_sum(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TheoremCheckResult:
     """Value of a disjoint union equals the nim-sum of the parts' values, on
-    ``count`` seeded random graph pairs."""
+    ``count`` seeded random graph pairs.
+
+    ``g`` is solved as the position of the union's first ``g.n`` vertices,
+    which keep ``g``'s labels and rows, so it is the same computation as a
+    solve of ``g``; the union is then solved on the same memo, bounded by
+    ``budget``, and values only ``h``'s parts again. ``h`` keeps its own
+    fresh solve at labels from 0, so the union re-values its parts at
+    shifted labels and the check still compares two labelings.
+    """
     _check_scale("nim-sum", "count", count, 1)
     _check_scale("nim-sum", "max_n", max_n, 0)
     result = TheoremCheckResult(
@@ -809,11 +860,12 @@ def check_nim_sum(
         g = random_graph(rng, rng.randint(0, max_n))
         h = random_graph(rng, rng.randint(0, max_n))
         union = disjoint_union(g, h)
+        memo = MemoTable(budget)
         expected = nim_sum(
-            grundy_value(g, memo=MemoTable(budget)),
+            grundy_value(Position(union, (1 << g.n) - 1), memo=memo),
             grundy_value(h, memo=MemoTable(budget)),
         )
-        got = grundy_value(union, memo=MemoTable(budget))
+        got = grundy_value(union, memo=memo)
         result.instances_checked += 1
         if got != expected:
             result.fail(union, expected, got, "parts {} and {}", g, h)
@@ -828,7 +880,15 @@ def check_isolated_substitution(
 ) -> TheoremCheckResult:
     """Replacing isolated vertices with 3-paths preserves the Grundy value,
     on seeded random graphs padded with up to
-    :data:`SUBSTITUTION_MAX_PADDING` extra isolated vertices."""
+    :data:`SUBSTITUTION_MAX_PADDING` extra isolated vertices.
+
+    The padded graph is solved as the position of the replaced graph's first
+    ``g.n`` vertices: they keep their labels and rows, and each new 3-path
+    vertex is dead, so it is exactly ``g``. The replaced graph is then solved
+    on the same memo, bounded by ``budget``, so only the new 3-paths are
+    searched. The per-graph search path itself is checked against ground
+    truth by bipartite-parity's fast-path part.
+    """
     _check_scale("isolated-substitution", "count", count, 1)
     _check_scale("isolated-substitution", "max_n", max_n, 0)
     result = TheoremCheckResult(
@@ -845,8 +905,9 @@ def check_isolated_substitution(
         g = random_graph(rng, rng.randint(0, max_n))
         g = add_isolated_vertices(g, rng.randint(0, SUBSTITUTION_MAX_PADDING))
         replaced = replace_isolated_with_p3(g)
-        expected = grundy_value(g, memo=MemoTable(budget))
-        got = grundy_value(replaced, memo=MemoTable(budget))
+        memo = MemoTable(budget)
+        expected = grundy_value(Position(replaced, (1 << g.n) - 1), memo=memo)
+        got = grundy_value(replaced, memo=memo)
         result.instances_checked += 1
         if got != expected:
             result.fail(g, expected, got, "replaced: {}", replaced)

@@ -236,6 +236,57 @@ class TestVerify:
             '"theorem": "euler-terminal", "truncated": false}\n'
         )
 
+    # the records of the suites whose solves share one memo per host graph,
+    # recorded when every graph had its own fresh memo
+    SHARED_MEMO_RECORDS = {
+        ("closed-forms",): (
+            '{"command": "verify", "failures": [], "instances_checked": 61, '
+            '"passed": true, "scale": {"max_n": 12, "max_side": 5}, '
+            '"theorem": "closed-forms", "truncated": false}\n'
+        ),
+        ("nim-sum", "--count", "250"): (
+            '{"command": "verify", "failures": [], "instances_checked": 250, '
+            '"passed": true, "scale": {"max_n": 9, "pairs": 250, "seed": 1009}, '
+            '"theorem": "nim-sum", "truncated": false}\n'
+        ),
+        ("isolated-substitution", "--count", "250"): (
+            '{"command": "verify", "failures": [], "instances_checked": 250, '
+            '"passed": true, "scale": {"count": 250, "max_n": 8, "max_padding": 3, '
+            '"seed": 1013}, "theorem": "isolated-substitution", "truncated": false}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", SHARED_MEMO_RECORDS)
+    def test_shared_memo_records_are_pinned(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv, "--records")
+        assert (code, out, err) == (0, self.SHARED_MEMO_RECORDS[argv], "")
+
+    # exit code per budget 0, 30, 1000 and 4095, recorded when every graph had
+    # its own fresh memo: one host's solves share one budget, and their total
+    # is the derived graph's own solve
+    SHARED_MEMO_BUDGET_EXITS = {
+        "closed-forms": ((3, 3, 3, 0), 61),
+        "nim-sum": ((3, 3, 0, 0), 500),
+        "isolated-substitution": ((3, 3, 0, 0), 1000),
+    }
+
+    @pytest.mark.parametrize("theorem", SHARED_MEMO_BUDGET_EXITS)
+    def test_shared_memo_budget_outcomes(self, capsys, theorem):
+        codes, instances = self.SHARED_MEMO_BUDGET_EXITS[theorem]
+        for budget, expected in zip((0, 30, 1000, 4095), codes):
+            code, out, err = run_cli(capsys, "verify", theorem, "--budget", str(budget))
+            assert code == expected, budget
+            if code:
+                assert (out, err) == (
+                    "",
+                    f"error: {theorem}: node budget exhausted after {budget} "
+                    f"positions (budget {budget}); retry with a larger budget\n",
+                )
+            else:
+                assert (out, err) == (
+                    f"{theorem}: PASS ({instances} instances checked)\n", ""
+                )
+
     def test_unknown_theorem(self, capsys):
         code = main(["verify", "flat-earth"])
         capsys.readouterr()

@@ -16,7 +16,8 @@ from vertexnim import (
     grundy_value,
     to_graph6,
 )
-from vertexnim.exhaustive import _SEGMENT, _degree_parities, _level_tables, _xor_doubled
+from vertexnim.exhaustive import _SEGMENT, _degree_parities, _edge_count_planes
+from vertexnim.exhaustive import _level_tables, _xor_doubled
 from vertexnim.graph import edge_slots
 
 # derived by the sweep itself and double-checked against the per-graph
@@ -304,6 +305,17 @@ def test_xor_doubled_xors_the_steps_of_each_slot(steps):
             if mask >> s & 1:
                 expected ^= step
         assert table[mask] == expected, (steps, mask)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_edge_count_planes_hold_each_masks_edge_count(k):
+    planes = _edge_count_planes(k)
+    size = 2 ** math.comb(k, 2)
+    assert len(planes) == math.comb(k, 2).bit_length()
+    for mask in range(size):
+        count = sum((plane >> mask & 1) << p for p, plane in enumerate(planes))
+        assert count == bin(mask).count("1"), (k, mask)
+    assert all(plane < 1 << size for plane in planes)
 
 
 @pytest.mark.parametrize("k", range(8))

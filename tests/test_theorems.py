@@ -34,13 +34,16 @@ from vertexnim import (
     random_bipartite_graph,
     random_graph,
     replace_isolated_with_p3,
+    star_graph,
     to_edge_mask,
+    to_graph6,
     verify_theorem,
 )
 from vertexnim import theorems
 from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table, census, grundy_tables
 from vertexnim.graph import from_edge_mask, iter_bits
-from vertexnim.solver import grundy, grundy_even_even, solve
+from vertexnim.solver import NodeBudgetExceeded, grundy, grundy_even_even, lattice_values
+from vertexnim.solver import solve
 from vertexnim.theorems import (
     FAILURE_CAP,
     SUITES,
@@ -126,6 +129,44 @@ class TestRandomGenerators:
         rng = random.Random(6)
         for _ in range(50):
             assert random_bipartite_graph(rng, rng.randint(0, 10)).is_bipartite()
+
+    # SHA-256 of the graph6 lines of each generator's first 100 samples, on
+    # n = 0..12 in turn, recorded when the generators built their graphs
+    # through Graph's per-edge validation
+    SAMPLES = {
+        (random_graph, 1009): (
+            "c691385d32bbe3f0dc857e431b02d21a9e6e37f05fa29d9bee1a13f543e5c70f"
+        ),
+        (random_graph, 1013): (
+            "4417f8c824314288de04014bfa71ab3bdbb41aa2d0366e9569fa93988aae0bfe"
+        ),
+        (random_graph, 1021): (
+            "659f04ed9db8f88a1f465329f049f30a12115045c26a9862d81dc28b0f917ba0"
+        ),
+        (random_bipartite_graph, 1009): (
+            "3a1d7349ebcc41ae54a09f78b371137af2d7b4a1eaf7414fdb08d01cfe19bfc2"
+        ),
+        (random_bipartite_graph, 1013): (
+            "a9bdc4cde3b30dc16ac4e82ea786fe24ca9ad5a8294aed662951d6b099ef9a25"
+        ),
+        (random_bipartite_graph, 1021): (
+            "d919756d33e82a1ecc58fc57e29a87f00d18f56d2614bc88891710b193fb9207"
+        ),
+    }
+
+    @pytest.mark.parametrize("generator, seed", SAMPLES)
+    def test_first_samples_are_pinned(self, generator, seed):
+        rng = random.Random(seed)
+        graphs = [generator(rng, i % 13) for i in range(100)]
+        for g in graphs:
+            assert g == Graph(g.n, g.edges())
+        lines = "\n".join(map(to_graph6, graphs))
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == self.SAMPLES[generator, seed]
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="got -1"):
+            random_graph(random.Random(1), -1)
 
 
 class TestReachableMasks:
@@ -947,6 +988,96 @@ class TestNotesPastTheCap:
             rows_digest(rows)
             == "504eeb3577c4320f438c3e2d0b936d40215e7aebfcd6e8513f734e0755d0962c"
         )
+
+
+def grows_2_paths(g: Graph) -> Graph:
+    """A wrong :func:`replace_isolated_with_p3`: each isolated vertex gains one
+    appended neighbour, a 2-path of value 1 in place of a value-0 vertex."""
+    isolated = [v for v in range(g.n) if g.adj[v] == 0]
+    if not isolated:
+        return g
+    rows, n = list(g.adj), g.n
+    for v in isolated:
+        rows[v] = 1 << n
+        rows.append(1 << v)
+        n += 1
+    return Graph._from_adj(n, tuple(rows))
+
+
+class TestSharedMemos:
+    """closed-forms, nim-sum and isolated-substitution solve the graphs that
+    share a host graph and its labels on one memo per host."""
+
+    @pytest.mark.parametrize(
+        "suite, runs",
+        [
+            (check_closed_forms, 4),
+            (lambda: check_nim_sum(count=250), 123),
+            (lambda: check_isolated_substitution(count=250), 13),
+        ],
+    )
+    def test_kernel_runs(self, suite, runs, monkeypatch):
+        # one fresh memo per solve ran 18, 174 and 26 kernels
+        calls = []
+
+        def counted(rows, even):
+            calls.append(len(rows))
+            return lattice_values(rows, even)
+
+        monkeypatch.setattr("vertexnim.solver.lattice_values", counted)
+        assert suite().passed
+        assert len(calls) == runs
+
+    # each fault as (the suite's call, the name it patches, the fault, the
+    # failure count, SHA-256 of the rows), recorded when every graph had its
+    # own fresh memo
+    FAULTS = {
+        "path closed form wrong for even n": (
+            check_closed_forms,
+            "closed_form_path",
+            lambda n: 0,
+            6,
+            "dd3b303e3b08b6ee6130f07d96024fc7a3af26010a21d3d363e2ed1e4e1a4fe2",
+        ),
+        "inverted complete bipartite closed form": (
+            check_closed_forms,
+            "closed_form_complete_bipartite",
+            lambda a, b: 1 - closed_form_complete_bipartite(a, b),
+            25,
+            "00692ecd16f39422d98e3540ab694fd4daa279e0474578e5e52bf312da6c0bbe",
+        ),
+        "substitution grows 2-paths": (
+            lambda: check_isolated_substitution(count=250),
+            "replace_isolated_with_p3",
+            grows_2_paths,
+            126,
+            "635b2a5f743636578abe3fac9e58e4423d3010dbf192b51491748b5f90e4d967",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_failure_rows_are_pinned(self, fault, monkeypatch):
+        suite, name, patched, failures, digest = self.FAULTS[fault]
+        monkeypatch.setattr(f"vertexnim.theorems.{name}", patched)
+        result = suite()
+        rows = failure_rows(result)
+        assert (len(rows), result.truncated) == (failures, False)
+        assert rows_digest(rows) == digest
+
+    def test_a_member_the_largest_did_not_reach_keeps_its_own_budget(self):
+        # K_{5,5} searched visits 768 positions and does not reach K_{4,4},
+        # K_{2,2}, K_{2,4} or K_{4,2}; one memo for all would need 772
+        with pytest.raises(NodeBudgetExceeded, match="after 767 positions"):
+            check_closed_forms(max_n=0, budget=767)
+        for budget in (768, 771):
+            assert check_closed_forms(max_n=0, budget=budget).passed
+
+    def test_a_failing_member_reports_its_own_graph(self, monkeypatch):
+        monkeypatch.setattr("vertexnim.theorems.closed_form_star", lambda n: n)
+        result = check_closed_forms(max_n=3)
+        assert [(f.graph6, f.note) for f in result.failures] == [
+            (to_graph6(star_graph(n)), f"star n={n}") for n in (1, 2, 3)
+        ]
 
 
 def off_by_one(max_n, rule):
