@@ -63,6 +63,19 @@ def _slot_vector(s: int, size: int) -> int:
     return v
 
 
+def _odd_vertices(adj: tuple, alive: int) -> int:
+    """Bit set of the vertices of ``alive`` with an odd number of neighbours
+    in ``alive``: the XOR of their rows, which holds each vertex once per
+    alive neighbour, masked by ``alive``."""
+    odd = 0
+    rest = alive
+    while rest:
+        low = rest & -rest
+        odd ^= adj[low.bit_length() - 1]
+        rest ^= low
+    return odd & alive
+
+
 def _components(adj: tuple, alive: int) -> list:
     """Bit set ``alive`` of rows ``adj`` partitioned into components, ordered
     by lowest vertex. Each grows from its lowest remaining vertex one vertex
@@ -140,12 +153,12 @@ class Graph:
         return self.adj[v].bit_count()
 
     def odd_degree_vertices(self) -> int:
-        """Bit set of vertices with odd degree."""
-        out = 0
-        for v, row in enumerate(self.adj):
-            if row.bit_count() & 1:
-                out |= 1 << v
-        return out
+        """Bit set of vertices with odd degree: the XOR of every row, as
+        :meth:`Position.movable_vertices` XORs the alive rows."""
+        odd = 0
+        for row in self.adj:
+            odd ^= row
+        return odd
 
     def full_position(self) -> "Position":
         return Position(self, (1 << self.n) - 1)
@@ -215,14 +228,8 @@ class Position:
         """Bit set of alive vertices whose degree parity matches ``rule``; a
         ``rule`` that is not a :class:`MoveRule` is refused with ``ValueError``."""
         _check_rule(rule)
-        adj = self.graph.adj
-        alive = self.alive
-        parity = rule.value
-        out = 0
-        for v in iter_bits(alive):
-            if (adj[v] & alive).bit_count() & 1 == parity:
-                out |= 1 << v
-        return out
+        odd = _odd_vertices(self.graph.adj, self.alive)
+        return odd if rule is MoveRule.ODD else self.alive ^ odd
 
     def remove_vertex(self, v: int) -> "Position":
         """The position after removing alive vertex ``v`` and its edges."""

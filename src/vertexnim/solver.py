@@ -12,28 +12,30 @@ probe the memo for each child and component, so the recursion runs only on a
 miss. One engine serves both rules. :func:`solve` puts the proved closed forms
 in front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 
-A solve splits its root into components once, reading only the rows of alive
-vertices, and a memo hit builds nothing: the rows are filled on the first
-component the memo cannot answer, and the degree-parity vector only when a
-miss or the move search needs it. A component the memo cannot answer that
-has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a movable vertex and
-``2**k`` nodes left in the budget goes straight to :func:`lattice_values`,
-which values every subset of it at once, bit-sliced over its subset lattice
-one slab of ``2**12`` subsets at a time; the memo keeps the result as a
-:class:`Lattice`, so later solves read any subset's value as one bit, its
-index remapped run by run, and a search on a memo that holds lattices reads
-them too. Any other component is searched. A lattice costs one kernel run,
-where a search of a dense component visits many times ``2**k / 64`` nodes
-(the kernel's measured cost in search nodes); only a path-like component,
-whose search visits few positions, is slower this way.
+A solve reads the memo first, for its root and for each child its move search
+probes, and builds the search (its closures, rows and budget bookkeeping) only
+at the first read the memo cannot answer; a query the memo answers costs its
+reads and, with the move search, the root's degree-parity vector. The search
+splits its root into components once, reading only the rows of alive vertices,
+filled on the first component the memo cannot answer. A component the memo
+cannot answer that has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a
+movable vertex and ``2**k`` nodes left in the budget goes straight to
+:func:`lattice_values`, which values every subset of it at once, bit-sliced
+over its subset lattice one slab of ``2**12`` subsets at a time; the memo
+keeps the result as a :class:`Lattice`, so later solves read any subset's
+value as one bit, its index remapped run by run, and a search on a memo that
+holds lattices reads them too. Any other component is searched. A lattice
+costs one kernel run, where a search of a dense component visits many times
+``2**k / 64`` nodes (the kernel's measured cost in search nodes); only a
+path-like component, whose search visits few positions, is slower this way.
 """
 
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .graph import Graph, MoveRule, Position, _check_rule, _components, iter_bits
-from .graph import _slot_vector
+from .graph import _odd_vertices, _slot_vector
 # from_edge_mask goes unused here: perfbench's span recorder rebinds it
 from .graph import from_edge_mask
 
@@ -105,19 +107,31 @@ class MemoTable:
         return len(self.entries) + sum(1 << mask.bit_count() for mask in masks)
 
 
-# a slab spans at most this many vertices, whose subset vectors are built once
-# per process (14 KB for every width up to 12). Of widths 10 to 13, 12 was the
-# fastest or tied at each k from 12 to 20, and 13 the slowest from 14 on (at
-# k = 16, 1.2-2.0 ms against 1.4-2.0 at 11 and 2.2-3.8 at 13; 2-vCPU Xeon,
-# Python 3.11.7)
+# a slab spans at most this many vertices, whose subset vectors and nibble
+# tables are built once per process (32 KB at width 12, 63 KB for every width
+# up to 12; the vectors alone take 7 and 14 KB). Of widths 10 to 13, 12 was
+# the fastest or tied at each k from 12 to 20, and 13 the slowest from 14 on
+# (at k = 16, 1.2-2.0 ms against 1.4-2.0 at 11 and 2.2-3.8 at 13; 2-vCPU
+# Xeon, Python 3.11.7)
 _SLAB_MAX_N = 12
 
 
 @cache
 def _subset_vectors(k: int) -> tuple:
-    # bit m of entry i says that subset m holds i, as edge mask m holds slot i
+    """``(vectors, nibbles)`` for the ``2**k`` subsets of ``k`` vertices.
+    Bit ``m`` of ``vectors[i]`` says that subset ``m`` holds ``i``, as edge
+    mask ``m`` holds slot ``i``. ``nibbles[j][x]`` is the XOR of the vectors
+    of the vertices ``4 * j + i`` for the bits ``i`` of ``x``, so a row's
+    degree-parity vector takes one lookup per group of four vertices."""
     size = 1 << k
-    return tuple(_slot_vector(i, size) for i in range(k))
+    vectors = tuple(_slot_vector(i, size) for i in range(k))
+    nibbles = []
+    for j in range(0, k, 4):
+        table = [0]
+        for vector in vectors[j : j + 4]:
+            table += [x ^ vector for x in table]
+        nibbles.append(tuple(table))
+    return vectors, tuple(nibbles)
 
 
 def lattice_values(rows: list, even: bool) -> list:
@@ -127,25 +141,28 @@ def lattice_values(rows: list, even: bool) -> list:
     Grundy value ``g``, with bit ``m`` (bit ``m & 7`` of byte ``m >> 3``)
     set when the subset ``m`` has value ``g``. The sets are bit-sliced over
     the subset lattice (Biham, FSE 1997), one slab at a time. The ``w``
-    lowest vertices, at most ``_SLAB_MAX_N``, are the low vertices, and
-    slab ``h`` holds the ``2**w`` subsets ``h << w | l`` whose other (top)
-    vertices are the set ``h``. Bit ``l`` of ``alive[i]`` says that ``i``
-    is in ``l``, and the subsets from which removing a low vertex ``i``
-    reaches a set ``s`` of the slab are ``s << 2**i``, masked by the
-    subsets in which ``i`` is movable; that mask is one of two per vertex,
-    picked by the parity of ``i``'s top neighbours in ``h``. Removing top
-    vertex ``t`` leads to slab ``h ^ 2**t < h``, so the slabs are valued in
-    increasing ``h`` and those exits read finished slabs. In a slab, the
-    value-``g`` subsets are the unique fixpoint of "value at least ``g``,
-    no exit of value ``g`` and no low child of value ``g``"; the iteration
-    is exact on subsets of fewer than ``j`` low vertices after ``j``
-    rounds, and usually stops well before ``w + 1``.
+    lowest vertices, at most ``_SLAB_MAX_N``, are the low vertices, and slab
+    ``h`` holds the ``2**w`` subsets ``h << w | l`` whose other (top)
+    vertices are the set ``h``. Bit ``l`` of ``alive[i]`` says that ``i`` is
+    in ``l``; the subsets in which ``i`` has an odd number of low neighbours
+    are read from cached tables, one lookup per group of four low vertices.
+    The subsets from which removing a low vertex ``i`` reaches a set ``s``
+    of the slab are ``s << 2**i``, masked by the subsets in which ``i`` is
+    movable; that mask is one of two per vertex, picked by the parity of
+    ``i``'s top neighbours in ``h``. Removing top vertex ``t`` leads to slab
+    ``h ^ 2**t < h``, so the slabs are valued in increasing ``h`` and those
+    exits read finished slabs. In a slab, the value-``g`` subsets are the
+    unique fixpoint of "value at least ``g``, no exit of value ``g`` and no
+    low child of value ``g``"; the iteration is exact on subsets of fewer
+    than ``j`` low vertices after ``j`` rounds, and usually stops well
+    before ``w + 1``.
     """
     k = len(rows)
     width = k if k <= _SLAB_MAX_N else _SLAB_MAX_N
     size = 1 << width
     full = (1 << size) - 1
-    held_of = alive = _subset_vectors(width)
+    alive, nibbles = _subset_vectors(width)
+    held_of = alive
     if k > width:
         # a top vertex is in every subset of a slab that holds it
         held_of += (full,) * (k - width)
@@ -153,11 +170,11 @@ def lattice_values(rows: list, even: bool) -> list:
         rows = [row & size - 1 for row in rows]
     moves = []
     for i, row in enumerate(rows):
+        # the subsets in which i has an odd number of neighbours
         odd = 0
-        while row:
-            low = row & -row
-            odd ^= alive[low.bit_length() - 1]
-            row ^= low
+        for table in nibbles:
+            odd ^= table[row & 15]
+            row >>= 4
         held = held_of[i]
         # a ^ (a & b) is a & ~b without building ~b, about 4x faster at 2**18
         # bits; so are the tests below
@@ -244,7 +261,21 @@ class Lattice:
             shift = low.bit_length() - 1
             self.runs.append((shift, run >> shift, (mask & low - 1).bit_count()))
             rest ^= run
-        local_rows = [self._index(rows[1 << v] & mask) for v in iter_bits(mask)]
+        local_rows = []
+        rest = mask
+        if len(self.runs) == 1:
+            # one run: a row's local bits are its bits in the run, shifted down
+            shift = self.runs[0][0]
+            while rest:
+                low = rest & -rest
+                local_rows.append((rows[low] & mask) >> shift)
+                rest ^= low
+        else:
+            index = self._index
+            while rest:
+                low = rest & -rest
+                local_rows.append(index(rows[low] & mask))
+                rest ^= low
         self.values = lattice_values(local_rows, even)
 
     def _index(self, mask: int) -> int:
@@ -326,9 +357,10 @@ def grundy(
     and its refusal. ``nodes_visited`` counts the search's visits plus
     ``2**k`` per lattice, and is what the budget bounds; it is also the
     number of positions the memo gained. A solve's set-up follows its alive
-    set, not its host graph, and a memo hit builds nothing: a solve that the
-    memo answers reads no host row, and its move search reads only the alive
-    rows.
+    set, not its host graph. The memo is read first, and the search is built
+    at the first read it cannot answer: a solve that the memo answers, and
+    answers every child its move search probes, builds no search, visits
+    nothing and reads no host row but the alive rows its move search needs.
 
     The search nests at most 2n + 2 Python frames on n alive vertices, and
     most positions nest far less: a path plus a triangle solves at n = 255
@@ -351,6 +383,17 @@ def grundy_value(
     return _solve(position, rule, memo, False)[0]
 
 
+def _read(entries: dict, lattices: dict, mask: int) -> int | None:
+    """The memo's value of ``mask``, or None: its entry, else the lattice
+    that holds the mask's lowest vertex. Most memos hold no lattice."""
+    value = entries.get(mask)
+    if value is None and lattices:
+        lattice = lattices.get(mask & -mask)
+        if lattice is not None and not mask & ~lattice.mask:
+            return lattice.value(mask)
+    return value
+
+
 def _solve(position, rule, memo, find_move) -> tuple:
     # (value, nodes visited, optimal move or None)
     _check_rule(rule)
@@ -364,15 +407,58 @@ def _solve(position, rule, memo, find_move) -> tuple:
         memo.graph, memo.rule = graph, rule
     elif memo.rule is not rule or (memo.graph is not graph and memo.graph != graph):
         raise ValueError("this memo table holds another host graph or rule")
-    adj = graph.adj
-    # adjacency keyed by the vertex's bit, so no bit_length() per lookup,
-    # filled on the first memo miss; the empty mask's lowest bit is 0, whose
-    # empty row gives an empty component
-    rows = {}
+    entries = memo.entries
+    lattices = memo.lattices
+    base = memo.nodes_visited
     even = rule is MoveRule.EVEN
+    # a read the memo answers builds nothing; the search is built at the
+    # first read that misses, and only the move search needs the parities
+    split = None
+    move = None
+    try:
+        value = _read(entries, lattices, alive)
+        if value is None or find_move and value > 0:
+            adj = graph.adj
+            odd = _odd_vertices(adj, alive)
+            if value is None:
+                split = _search(memo, adj, alive, even)
+                value = split(alive, odd)
+        if find_move and value > 0:
+            # a move to a 0-child exists from any positive position; take the
+            # lowest-index one for determinism
+            movable = alive ^ odd if even else odd
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                child = alive ^ low
+                got = _read(entries, lattices, child)
+                if got is None:
+                    if split is None:
+                        split = _search(memo, adj, alive, even)
+                    got = split(child, (odd ^ adj[low.bit_length() - 1]) & child)
+                if got == 0:
+                    move = low.bit_length() - 1
+                    break
+    except RecursionError:
+        raise ValueError(
+            f"search of {alive.bit_count()} alive vertices nests deeper than "
+            f"the recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
+    return value, memo.nodes_visited - base, move
+
+
+def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
+    """The search of one solve of ``alive`` on ``memo``: a function of a
+    mask the memo cannot answer and its degree-parity vector that returns
+    the mask's value, and records the nodes visited in ``memo`` as it ends."""
+    # adjacency keyed by the vertex's bit, so no bit_length() per lookup,
+    # filled on the first component the memo cannot answer; the empty mask's
+    # lowest bit is 0, whose empty row gives an empty component
+    rows = {}
     entries = memo.entries
     get = entries.get
     lattices = memo.lattices
+    known = partial(_read, entries, lattices)
     budget = memo.node_budget
     base = memo.nodes_visited
     # refuse the visit that would break nodes_visited <= node_budget
@@ -425,15 +511,6 @@ def _solve(position, rule, memo, find_move) -> tuple:
         entries[mask] = value
         return value
 
-    def known(mask: int) -> int | None:
-        # the memo's value of mask, or None; most memos hold no lattice
-        value = get(mask)
-        if value is None and lattices:
-            lattice = lattices.get(mask & -mask)
-            if lattice is not None and not mask & ~lattice.mask:
-                return lattice.value(mask)
-        return value
-
     # a fresh memo's lattices and this solve's searches cover disjoint
     # components, so only a reused memo's lattices can answer a search
     probe = known if lattices else get
@@ -441,10 +518,13 @@ def _solve(position, rule, memo, find_move) -> tuple:
     def split(mask: int, odd: int) -> int:
         # the nim-sum of the components of mask, which the memo cannot answer
         value = 0
-        for comp in _components(adj, mask):
-            part = known(comp) if comp != mask else None
-            # no edge leaves a component, so its degrees are those in mask
-            value ^= fresh(comp, odd & comp) if part is None else part
+        try:
+            for comp in _components(adj, mask):
+                part = known(comp) if comp != mask else None
+                # no edge leaves a component, so its degrees are those in mask
+                value ^= fresh(comp, odd & comp) if part is None else part
+        finally:
+            memo.nodes_visited = base + visited
         return value
 
     def fresh(comp: int, odd: int) -> int:
@@ -452,8 +532,11 @@ def _solve(position, rule, memo, find_move) -> tuple:
         nonlocal visited
         if not rows:
             rows[0] = 0
-            for v in iter_bits(alive):
-                rows[1 << v] = adj[v]
+            rest = alive
+            while rest:
+                low = rest & -rest
+                rows[low] = adj[low.bit_length() - 1]
+                rest ^= low
         k = comp.bit_count()
         movable = comp ^ odd if even else odd
         # a terminal component is one search node, far cheaper than a lattice
@@ -461,41 +544,14 @@ def _solve(position, rule, memo, find_move) -> tuple:
             return search(comp, odd)
         visited += 1 << k
         lattice = Lattice(comp, rows, even)
-        for v in iter_bits(comp):
-            lattices[1 << v] = lattice
+        rest = comp
+        while rest:
+            low = rest & -rest
+            lattices[low] = lattice
+            rest ^= low
         return lattice.value(comp)
 
-    try:
-        # a memo hit builds nothing, and its move search only the parities
-        move = None
-        value = known(alive)
-        if value is None or find_move and value > 0:
-            odd = 0
-            for v in iter_bits(alive):
-                odd ^= adj[v]
-            odd &= alive
-            if value is None:
-                value = split(alive, odd)
-        if find_move and value > 0:
-            # a move to a 0-child exists from any positive position; take the
-            # lowest-index one for determinism
-            movable = alive ^ odd if even else odd
-            for v in iter_bits(movable):
-                child = alive ^ 1 << v
-                got = known(child)
-                if got is None:
-                    got = split(child, (odd ^ adj[v]) & child)
-                if got == 0:
-                    move = v
-                    break
-    except RecursionError:
-        raise ValueError(
-            f"search of {alive.bit_count()} alive vertices nests deeper than "
-            f"the recursion limit of {sys.getrecursionlimit()} frames"
-        ) from None
-    finally:
-        memo.nodes_visited = base + visited
-    return value, visited, move
+    return split
 
 
 def grundy_even_even(g: Graph) -> int:

@@ -11,6 +11,7 @@ import inspect
 import random
 import re
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import compress, groupby
 
 from .exhaustive import SWEEP_MAX_N, _bit_planes, _check_sweep_range, _degree_parities
@@ -617,11 +618,13 @@ def _covers_once(mask: int, trails: list) -> bool:
     return used == mask
 
 
-def _cycles(n: int) -> list:
+@cache
+def _cycles(n: int) -> tuple:
     """Every simple cycle of K_n as an edge mask, listed under its highest
     slot, shortest first, if :func:`_covers_once` accepts its vertex list.
     Those under slot (b, t) run t, b, ..., x, t through vertices below t,
-    with x < b."""
+    with x < b. Built once per ``n`` and process, as tuples, which callers
+    cannot change."""
     bit = [[0] * n for _ in range(n)]
     for s, (i, j) in enumerate(edge_slots(n)):
         bit[i][j] = bit[j][i] = 1 << s
@@ -639,11 +642,13 @@ def _cycles(n: int) -> list:
                         if u < b:
                             found.append((path + [u, t], step | bit[u][t]))
                         paths.append((path + [u], step))
-            lists.append([mask for trail, mask in found if _covers_once(mask, [trail])])
-    return lists
+            lists.append(
+                tuple(mask for trail, mask in found if _covers_once(mask, [trail]))
+            )
+    return tuple(lists)
 
 
-def _uncertified(n: int, flags, cycles: list):
+def _uncertified(n: int, flags, cycles: tuple):
     """Yield ``(mask, trails)`` for each flagged mask on ``n`` vertices,
     ascending, that closed trails using each edge once do not certify. A mask
     is certified if the first of ``cycles`` (:func:`_cycles`) under its

@@ -117,6 +117,24 @@ class TestDegreeAndMoves:
         assert p.movable_vertices(MoveRule.EVEN) == 0b1
         assert p.movable_vertices(MoveRule.ODD) == 0
 
+    @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+    def test_parity_sets_match_per_vertex_degrees(self, rule):
+        # seeded random positions of up to 20 vertices, a quarter of them
+        # with every vertex alive
+        rng = random.Random(31 + rule.value)
+        for i in range(200):
+            n = rng.randint(0, 20)
+            p = rng.random()
+            g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+            alive = (1 << n) - 1 if i % 4 == 0 else rng.getrandbits(n)
+            position = Position(g, alive)
+            movable = sum(
+                1 << v for v in iter_bits(alive) if position.degree(v) % 2 == rule.value
+            )
+            assert position.movable_vertices(rule) == movable
+            odd = sum(1 << v for v in range(n) if g.degree(v) % 2)
+            assert g.odd_degree_vertices() == odd
+
     @pytest.mark.parametrize("method", ["movable_vertices", "is_terminal"])
     @pytest.mark.parametrize("rule", ["odd", 0, 1, None])
     def test_refuses_a_rule_that_is_not_a_move_rule(self, method, rule):

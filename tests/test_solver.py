@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -336,6 +337,64 @@ def test_counters_pinned():
         r = grundy(position, rule)
         got.append((r.grundy, r.nodes_visited, r.distinct_positions, r.optimal_move))
     assert got == PINNED_REPORTS
+
+
+# (host nodes_visited, grundy, nodes_visited, optimal_move, len(memo)): each
+# pinned host solved whole, then the pinned position on the same memo. Most
+# positions are memo hits that visit nothing; the others search the children
+# or components the host's solve did not store
+REUSED_MEMO_REPORTS = [
+    (48, 0, 0, None, 48),
+    (256, 1, 0, 0, 256),
+    (23, 0, 0, None, 23),
+    (1024, 0, 0, None, 1024),
+    (1024, 2, 0, 4, 1024),
+    (512, 2, 0, 0, 512),
+    (4098, 1, 0, 0, 4098),
+    (12, 1, 1, 2, 13),
+    (8192, 0, 0, None, 8192),
+    (512, 2, 0, 3, 512),
+    (256, 0, 0, None, 256),
+    (1024, 1, 0, 0, 1024),
+    (7, 1, 0, 1, 7),
+    (9, 0, 4, None, 13),
+    (512, 1, 0, 0, 512),
+    (72, 1, 0, 3, 72),
+    (4096, 1, 0, 1, 4096),
+    (13, 1, 0, 1, 13),
+    (1024, 0, 0, None, 1024),
+    (15, 0, 5, None, 20),
+    (256, 1, 0, 0, 256),
+    (34, 1, 0, 5, 34),
+    (12, 0, 0, None, 12),
+    (1026, 0, 0, None, 1026),
+    (512, 0, 0, None, 512),
+    (22, 1, 0, 1, 22),
+    (4096, 0, 0, None, 4096),
+    (512, 1, 0, 3, 512),
+    (9, 0, 0, None, 9),
+    (513, 0, 0, None, 513),
+    (256, 0, 0, None, 256),
+    (49, 0, 12, None, 61),
+    (1025, 1, 0, 0, 1025),
+    (256, 2, 0, 1, 256),
+    (2051, 1, 0, 0, 2051),
+    (23, 1, 16, 0, 39),
+    (72, 0, 0, None, 72),
+    (73, 0, 0, None, 73),
+    (24, 1, 0, 4, 24),
+    (8192, 1, 0, 0, 8192),
+]
+
+
+def test_reused_memo_counters_pinned():
+    got = []
+    for position, rule in pinned_positions():
+        memo = MemoTable()
+        whole = grundy(position.graph, rule, memo)
+        r = grundy(position, rule, memo)
+        got.append((whole.nodes_visited, r.grundy, r.nodes_visited, r.optimal_move, len(memo)))
+    assert got == REUSED_MEMO_REPORTS
 
 
 @pytest.mark.parametrize(
@@ -689,6 +748,41 @@ def test_lattice_working_set_stays_near_what_it_keeps():
     assert peak <= 4 * kept
 
 
+@pytest.mark.parametrize("width", range(_SLAB_MAX_N + 1))
+def test_nibble_tables_give_the_per_neighbour_parity_vectors(width):
+    vectors, nibbles = _subset_vectors(width)
+    assert len(vectors) == width and len(nibbles) == (width + 3) // 4
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    rows = [0, full] + [1 << i for i in range(width)]
+    rows += [rng.getrandbits(width) for _ in range(64)] if width > 6 else range(1 << width)
+    for row in rows:
+        expected = 0
+        for i in iter_bits(row):
+            expected ^= vectors[i]
+        odd = 0
+        rest = row
+        for table in nibbles:
+            odd ^= table[rest & 15]
+            rest >>= 4
+        assert odd == expected
+
+
+def test_lattice_values_pinned():
+    # seeded graphs with k from 1 to 18, under both rules: the kernel's bytes
+    # hash as they did before its parity vectors came from nibble tables
+    digest = hashlib.sha256()
+    for k in range(1, LATTICE_MAX_N + 1):
+        g = random_graph(random.Random(3100 + k), k)
+        for even in (False, True):
+            for bits in lattice_values(list(g.adj), even):
+                digest.update(bits)
+            digest.update(b"|")
+    assert digest.hexdigest() == (
+        "ef12a6e9cc352af211f70295672aa800d3dfca89a403d2b58b885b302451a4e9"
+    )
+
+
 def spread_mask(m, stride, offset=0):
     """Bit ``i`` of ``m`` moved to bit ``stride * i + offset``."""
     return sum(1 << stride * i + offset for i in iter_bits(m))
@@ -755,6 +849,107 @@ def test_a_memo_hit_builds_nothing():
     report = grundy(child, MoveRule.ODD, memo)
     assert (report.grundy, report.optimal_move, report.nodes_visited) == (1, 501, 0)
     assert read == set(range(501, 513))
+
+
+def spy_search(monkeypatch):
+    """Count the calls that build or run a search: the search itself, the
+    lattice kernel and the component split."""
+    calls = []
+    for name in ("_search", "lattice_values", "_components"):
+        real = getattr(vertexnim.solver, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(vertexnim.solver, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_memo_answered_queries_build_no_search(rule, monkeypatch):
+    # a connected 10-vertex graph valued by its lattice, and a 7-vertex graph
+    # searched: each query the filled memo answers, its move scan included,
+    # gives the fresh memo's value and move and builds no search
+    rng = random.Random(31)
+    dense = Graph(10, [(i, j) for j in range(10) for i in range(j) if rng.random() < 0.5])
+    assert Position(dense, (1 << 10) - 1).connected_components() == [(1 << 10) - 1]
+    small = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5), (5, 6)])
+    for g, lattice in ((dense, True), (small, False)):
+        memo = MemoTable()
+        grundy(g, rule, memo)
+        assert bool(memo.lattices) is lattice
+        fresh = {alive: grundy(Position(g, alive), rule) for alive in range(1 << g.n)}
+
+        def held(mask):
+            # the memo's entries, or for a nonempty mask, a lattice
+            return mask in memo.entries or mask and mask & -mask in memo.lattices
+
+        # the root and, from a positive root, each child the move scan
+        # probes, up to the move
+        answered = [
+            alive for alive, report in fresh.items()
+            if held(alive) and all(
+                held(alive ^ 1 << v)
+                for v in iter_bits(Position(g, alive).movable_vertices(rule))
+                if report.grundy and v <= report.optimal_move
+            )
+        ]
+        # the lattice answers every subset but the empty set, which a solve
+        # splits into no components, and under the even rule the lone
+        # vertices, whose move scan probes the empty set
+        assert len(answered) == {
+            (MoveRule.ODD, True): 1023, (MoveRule.EVEN, True): 1013,
+            (MoveRule.ODD, False): 50, (MoveRule.EVEN, False): 50,
+        }[rule, lattice]
+        entries, visited = dict(memo.entries), memo.nodes_visited
+        calls = spy_search(monkeypatch)
+        for alive in answered:
+            report = grundy(Position(g, alive), rule, memo)
+            expected = fresh[alive]
+            assert (report.grundy, report.optimal_move) == (
+                expected.grundy, expected.optimal_move
+            )
+            assert report.nodes_visited == 0
+            assert grundy_value(Position(g, alive), rule, memo) == expected.grundy
+        assert memo.entries == entries and memo.nodes_visited == visited
+        assert not calls
+        monkeypatch.undo()
+
+
+def test_a_memo_hit_searches_the_children_the_memo_cannot_answer(monkeypatch):
+    # paw 0-3 beside the path 4-5-6; counters and entries recorded before
+    # memo-answered queries stopped building the search
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (4, 5), (5, 6)])
+    memo = MemoTable()
+    grundy(g, MoveRule.ODD, memo)
+    entries = dict(memo.entries)
+    # 0b1110 splits into {1, 2} and {3}: the search stored it from its
+    # components, and never probed its child 0b1100, the two lone vertices
+    # 2 and 3, whose components it holds
+    assert (entries[0b1110], 0b1100 in entries) == (1, False)
+    calls = spy_search(monkeypatch)
+    report = grundy(Position(g, 0b1110), MoveRule.ODD, memo)
+    assert (report.grundy, report.optimal_move, report.nodes_visited) == (1, 1, 0)
+    assert memo.entries == entries
+    assert calls == ["_search", "_components"]
+    monkeypatch.undo()
+    # a memo that holds only the root searches each child its move scan probes
+    stored = {
+        MoveRule.ODD: (2, 11, 3, [(2, 0), (4, 0), (6, 1), (7, 0), (8, 0), (16, 0), (32, 0),
+                                  (48, 1), (64, 0), (96, 1), (112, 0), (127, 2)]),
+        MoveRule.EVEN: (1, 9, 1, [(0, 0), (4, 1), (8, 1), (12, 0), (13, 1), (16, 1),
+                                  (64, 1), (80, 0), (112, 1), (127, 1)]),
+    }
+    for rule, (value, visited, move, items) in stored.items():
+        memo = MemoTable()
+        memo.entries[127] = value
+        report = grundy(g, rule, memo)
+        assert (report.grundy, report.nodes_visited, report.optimal_move) == (
+            value, visited, move
+        )
+        assert sorted(memo.entries.items()) == items
+        assert memo.nodes_visited == visited
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])

@@ -351,7 +351,13 @@ class TestPeelingCertificate:
             "vertexnim.theorems._covers_once",
             lambda mask, trails: mask != triangle and covers_once(mask, trails),
         )
-        lists = _cycles(4)
+        # the lists are cached per n: build them under the patch, and leave
+        # none built under it for later tests
+        _cycles.cache_clear()
+        try:
+            lists = _cycles(4)
+        finally:
+            _cycles.cache_clear()
         assert triangle not in lists[2]
         assert sum(map(len, lists)) == 6
 
