@@ -13,21 +13,25 @@ miss. One engine serves both rules. :func:`solve` puts the proved closed forms
 in front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 
 A solve reads the memo first, for its root and for each child its move search
-probes, and builds the search (its closures, rows and budget bookkeeping) only
-at the first read the memo cannot answer; a query the memo answers costs its
-reads and, with the move search, the root's degree-parity vector. The search
-splits its root into components once, reading only the rows of alive vertices,
-filled on the first component the memo cannot answer. A component the memo
-cannot answer that has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a
-movable vertex and ``2**k`` nodes left in the budget goes straight to
-:func:`lattice_values`, which values every subset of it at once, bit-sliced
-over its subset lattice one slab of ``2**12`` subsets at a time; the memo
-keeps the result as a :class:`Lattice`, so later solves read any subset's
-value as one bit, its index remapped run by run, and a search on a memo that
-holds lattices reads them too. Any other component is searched. A lattice
-costs one kernel run, where a search of a dense component visits many times
-``2**k / 64`` nodes (the kernel's measured cost in search nodes); only a
-path-like component, whose search visits few positions, is slower this way.
+probes; a read that misses splits into components, and when the memo answers
+every one of them the read is their nim-sum. The search (its closures, rows
+and budget bookkeeping) is built only at the first split the memo cannot
+answer, and starts from that split; a query the memo answers costs its reads
+and, with the move search, the root's degree-parity vector. The search reads
+only the rows of alive vertices, filled on the first component the memo
+cannot answer. A component the memo cannot answer that has ``LATTICE_MIN_N``
+to ``LATTICE_MAX_N`` vertices, a movable vertex and ``2**k`` nodes left in the
+budget goes straight to :func:`lattice_values`, which values its subsets one
+Grundy value (a level) at a time, bit-sliced over its subset lattice in slabs
+of ``2**12`` subsets; the memo keeps the result as a :class:`Lattice`, which
+computes levels only as far as its reads need. A solve stops at its root's
+level, and later reads (the move search, ranking the root's children) extend
+the same lattice, so later solves read any subset's value as one bit, its
+index remapped run by run, and a search on a memo that holds lattices reads
+them too. Any other component is searched. A lattice costs at most one
+kernel run, where a search of a dense component visits many times ``2**k /
+64`` nodes (the kernel's measured cost in search nodes); only a path-like
+component, whose search visits few positions, is slower this way.
 """
 
 import sys
@@ -57,13 +61,16 @@ class NodeBudgetExceeded(RuntimeError):
 
 
 # The lattice kernel values a component only when it has at most this many
-# vertices, which bounds its working set: the finished slabs' value sets and
-# the bytes joined from them, about 2 * values * 2**k / 8 bytes, doubling
-# with each vertex (peak traced memory 0.43 MB at k = 18, 1.8 MB at 20,
-# 6.9 MB at 22). Kernel times on random graphs at p = 0.2, 0.5 and 0.8
-# (medians of nine, two rounds; 2-vCPU Xeon, Python 3.11.7): k = 12/14/16/18
-# take 0.14-0.20/0.37-0.71/1.4-2.4/5.5-8.6 ms, and k = 20/22 take 20-36/
-# 88-125 ms. At k = 20 a dense graph's search takes 1.7-2.1 s.
+# vertices, which bounds its working set: each slab's rest and moves, the
+# level being computed and the bytes joined from the levels, within 4x of
+# what the lattice keeps once every level is computed (peak traced memory
+# at k = 18, 20 and 22: 0.30-0.33, 1.2-1.4 and 5.4-5.8 MB every level
+# computed, 0.19-0.26, 0.84-1.1 and 3.8-4.9 MB to the root's level).
+# Kernel times every level computed, on random graphs at p = 0.2, 0.5 and
+# 0.8 (per p the median of nine calls; 2-vCPU Xeon, Python 3.11.7): k =
+# 12/14/16/18 take 0.084-0.094/0.31-0.48/1.2-1.8/5.0-7.1 ms and k = 20/22
+# take 20-27/70-97 ms, and a third to nine tenths of that to the root's
+# level. At k = 20 a dense graph's search takes 1.7-2.1 s.
 LATTICE_MAX_N = 18
 
 
@@ -134,28 +141,26 @@ def _subset_vectors(k: int) -> tuple:
     return vectors, tuple(nibbles)
 
 
-def lattice_values(rows: list, even: bool) -> list:
-    """Value every subset of a graph on ``k = len(rows)`` vertices at once.
+def lattice_values(rows: list, even: bool) -> "Levels":
+    """Value every subset of a graph on ``k = len(rows)`` vertices.
 
-    ``rows[i]`` is vertex ``i``'s neighbourhood. Returns one ``bytes`` per
-    Grundy value ``g``, with bit ``m`` (bit ``m & 7`` of byte ``m >> 3``)
-    set when the subset ``m`` has value ``g``. The sets are bit-sliced over
-    the subset lattice (Biham, FSE 1997), one slab at a time. The ``w``
-    lowest vertices, at most ``_SLAB_MAX_N``, are the low vertices, and slab
-    ``h`` holds the ``2**w`` subsets ``h << w | l`` whose other (top)
-    vertices are the set ``h``. Bit ``l`` of ``alive[i]`` says that ``i`` is
-    in ``l``; the subsets in which ``i`` has an odd number of low neighbours
-    are read from cached tables, one lookup per group of four low vertices.
-    The subsets from which removing a low vertex ``i`` reaches a set ``s``
-    of the slab are ``s << 2**i``, masked by the subsets in which ``i`` is
-    movable; that mask is one of two per vertex, picked by the parity of
-    ``i``'s top neighbours in ``h``. Removing top vertex ``t`` leads to slab
-    ``h ^ 2**t < h``, so the slabs are valued in increasing ``h`` and those
-    exits read finished slabs. In a slab, the value-``g`` subsets are the
-    unique fixpoint of "value at least ``g``, no exit of value ``g`` and no
-    low child of value ``g``"; the iteration is exact on subsets of fewer
-    than ``j`` low vertices after ``j`` rounds, and usually stops well
-    before ``w + 1``.
+    ``rows[i]`` is vertex ``i``'s neighbourhood. Returns the :class:`Levels`
+    of the subsets, one ``bytes`` per Grundy value ``g``, with bit ``m``
+    (bit ``m & 7`` of byte ``m >> 3``) set when the subset ``m`` has value
+    ``g``; each level is computed when first needed, and iterating the
+    result gives every level. The sets are bit-sliced over the subset
+    lattice (Biham, FSE 1997), one slab at a time. The ``w`` lowest
+    vertices, at most ``_SLAB_MAX_N``, are the low vertices, and slab ``h``
+    holds the ``2**w`` subsets ``h << w | l`` whose other (top) vertices are
+    the set ``h``. Bit ``l`` of ``alive[i]`` says that ``i`` is in ``l``;
+    the subsets in which ``i`` has an odd number of low neighbours are read
+    from cached tables, one lookup per group of four low vertices. The
+    subsets from which removing a low vertex ``i`` reaches a set ``s`` of
+    the slab are ``s << 2**i``, masked by the subsets in which ``i`` is
+    movable; that mask is one of two per vertex, picked once per slab by the
+    parity of ``i``'s top neighbours in ``h``. Removing top vertex ``t``
+    leads to slab ``h ^ 2**t < h``, so each level goes through the slabs in
+    increasing ``h`` and those exits read the level's finished slabs.
     """
     k = len(rows)
     width = k if k <= _SLAB_MAX_N else _SLAB_MAX_N
@@ -179,63 +184,116 @@ def lattice_values(rows: list, even: bool) -> list:
         # a ^ (a & b) is a & ~b without building ~b, about 4x faster at 2**18
         # bits; so are the tests below
         moves.append((1 << i, held ^ (held & odd) if even else held & odd))
-    if k > width:
-        # per vertex, its top neighbours and its movable subsets of a slab
-        # whose top part holds an even, then an odd, number of them
-        variants = [
-            (up, (movable, held ^ movable))
-            for up, held, (_, movable) in zip(tops, held_of, moves)
-        ]
-        del moves[width:]
-    slabs = []
-    exits = ()
-    for h in range(1 << k - width):
-        if h:
-            moves = [
-                (1 << i, pair[(up & h).bit_count() & 1])
-                for i, (up, pair) in enumerate(variants[:width])
-            ]
-            exits = []
-            for t in iter_bits(h):
-                up, pair = variants[width + t]
-                exits.append((slabs[h ^ 1 << t], pair[(up & h).bit_count() & 1]))
-        values = []
-        # subsets of the slab of value at least len(values)
-        rest = full
-        while rest:
-            base = rest
-            if exits:
-                # drop the subsets with a move into a finished slab's
-                # subsets of value len(values)
-                g = len(values)
-                hit = 0
-                for done, movable in exits:
-                    if g < len(done):
-                        hit |= done[g] & movable
-                base ^= base & hit
-            out = base
-            while True:
-                reach = 0
-                for shift, movable in moves:
-                    reach |= out << shift & movable
-                new = base ^ (base & reach)
-                if new == out:
-                    break
-                out = new
-            values.append(out)
-            rest ^= out
-        slabs.append(values)
-    nbytes = (size + 7) >> 3
-    if len(slabs) == 1:
-        return [bits.to_bytes(nbytes, "little") for bits in values]
-    zero = bytes(nbytes)
-    return [
-        b"".join(
-            values[g].to_bytes(nbytes, "little") if g < len(values) else zero
-            for values in slabs
-        )
-        for g in range(max(map(len, slabs)))
+    if k == width:
+        # one slab, with no exits: its moves and its rest
+        return Levels(moves, None, full, (size + 7) >> 3)
+    # per vertex, its top neighbours and its movable subsets of a slab whose
+    # top part holds an even, then an odd, number of them
+    variants = [
+        (up, (movable, held ^ movable))
+        for up, held, (_, movable) in zip(tops, held_of, moves)
     ]
+    slab_moves = []
+    slab_exits = []
+    for h in range(1 << k - width):
+        slab_moves.append([
+            (1 << i, pair[(up & h).bit_count() & 1])
+            for i, (up, pair) in enumerate(variants[:width])
+        ])
+        exits = []
+        for t in iter_bits(h):
+            up, pair = variants[width + t]
+            exits.append((h ^ 1 << t, pair[(up & h).bit_count() & 1]))
+        slab_exits.append(exits)
+    return Levels(slab_moves, slab_exits, [full] * (1 << k - width), (size + 7) >> 3)
+
+
+def _fixpoint(base: int, moves: list) -> int:
+    """The subsets of ``base`` with no move into the result: a slab's
+    subsets of the value being computed, where ``base`` is its rest less the
+    subsets with an exit of that value. The iteration is exact on subsets of
+    fewer than ``j`` low vertices after ``j`` rounds, and usually stops well
+    before ``w + 1``."""
+    out = base
+    while True:
+        reach = 0
+        for shift, movable in moves:
+            reach |= out << shift & movable
+        new = base ^ (base & reach)
+        if new == out:
+            return out
+        out = new
+
+
+class Levels:
+    """The value levels of one :func:`lattice_values` run, computed one
+    whole level at a time, and only as far as they are read.
+
+    ``done`` lists the bytes of the levels computed so far, lowest value
+    first. Per slab the kernel keeps its moves (pairs of a shift and the
+    subsets in which that low vertex is movable), its exits (pairs of the
+    lower slab a top vertex's removal leads to and the subsets in which it
+    is movable) and its rest, the subsets whose value is not yet known; one
+    slab keeps its moves and rest alone, with ``exits`` None. All three are
+    dropped with the last level. The state is plain ints and lists, so a
+    memo holding a lattice of which only some levels are known pickles and
+    copies. Iterating computes every level.
+    """
+
+    __slots__ = ("done", "moves", "exits", "rests", "nbytes")
+
+    def __init__(self, moves: list, exits: list | None, rests, nbytes: int):
+        self.done = []
+        self.moves = moves
+        self.exits = exits
+        self.rests = rests
+        self.nbytes = nbytes
+
+    def __iter__(self):
+        while self.rests is not None:
+            self.more()
+        return iter(self.done)
+
+    def more(self) -> bytes:
+        """Compute the next level, commit it to ``done`` and return it.
+
+        In a slab, the subsets of value ``g = len(done)`` are the unique
+        fixpoint of "value at least ``g``, no exit of value ``g`` and no low
+        child of value ``g``". The level is committed only once every slab
+        has it, so an exception leaves the levels as they were."""
+        nbytes = self.nbytes
+        if self.exits is None:
+            out = _fixpoint(self.rests, self.moves)
+            bits = out.to_bytes(nbytes, "little")
+            rests = self.rests ^ out
+            finished = not rests
+        else:
+            outs = []
+            rests = []
+            for moves, exits, rest in zip(self.moves, self.exits, self.rests):
+                if not rest:
+                    outs.append(0)
+                    rests.append(0)
+                    continue
+                base = rest
+                if exits:
+                    # drop the subsets with a move into a lower slab's subsets
+                    # of this value
+                    hit = 0
+                    for source, movable in exits:
+                        hit |= outs[source] & movable
+                    base ^= base & hit
+                out = _fixpoint(base, moves)
+                outs.append(out)
+                rests.append(rest ^ out)
+            bits = b"".join(out.to_bytes(nbytes, "little") for out in outs)
+            finished = not any(rests)
+        if finished:
+            self.moves = self.exits = self.rests = None
+        else:
+            self.rests = rests
+        self.done.append(bits)
+        return bits
 
 
 class Lattice:
@@ -245,10 +303,14 @@ class Lattice:
     ``i`` of ``m`` is set. A subset maps to ``m`` one run of consecutive
     vertices at a time: ``runs`` holds each run's lowest vertex, bits shifted
     down and first local bit, so the root of a connected graph is one run.
-    The value sets are bytes, so a read is one byte lookup per value.
+    ``values`` lists the bytes of the value levels computed so far, so a
+    read is one byte lookup per level; a read that finds its subset in none
+    of them has ``levels``, the kernel run, compute further levels until
+    one holds it. A fresh solve reads the root, so it computes the levels
+    up to the root's value; later reads extend them.
     """
 
-    __slots__ = ("mask", "runs", "values")
+    __slots__ = ("mask", "runs", "values", "levels")
 
     def __init__(self, mask: int, rows: dict, even: bool):
         self.mask = mask
@@ -276,7 +338,8 @@ class Lattice:
                 low = rest & -rest
                 local_rows.append(index(rows[low] & mask))
                 rest ^= low
-        self.values = lattice_values(local_rows, even)
+        self.levels = lattice_values(local_rows, even)
+        self.values = self.levels.done
 
     def _index(self, mask: int) -> int:
         m = 0
@@ -291,6 +354,11 @@ class Lattice:
         for g, bits in enumerate(self.values):
             if bits[byte] >> bit & 1:
                 return g
+        # in none of the levels so far: compute whole levels until one holds it
+        more = self.levels.more
+        while not more()[byte] >> bit & 1:
+            pass
+        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -352,15 +420,18 @@ def grundy(
     The root splits into components once. A component the memo cannot
     answer that has ``LATTICE_MIN_N <= k <= LATTICE_MAX_N`` vertices, a
     movable vertex and ``2**k`` nodes left in the budget is valued by the
-    lattice kernel, all its subsets at once; any other component is
-    searched, and a budget too small for the lattice gets the plain search
-    and its refusal. ``nodes_visited`` counts the search's visits plus
-    ``2**k`` per lattice, and is what the budget bounds; it is also the
-    number of positions the memo gained. A solve's set-up follows its alive
-    set, not its host graph. The memo is read first, and the search is built
-    at the first read it cannot answer: a solve that the memo answers, and
-    answers every child its move search probes, builds no search, visits
-    nothing and reads no host row but the alive rows its move search needs.
+    lattice kernel, every subset's value up to the root's; later reads of
+    the memo compute further values as they need them. Any other component
+    is searched, and a budget too small for the lattice gets the plain
+    search and its refusal. ``nodes_visited`` counts the search's visits
+    plus ``2**k`` per lattice, and is what the budget bounds; it is also
+    the number of positions the memo gained. A solve's set-up follows its
+    alive set, not its host graph. The memo is read first, a read it misses
+    is split into components, and the search is built at the first split
+    whose components it cannot all answer: a solve that the memo answers,
+    and answers every child its move search probes, builds no search,
+    visits nothing and reads no host row but the alive rows its move search
+    and its splits need.
 
     The search nests at most 2n + 2 Python frames on n alive vertices, and
     most positions nest far less: a path plus a triangle solves at n = 255
@@ -385,12 +456,30 @@ def grundy_value(
 
 def _read(entries: dict, lattices: dict, mask: int) -> int | None:
     """The memo's value of ``mask``, or None: its entry, else the lattice
-    that holds the mask's lowest vertex. Most memos hold no lattice."""
+    that holds the mask's lowest vertex; the empty set, a subset of every
+    lattice, is 0. Most memos hold no lattice."""
     value = entries.get(mask)
     if value is None and lattices:
         lattice = lattices.get(mask & -mask)
         if lattice is not None and not mask & ~lattice.mask:
             return lattice.value(mask)
+        if not mask:
+            return 0
+    return value
+
+
+def _read_parts(entries: dict, lattices: dict, parts: list) -> int | None:
+    """The nim-sum of the memo's values of the components ``parts`` of a
+    mask the memo cannot answer, or None if it cannot answer one of them;
+    a connected mask is its own one part."""
+    if len(parts) == 1:
+        return None
+    value = 0
+    for comp in parts:
+        part = _read(entries, lattices, comp)
+        if part is None:
+            return None
+        value ^= part
     return value
 
 
@@ -411,19 +500,24 @@ def _solve(position, rule, memo, find_move) -> tuple:
     lattices = memo.lattices
     base = memo.nodes_visited
     even = rule is MoveRule.EVEN
-    # a read the memo answers builds nothing; the search is built at the
-    # first read that misses, and only the move search needs the parities
-    split = None
-    move = None
+    # a read the memo answers builds nothing. A miss splits into components,
+    # which the memo may all answer; the search is built at the first read
+    # they do not, and reuses the split. Only the search and the move search
+    # need the parities
+    split = odd = move = None
+    adj = graph.adj
     try:
         value = _read(entries, lattices, alive)
-        if value is None or find_move and value > 0:
-            adj = graph.adj
-            odd = _odd_vertices(adj, alive)
+        if value is None:
+            parts = _components(adj, alive)
+            value = _read_parts(entries, lattices, parts)
             if value is None:
+                odd = _odd_vertices(adj, alive)
                 split = _search(memo, adj, alive, even)
-                value = split(alive, odd)
+                value = split(alive, odd, parts)
         if find_move and value > 0:
+            if odd is None:
+                odd = _odd_vertices(adj, alive)
             # a move to a 0-child exists from any positive position; take the
             # lowest-index one for determinism
             movable = alive ^ odd if even else odd
@@ -433,9 +527,13 @@ def _solve(position, rule, memo, find_move) -> tuple:
                 child = alive ^ low
                 got = _read(entries, lattices, child)
                 if got is None:
-                    if split is None:
-                        split = _search(memo, adj, alive, even)
-                    got = split(child, (odd ^ adj[low.bit_length() - 1]) & child)
+                    parts = _components(adj, child)
+                    got = _read_parts(entries, lattices, parts)
+                    if got is None:
+                        if split is None:
+                            split = _search(memo, adj, alive, even)
+                        odd_child = (odd ^ adj[low.bit_length() - 1]) & child
+                        got = split(child, odd_child, parts)
                 if got == 0:
                     move = low.bit_length() - 1
                     break
@@ -449,8 +547,9 @@ def _solve(position, rule, memo, find_move) -> tuple:
 
 def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
     """The search of one solve of ``alive`` on ``memo``: a function of a
-    mask the memo cannot answer and its degree-parity vector that returns
-    the mask's value, and records the nodes visited in ``memo`` as it ends."""
+    mask the memo cannot answer, its degree-parity vector and its
+    components that returns the mask's value, and records the nodes visited
+    in ``memo`` as it ends."""
     # adjacency keyed by the vertex's bit, so no bit_length() per lookup,
     # filled on the first component the memo cannot answer; the empty mask's
     # lowest bit is 0, whose empty row gives an empty component
@@ -515,11 +614,12 @@ def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
     # components, so only a reused memo's lattices can answer a search
     probe = known if lattices else get
 
-    def split(mask: int, odd: int) -> int:
-        # the nim-sum of the components of mask, which the memo cannot answer
+    def split(mask: int, odd: int, parts: list) -> int:
+        # the nim-sum of the components parts of mask, which the memo cannot
+        # answer
         value = 0
         try:
-            for comp in _components(adj, mask):
+            for comp in parts:
                 part = known(comp) if comp != mask else None
                 # no edge leaves a component, so its degrees are those in mask
                 value ^= fresh(comp, odd & comp) if part is None else part

@@ -20,6 +20,7 @@ from vertexnim import (
     from_edge_mask,
     grid_graph,
     grundy,
+    grundy_value,
     iter_bits,
     path_graph,
     star_graph,
@@ -353,6 +354,26 @@ def test_used_memo_pickles_and_copies(clone):
         assert getattr(twin, name) == getattr(memo, name), name
     # the copy keeps working as a memo of the same host graph
     assert grundy(cycle_graph(5), memo=twin).grundy == grundy(cycle_graph(5)).grundy
+    # a connected 13-vertex graph of value 0, valued by its lattice: the
+    # solve computed only the first of its 5 levels, and a copy of the memo
+    # goes on computing the rest as its reads need them
+    rng = random.Random(1)
+    g = Graph(13, [(i, j) for j in range(13) for i in range(j) if rng.random() < 0.4])
+    memo = MemoTable()
+    assert grundy(g, memo=memo).grundy == 0
+    (lattice,) = {id(lat): lat for lat in memo.lattices.values()}.values()
+    assert len(lattice.values) == 1 and lattice.levels.rests is not None
+    twin = clone(memo)
+    assert not twin.entries and twin.nodes_visited == memo.nodes_visited == 2**13
+    (copied,) = {id(lat): lat for lat in twin.lattices.values()}.values()
+    assert (copied.mask, copied.runs) == (lattice.mask, lattice.runs)
+    assert copied.values == lattice.values
+    reference = MemoTable()
+    for alive in range(1 << g.n):
+        position = Position(g, alive)
+        assert grundy_value(position, memo=twin) == grundy_value(position, memo=reference)
+    assert len(copied.values) == 5 and copied.levels.rests is None
+    assert twin.nodes_visited == 2**13 and not twin.entries
 
 
 def test_disjoint_union_counts():

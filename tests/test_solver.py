@@ -725,12 +725,9 @@ def test_lattice_kernel_across_slab_counts(rule, n):
     assert [lattice_value(values, m) for m in range(1 << n)] == table
 
 
-def test_lattice_working_set_stays_near_what_it_keeps():
-    # the kernel holds the finished slabs' value sets and the bytes joined
-    # from them, about twice what the lattice keeps
-    g = random_graph(random.Random(2218), 18)
-    rows = {1 << v: row for v, row in enumerate(g.adj)}
-    # built once per process, not by this lattice
+def traced_peak(build):
+    """``build()`` and its peak traced memory above what was traced before."""
+    # built once per process, not by the lattice being measured
     _subset_vectors(_SLAB_MAX_N)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -738,14 +735,124 @@ def test_lattice_working_set_stays_near_what_it_keeps():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        lattice = Lattice((1 << 18) - 1, rows, False)
+        built = build()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+    return built, peak
+
+
+def test_lattice_working_set_stays_near_what_it_keeps():
+    # the kernel holds each slab's rest and moves and the level it is
+    # computing; every level forced, that stays within 4x what the lattice
+    # keeps
+    g = random_graph(random.Random(2218), 18)
+    rows = {1 << v: row for v, row in enumerate(g.adj)}
+
+    def forced():
+        lattice = Lattice((1 << 18) - 1, rows, False)
+        for _ in lattice.levels:
+            pass
+        return lattice
+
+    lattice, peak = traced_peak(forced)
     kept = sum(map(len, lattice.values))
     assert kept == len(lattice.values) * 2**15
     assert peak <= 4 * kept
+
+
+def test_root_only_solve_peaks_below_the_full_kernel():
+    g = random_graph(random.Random(2218), 18)
+    rows = list(g.adj)
+    _, full = traced_peak(lambda: list(lattice_values(rows, False)))
+    memo = MemoTable()
+    value, root_only = traced_peak(lambda: grundy_value(g, MoveRule.ODD, memo))
+    (lattice,) = {id(lattice): lattice for lattice in memo.lattices.values()}.values()
+    assert len(lattice.values) == value + 1 < len(list(lattice_values(rows, False)))
+    assert root_only < full
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+@pytest.mark.parametrize(
+    "n", [_SLAB_MAX_N, _SLAB_MAX_N + 1, _SLAB_MAX_N + 3, LATTICE_MAX_N]
+)
+def test_lazy_levels_answer_every_read_order(rule, n):
+    g = random_graph(random.Random(3200 + n), n)
+    rows = {1 << v: row for v, row in enumerate(g.adj)}
+    table = naive_subset_table(g, rule)
+    levels = max(table) + 1
+    rng = random.Random(n)
+    masks = list(range(1 << n))
+    rng.shuffle(masks)
+    # the highest values first, which computes every level at once, then
+    # every subset at random
+    order = [table.index(value) for value in reversed(range(levels))] + masks
+    lattice = Lattice((1 << n) - 1, rows, rule is MoveRule.EVEN)
+    assert not lattice.values
+    assert [lattice.value(m) for m in order] == [table[m] for m in order]
+    assert len(lattice.values) == levels
+    # the kernel's state goes with the last level
+    assert lattice.levels.rests is lattice.levels.moves is lattice.levels.exits is None
+    # at random from the first read: each read computes the levels up to
+    # the largest value read so far, and no more
+    lattice = Lattice((1 << n) - 1, rows, rule is MoveRule.EVEN)
+    highest = -1
+    for m in masks:
+        assert lattice.value(m) == table[m]
+        highest = max(highest, table[m])
+        assert len(lattice.values) == highest + 1
+    # fully evaluated, the levels are the kernel's bytes
+    assert lattice.values == list(lattice_values(list(g.adj), rule is MoveRule.EVEN))
+
+
+def test_an_interrupted_level_leaves_the_lattice_as_it_was():
+    # 15 vertices, 8 slabs: the level is interrupted at slab 5, after slabs
+    # 0-4 have it, and the lattice keeps the levels and rests it had
+    g = random_graph(random.Random(3215), 15)
+    rows = {1 << v: row for v, row in enumerate(g.adj)}
+    expected = list(lattice_values(list(g.adj), False))
+    lattice = Lattice((1 << 15) - 1, rows, False)
+    assert lattice.value(0) == 0 and len(lattice.values) == 1
+    levels = lattice.levels
+    rests = levels.rests
+
+    class Interrupt(int):
+        def __xor__(self, other):
+            raise KeyboardInterrupt
+
+    assert rests[5]
+    levels.rests = rests[:5] + [Interrupt(rests[5])] + rests[6:]
+    interrupted = levels.rests
+    mask = next(m for m in range(1 << 15) if lattice_value(expected, m) == 1)
+    with pytest.raises(KeyboardInterrupt):
+        lattice.value(mask)
+    assert levels.rests is interrupted and lattice.values == expected[:1]
+    levels.rests = rests
+    assert [lattice.value(m) for m in range(1 << 15)] == [
+        lattice_value(expected, m) for m in range(1 << 15)
+    ]
+    assert lattice.values == expected
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_fresh_solve_computes_the_levels_up_to_its_root(rule):
+    # connected seeded graphs of 8 to 18 vertices; the root's value is the
+    # last level a fresh grundy_value computes
+    rng = random.Random(32)
+    seen = set()
+    for k in range(LATTICE_MIN_N, LATTICE_MAX_N + 1):
+        for _ in range(3):
+            g = Graph(k, [(i, j) for j in range(k) for i in range(j) if rng.random() < 0.4])
+            if len(g.full_position().connected_components()) > 1:
+                continue
+            memo = MemoTable()
+            value = grundy_value(g, rule, memo)
+            (lattice,) = {id(lat): lat for lat in memo.lattices.values()}.values()
+            assert len(lattice.values) == value + 1
+            seen.add((value, lattice.levels.rests is None))
+    # roots below their lattice's top value stop early
+    assert (0, False) in seen and any(value for value, _ in seen)
 
 
 @pytest.mark.parametrize("width", range(_SLAB_MAX_N + 1))
@@ -882,8 +989,10 @@ def test_memo_answered_queries_build_no_search(rule, monkeypatch):
         fresh = {alive: grundy(Position(g, alive), rule) for alive in range(1 << g.n)}
 
         def held(mask):
-            # the memo's entries, or for a nonempty mask, a lattice
-            return mask in memo.entries or mask and mask & -mask in memo.lattices
+            # the memo's entries, or a lattice, which answers the empty set
+            return mask in memo.entries or memo.lattices and (
+                not mask or mask & -mask in memo.lattices
+            )
 
         # the root and, from a positive root, each child the move scan
         # probes, up to the move
@@ -895,11 +1004,9 @@ def test_memo_answered_queries_build_no_search(rule, monkeypatch):
                 if report.grundy and v <= report.optimal_move
             )
         ]
-        # the lattice answers every subset but the empty set, which a solve
-        # splits into no components, and under the even rule the lone
-        # vertices, whose move scan probes the empty set
+        # the lattice answers every subset, the empty set included
         assert len(answered) == {
-            (MoveRule.ODD, True): 1023, (MoveRule.EVEN, True): 1013,
+            (MoveRule.ODD, True): 1024, (MoveRule.EVEN, True): 1024,
             (MoveRule.ODD, False): 50, (MoveRule.EVEN, False): 50,
         }[rule, lattice]
         entries, visited = dict(memo.entries), memo.nodes_visited
@@ -932,7 +1039,9 @@ def test_a_memo_hit_searches_the_children_the_memo_cannot_answer(monkeypatch):
     report = grundy(Position(g, 0b1110), MoveRule.ODD, memo)
     assert (report.grundy, report.optimal_move, report.nodes_visited) == (1, 1, 0)
     assert memo.entries == entries
-    assert calls == ["_search", "_components"]
+    # the child's components are both memo-answered: it is split, and no
+    # search is built
+    assert calls == ["_components"]
     monkeypatch.undo()
     # a memo that holds only the root searches each child its move scan probes
     stored = {
@@ -950,6 +1059,31 @@ def test_a_memo_hit_searches_the_children_the_memo_cannot_answer(monkeypatch):
         )
         assert sorted(memo.entries.items()) == items
         assert memo.nodes_visited == visited
+
+
+@pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
+def test_split_queries_the_memo_answers_build_no_search(rule, monkeypatch):
+    # an 11-vertex lattice beside the isolated vertex 9: the root's children,
+    # and the children their move scans probe, split into parts the filled
+    # memo holds, so each is their nim-sum with no search built
+    rng = random.Random(7)
+    g = Graph(12, [(i, j) for j in range(12) for i in range(j) if rng.random() < 0.15])
+    root = g.full_position()
+    assert root.connected_components() == [(1 << 12) - 1 ^ 1 << 9, 1 << 9]
+    memo = MemoTable()
+    grundy(g, rule, memo)
+    children = [root.remove_vertex(v) for v in iter_bits(root.movable_vertices(rule))]
+    expected = [grundy(child, rule) for child in children]
+    entries, visited = dict(memo.entries), memo.nodes_visited
+    calls = spy_search(monkeypatch)
+    for child, want in zip(children, expected):
+        report = grundy(child, rule, memo)
+        assert (report.grundy, report.optimal_move, report.nodes_visited) == (
+            want.grundy, want.optimal_move, 0
+        )
+        assert grundy_value(child, rule, memo) == want.grundy
+    assert calls and set(calls) == {"_components"}
+    assert memo.entries == entries and memo.nodes_visited == visited
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
