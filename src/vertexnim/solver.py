@@ -13,19 +13,20 @@ miss. One engine serves both rules. :func:`solve` puts the proved closed forms
 in front of the engine; their cross-checks live in :mod:`vertexnim.theorems`.
 
 A solve reads the memo first, for its root and for each child its move search
-probes; a read that misses splits into components, and when the memo answers
-every one of them the read is their nim-sum. The search (its closures, rows
-and budget bookkeeping) is built only at the first split the memo cannot
-answer, and starts from that split; a query the memo answers costs its reads
-and, with the move search, the root's degree-parity vector. The search reads
-only the rows of alive vertices, filled on the first component the memo
-cannot answer. A component the memo cannot answer that has ``LATTICE_MIN_N``
-to ``LATTICE_MAX_N`` vertices, a movable vertex and ``2**k`` nodes left in the
-budget goes straight to :func:`lattice_values`, which values its subsets one
-Grundy value (a level) at a time, bit-sliced over its subset lattice in slabs
-of ``2**12`` subsets; the memo keeps the result as a :class:`Lattice`, which
-computes levels only as far as its reads need. A solve stops at its root's
-level, and later reads (the move search, ranking the root's children) extend
+probes. A read that misses takes one path, :func:`_split`: it splits into
+components once, reads each from the memo once, and is their nim-sum. The
+search (its closures, rows and budget bookkeeping) is built at the first
+component the memo cannot answer and kept for the rest of the solve; a query
+the memo answers costs its reads and, with the move search, the root's
+degree-parity vector. The search reads only the rows of alive vertices,
+filled on the first component the memo cannot answer. A component the memo
+cannot answer that has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a
+movable vertex and ``2**k`` nodes left in the budget goes straight to
+:func:`lattice_values`, which values its subsets one Grundy value (a level)
+at a time, bit-sliced over its subset lattice in slabs of ``2**12``
+subsets; the memo keeps the result as a :class:`Lattice`, which computes
+levels only as far as its reads need. A solve stops at its root's level, and
+later reads (the move search, ranking the root's children) extend
 the same lattice, so later solves read any subset's value as one bit, its
 index remapped run by run, and a search on a memo that holds lattices reads
 them too. Any other component is searched. A lattice costs at most one
@@ -426,12 +427,12 @@ def grundy(
     search and its refusal. ``nodes_visited`` counts the search's visits
     plus ``2**k`` per lattice, and is what the budget bounds; it is also
     the number of positions the memo gained. A solve's set-up follows its
-    alive set, not its host graph. The memo is read first, a read it misses
-    is split into components, and the search is built at the first split
-    whose components it cannot all answer: a solve that the memo answers,
-    and answers every child its move search probes, builds no search,
-    visits nothing and reads no host row but the alive rows its move search
-    and its splits need.
+    alive set, not its host graph. The memo is read first; a read it misses
+    is split into components, each read once, and the search is built at
+    the first component the memo cannot answer: a solve that the memo
+    answers, and answers every child its move search probes, builds no
+    search, visits nothing and reads no host row but the alive rows its
+    move search and its splits need.
 
     The search nests at most 2n + 2 Python frames on n alive vertices, and
     most positions nest far less: a path plus a triangle solves at n = 255
@@ -468,19 +469,28 @@ def _read(entries: dict, lattices: dict, mask: int) -> int | None:
     return value
 
 
-def _read_parts(entries: dict, lattices: dict, parts: list) -> int | None:
-    """The nim-sum of the memo's values of the components ``parts`` of a
-    mask the memo cannot answer, or None if it cannot answer one of them;
-    a connected mask is its own one part."""
-    if len(parts) == 1:
-        return None
+def _split(memo, adj, alive, even, fresh, mask: int, odd: int | None) -> tuple:
+    """``(value, fresh)``: the value of ``mask``, a memo miss of one solve
+    of ``alive`` whose degree-parity vector is ``odd`` (None until the
+    search needs it), and the solve's search. The value is the nim-sum of
+    the mask's components, each read from the memo once; a connected mask,
+    already missed, is not read again. The search (:func:`_search`) values
+    a component the memo cannot answer, and is built at the first one
+    unless ``fresh`` holds it."""
+    entries = memo.entries
+    lattices = memo.lattices
     value = 0
-    for comp in parts:
-        part = _read(entries, lattices, comp)
+    for comp in _components(adj, mask):
+        part = _read(entries, lattices, comp) if comp != mask else None
         if part is None:
-            return None
+            if fresh is None:
+                fresh = _search(memo, adj, alive, even)
+            if odd is None:
+                odd = _odd_vertices(adj, mask)
+            # no edge leaves a component, so its degrees are those in mask
+            part = fresh(comp, odd & comp)
         value ^= part
-    return value
+    return value, fresh
 
 
 def _solve(position, rule, memo, find_move) -> tuple:
@@ -500,21 +510,18 @@ def _solve(position, rule, memo, find_move) -> tuple:
     lattices = memo.lattices
     base = memo.nodes_visited
     even = rule is MoveRule.EVEN
-    # a read the memo answers builds nothing. A miss splits into components,
-    # which the memo may all answer; the search is built at the first read
-    # they do not, and reuses the split. Only the search and the move search
-    # need the parities
-    split = odd = move = None
+    # a read the memo answers builds nothing; a miss is split, and the search
+    # is built at the first component the memo cannot answer. Only the search
+    # and the move search need the parities; _split computes them for a
+    # search when the move search has not
+    fresh = odd = move = None
     adj = graph.adj
     try:
         value = _read(entries, lattices, alive)
         if value is None:
-            parts = _components(adj, alive)
-            value = _read_parts(entries, lattices, parts)
-            if value is None:
+            if find_move:
                 odd = _odd_vertices(adj, alive)
-                split = _search(memo, adj, alive, even)
-                value = split(alive, odd, parts)
+            value, fresh = _split(memo, adj, alive, even, fresh, alive, odd)
         if find_move and value > 0:
             if odd is None:
                 odd = _odd_vertices(adj, alive)
@@ -527,13 +534,8 @@ def _solve(position, rule, memo, find_move) -> tuple:
                 child = alive ^ low
                 got = _read(entries, lattices, child)
                 if got is None:
-                    parts = _components(adj, child)
-                    got = _read_parts(entries, lattices, parts)
-                    if got is None:
-                        if split is None:
-                            split = _search(memo, adj, alive, even)
-                        odd_child = (odd ^ adj[low.bit_length() - 1]) & child
-                        got = split(child, odd_child, parts)
+                    odd_child = (odd ^ adj[low.bit_length() - 1]) & child
+                    got, fresh = _split(memo, adj, alive, even, fresh, child, odd_child)
                 if got == 0:
                     move = low.bit_length() - 1
                     break
@@ -547,9 +549,9 @@ def _solve(position, rule, memo, find_move) -> tuple:
 
 def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
     """The search of one solve of ``alive`` on ``memo``: a function of a
-    mask the memo cannot answer, its degree-parity vector and its
-    components that returns the mask's value, and records the nodes visited
-    in ``memo`` as it ends."""
+    component the memo cannot answer and its degree-parity vector that
+    returns the component's value, and records the nodes visited so far in
+    ``memo`` as it ends."""
     # adjacency keyed by the vertex's bit, so no bit_length() per lookup,
     # filled on the first component the memo cannot answer; the empty mask's
     # lowest bit is 0, whose empty row gives an empty component
@@ -557,7 +559,6 @@ def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
     entries = memo.entries
     get = entries.get
     lattices = memo.lattices
-    known = partial(_read, entries, lattices)
     budget = memo.node_budget
     base = memo.nodes_visited
     # refuse the visit that would break nodes_visited <= node_budget
@@ -611,21 +612,9 @@ def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
         return value
 
     # a fresh memo's lattices and this solve's searches cover disjoint
-    # components, so only a reused memo's lattices can answer a search
-    probe = known if lattices else get
-
-    def split(mask: int, odd: int, parts: list) -> int:
-        # the nim-sum of the components parts of mask, which the memo cannot
-        # answer
-        value = 0
-        try:
-            for comp in parts:
-                part = known(comp) if comp != mask else None
-                # no edge leaves a component, so its degrees are those in mask
-                value ^= fresh(comp, odd & comp) if part is None else part
-        finally:
-            memo.nodes_visited = base + visited
-        return value
+    # components, so only a reused memo's lattices can answer a search; the
+    # empty set is the exception, which get leaves to search as one node
+    probe = partial(_read, entries, lattices) if lattices else get
 
     def fresh(comp: int, odd: int) -> int:
         # a component the memo cannot answer
@@ -639,19 +628,22 @@ def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
                 rest ^= low
         k = comp.bit_count()
         movable = comp ^ odd if even else odd
-        # a terminal component is one search node, far cheaper than a lattice
-        if not movable or not LATTICE_MIN_N <= k <= LATTICE_MAX_N or 1 << k > limit - visited:
-            return search(comp, odd)
-        visited += 1 << k
-        lattice = Lattice(comp, rows, even)
-        rest = comp
-        while rest:
-            low = rest & -rest
-            lattices[low] = lattice
-            rest ^= low
-        return lattice.value(comp)
+        try:
+            # a terminal component is one search node, far cheaper than a lattice
+            if not movable or not LATTICE_MIN_N <= k <= LATTICE_MAX_N or 1 << k > limit - visited:
+                return search(comp, odd)
+            visited += 1 << k
+            lattice = Lattice(comp, rows, even)
+            rest = comp
+            while rest:
+                low = rest & -rest
+                lattices[low] = lattice
+                rest ^= low
+            return lattice.value(comp)
+        finally:
+            memo.nodes_visited = base + visited
 
-    return split
+    return fresh
 
 
 def grundy_even_even(g: Graph) -> int:

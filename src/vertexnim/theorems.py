@@ -680,21 +680,16 @@ def _alive_subsets(n: int, flags):
     bit-sliced over edge masks: bit ``m`` of each says that the position of
     edge mask ``m`` restricted to ``alive`` is terminal under the odd rule
     (no plane of :func:`_alive_sets` is set), or that its edges there lie in
-    the cycle space given by ``flags``. The start planes are split from the
-    host graphs' degree-parity vectors, linear over GF(2) in the edge mask,
-    so :func:`_xor_doubled` builds them from one single-edge graph's
-    :meth:`~vertexnim.graph.Graph.odd_degree_vertices` per slot. Eulerian
-    keeps the cycle-space masks inside the alive set's slots, then spreads
-    each over every choice of the slots outside. Yields ``(alive, terminal,
-    eulerian)``."""
+    the cycle space given by ``flags``. The walk starts from the full set's
+    planes of :func:`_slot_vectors`, the host graphs' degree parities.
+    Eulerian keeps the cycle-space masks inside the alive set's slots, then
+    spreads each over every choice of the slots outside. Yields ``(alive,
+    terminal, eulerian)``."""
     slots = edge_slots(n)
-    vectors, between, _, parity = _slot_vectors(n)
+    vectors, between, planes, parity = _slot_vectors(n)
     graphs = (1 << len(flags)) - 1
     cycles = _bit_planes(flags, 1)[0]
-    odd = _xor_doubled(
-        [from_edge_mask(n, 1 << s).odd_degree_vertices() for s in range(len(slots))]
-    )
-    for alive, planes, _ in _alive_sets(between, _bit_planes(odd, n), parity):
+    for alive, planes, _ in _alive_sets(between, planes, parity):
         movable = 0
         for plane in planes:
             movable |= plane
@@ -710,15 +705,14 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
     """A position is terminal under the odd rule exactly when every component
     is Eulerian, on every graph up to ``max_n`` vertices.
 
-    Both sides are read off edge masks; a graph is built only for each edge
-    slot of the every-alive-subset part (its single-edge graph), each strided
-    instance and each failure. "Terminal" means every degree is even, read
-    off degree-parity vectors: for full alive sets the sweep's own table of
-    them (:func:`~vertexnim.exhaustive._degree_parities`, which also gives
-    the row plan its top parities), translated to one flag per mask. "Eulerian"
-    is membership in the cycle space of K_n (:func:`_cycle_space`), and every
-    member checked as a full position is certified by closed trails that use
-    each edge once (:func:`_uncertified`).
+    Both sides are read off edge masks; a graph is built only for each
+    strided instance and each failure. "Terminal" means every degree is
+    even, read off degree-parity vectors: for full alive sets the sweep's own
+    table of them (:func:`~vertexnim.exhaustive._degree_parities`, which also
+    gives the row plan its top parities), translated to one flag per mask.
+    "Eulerian" is membership in the cycle space of K_n (:func:`_cycle_space`),
+    and every member checked as a full position is certified by closed
+    trails that use each edge once (:func:`_uncertified`).
 
     Full alive sets are checked for every labeled graph; positions with dead
     vertices relabel to smaller enumerated graphs, and are additionally

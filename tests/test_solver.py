@@ -1061,6 +1061,25 @@ def test_a_memo_hit_searches_the_children_the_memo_cannot_answer(monkeypatch):
         assert memo.nodes_visited == visited
 
 
+def test_a_split_miss_reads_each_part_once():
+    # paw 0-3 beside the path 4-5-6: once the paw is solved, the whole graph
+    # misses, splits into the paw, which the memo answers, and the path,
+    # which it searches
+    class Reads(dict):
+        def get(self, key, default=None):
+            reads[key] = reads.get(key, 0) + 1
+            return dict.get(self, key, default)
+
+    reads = {}
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (4, 5), (5, 6)])
+    memo = MemoTable()
+    memo.entries = Reads()
+    assert grundy_value(Position(g, 0b1111), MoveRule.ODD, memo) == 2
+    reads.clear()
+    assert grundy_value(g, MoveRule.ODD, memo) == grundy_value(g)
+    assert reads[0b1111] == 1
+
+
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
 def test_split_queries_the_memo_answers_build_no_search(rule, monkeypatch):
     # an 11-vertex lattice beside the isolated vertex 9: the root's children,

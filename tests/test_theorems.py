@@ -443,6 +443,17 @@ def count_encodings(monkeypatch) -> list:
     return encoded
 
 
+def zero_start_planes(monkeypatch) -> None:
+    """Wrap ``theorems._slot_vectors`` so the alive-set walk starts with no
+    odd-degree vertex in any graph."""
+
+    def even(k):
+        vectors, between, _, parity = _slot_vectors(k)
+        return vectors, between, [0] * k, parity
+
+    monkeypatch.setattr("vertexnim.theorems._slot_vectors", even)
+
+
 class TestAliveSubsets:
     @pytest.mark.parametrize("n", range(theorems.EULER_ALL_SUBSETS_MAX_N + 1))
     def test_bits_match_the_per_position_walk(self, n):
@@ -468,22 +479,14 @@ class TestAliveSubsets:
                 assert (eulerian >> mask & 1 == 1) == expected[mask, alive][1]
 
     @pytest.mark.parametrize("n", range(7))
-    def test_start_is_every_host_graphs_odd_degree_vertices(self, n, monkeypatch):
-        # the start is XOR-doubled from single-edge graphs; a degree-parity
-        # vector is linear over GF(2) in the edge mask, so it matches a graph
-        # per edge mask, up to n = 6 (32,768 graphs) for a part bounded there
-        bit_planes = theorems._bit_planes
-        tables = []
-
-        def record(table, width):
-            tables.append(table)
-            return bit_planes(table, width)
-
-        monkeypatch.setattr("vertexnim.theorems._bit_planes", record)
-        next(_alive_subsets(n, _cycle_space(n)))
-        masks = range(1 << math.comb(n, 2))
-        odd = bytes(from_edge_mask(n, m).odd_degree_vertices() for m in masks)
-        assert tables[-1] == odd
+    def test_start_is_every_host_graphs_odd_degree_vertices(self, n):
+        # the walk starts from _slot_vectors' planes: bit m of plane v is v's
+        # degree parity in the graph of edge mask m, for every edge mask up
+        # to n = 6 (32,768 graphs), the every-alive-subset part's bound
+        planes = _slot_vectors(n)[2]
+        odd = [from_edge_mask(n, m).odd_degree_vertices() for m in range(1 << math.comb(n, 2))]
+        expected = [int("".join(str(o >> v & 1) for o in reversed(odd)), 2) for v in range(n)]
+        assert planes == expected
 
     # check_euler_terminal(max_n=4) under three faults, as the per-position
     # loop reported them: (count, truncated, SHA-256 of the capped rows, SHA-256
@@ -537,7 +540,7 @@ class TestAliveSubsets:
 
             monkeypatch.setattr("vertexnim.theorems._cycle_space", wrong)
         elif fault == "no odd-degree vertex":
-            monkeypatch.setattr(Graph, "odd_degree_vertices", lambda self: 0)
+            zero_start_planes(monkeypatch)
         else:
             is_terminal = Position.is_terminal
             monkeypatch.setattr(
@@ -782,9 +785,9 @@ class TestCheckSuites:
         assert got["Bw", "alive set 0x3", "terminal == eulerian"] == (False, True)
 
     def test_euler_terminal_catches_a_wrong_subset_parity(self, monkeypatch):
-        # the every-alive-subset part starts its parity walk here; the full
-        # positions read the sweep's row plan instead
-        monkeypatch.setattr(Graph, "odd_degree_vertices", lambda self: 0)
+        # the every-alive-subset part starts its parity walk from these
+        # planes; the full positions read the sweep's row plan instead
+        zero_start_planes(monkeypatch)
         result = check_euler_terminal(max_n=4)
         assert not result.passed
         assert ("A_", "alive set 0x3", (True, False)) in {
