@@ -19,16 +19,16 @@ search (its closures, rows and budget bookkeeping) is built at the first
 component the memo cannot answer and kept for the rest of the solve; a query
 the memo answers costs its reads and, with the move search, the root's
 degree-parity vector. The search reads only the rows of alive vertices,
-filled on the first component the memo cannot answer. A component the memo
-cannot answer that has ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a
-movable vertex and ``2**k`` nodes left in the budget goes straight to
-:func:`lattice_values`, which values its subsets one Grundy value (a level)
-at a time, bit-sliced over its subset lattice in slabs of ``2**12``
-subsets; the memo keeps the result as a :class:`Lattice`, which computes
-levels only as far as its reads need. A solve stops at its root's level, and
-later reads (the move search, ranking the root's children) extend
-the same lattice, so later solves read any subset's value as one bit, its
-index remapped run by run, and a search on a memo that holds lattices reads
+filled when it is built. A component the memo cannot answer that has
+``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a movable vertex and
+``2**k`` nodes left in the budget goes straight to :func:`lattice_values`,
+which values its subsets one Grundy value (a level) at a time, bit-sliced
+over its subset lattice in slabs of ``2**12`` subsets; the memo keeps the
+result as a :class:`Lattice`, which computes levels only as far as its
+reads need. A solve stops at its root's level, and later reads (the move
+search, ranking the root's children) extend the same lattice, so later
+solves read any subset's value as one bit, its index remapped run by run
+as the kernel's rows were, and a search on a memo that holds lattices reads
 them too. Any other component is searched. A lattice costs at most one
 kernel run, where a search of a dense component visits many times ``2**k /
 64`` nodes (the kernel's measured cost in search nodes); only a path-like
@@ -83,7 +83,10 @@ LATTICE_MIN_N = 8
 
 
 def _check_budget(node_budget: int) -> None:
-    """Refuse a negative node budget with ``ValueError``."""
+    """Refuse a node budget that is not an ``int`` (a ``bool`` included) with
+    ``TypeError``, and a negative one with ``ValueError``."""
+    if type(node_budget) is not int:
+        raise TypeError(f"node budget must be an int, got {node_budget!r}")
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
 
@@ -95,9 +98,10 @@ class MemoTable:
     bit of a lattice-valued component to its :class:`Lattice`, which answers
     every subset of that component. ``len`` counts the positions the table
     can answer. ``nodes_visited`` accumulates across solves sharing the table
-    and is checked against ``node_budget``; a negative budget is refused with
-    ``ValueError``. ``graph`` and ``rule`` are the first solve's host graph
-    and rule; a solve of another graph or rule is refused with ``ValueError``.
+    and is checked against ``node_budget``; a budget that is not an ``int``
+    is refused with ``TypeError``, a negative one with ``ValueError``.
+    ``graph`` and ``rule`` are the first solve's host graph and rule; a solve
+    of another graph or rule is refused with ``ValueError``.
     """
 
     __slots__ = ("entries", "lattices", "nodes_visited", "node_budget", "graph", "rule")
@@ -168,15 +172,12 @@ def lattice_values(rows: list, even: bool) -> "Levels":
     size = 1 << width
     full = (1 << size) - 1
     alive, nibbles = _subset_vectors(width)
-    held_of = alive
-    if k > width:
-        # a top vertex is in every subset of a slab that holds it
-        held_of += (full,) * (k - width)
-        tops = [row >> width for row in rows]
-        rows = [row & size - 1 for row in rows]
+    # a top vertex is in every subset of a slab that holds it
+    held_of = alive + (full,) * (k - width)
     moves = []
     for i, row in enumerate(rows):
-        # the subsets in which i has an odd number of neighbours
+        # the subsets in which i has an odd number of low neighbours: the
+        # tables read the row's low w bits
         odd = 0
         for table in nibbles:
             odd ^= table[row & 15]
@@ -191,8 +192,8 @@ def lattice_values(rows: list, even: bool) -> "Levels":
     # per vertex, its top neighbours and its movable subsets of a slab whose
     # top part holds an even, then an odd, number of them
     variants = [
-        (up, (movable, held ^ movable))
-        for up, held, (_, movable) in zip(tops, held_of, moves)
+        (row >> width, (movable, held ^ movable))
+        for row, held, (_, movable) in zip(rows, held_of, moves)
     ]
     slab_moves = []
     slab_exits = []
@@ -304,6 +305,7 @@ class Lattice:
     ``i`` of ``m`` is set. A subset maps to ``m`` one run of consecutive
     vertices at a time: ``runs`` holds each run's lowest vertex, bits shifted
     down and first local bit, so the root of a connected graph is one run.
+    The kernel's rows are remapped the same way.
     ``values`` lists the bytes of the value levels computed so far, so a
     read is one byte lookup per level; a read that finds its subset in none
     of them has ``levels``, the kernel run, compute further levels until
@@ -324,21 +326,14 @@ class Lattice:
             shift = low.bit_length() - 1
             self.runs.append((shift, run >> shift, (mask & low - 1).bit_count()))
             rest ^= run
+        # the runs select only the component's bits, so a row needs no mask
         local_rows = []
+        index = self._index
         rest = mask
-        if len(self.runs) == 1:
-            # one run: a row's local bits are its bits in the run, shifted down
-            shift = self.runs[0][0]
-            while rest:
-                low = rest & -rest
-                local_rows.append((rows[low] & mask) >> shift)
-                rest ^= low
-        else:
-            index = self._index
-            while rest:
-                low = rest & -rest
-                local_rows.append(index(rows[low] & mask))
-                rest ^= low
+        while rest:
+            low = rest & -rest
+            local_rows.append(index(rows[low]))
+            rest ^= low
         self.levels = lattice_values(local_rows, even)
         self.values = self.levels.done
 
@@ -552,10 +547,14 @@ def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
     component the memo cannot answer and its degree-parity vector that
     returns the component's value, and records the nodes visited so far in
     ``memo`` as it ends."""
-    # adjacency keyed by the vertex's bit, so no bit_length() per lookup,
-    # filled on the first component the memo cannot answer; the empty mask's
-    # lowest bit is 0, whose empty row gives an empty component
-    rows = {}
+    # adjacency keyed by the vertex's bit, so no bit_length() per lookup; the
+    # empty mask's lowest bit is 0, whose empty row gives an empty component
+    rows = {0: 0}
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rows[low] = adj[low.bit_length() - 1]
+        rest ^= low
     entries = memo.entries
     get = entries.get
     lattices = memo.lattices
@@ -619,13 +618,6 @@ def _search(memo: MemoTable, adj: tuple, alive: int, even: bool):
     def fresh(comp: int, odd: int) -> int:
         # a component the memo cannot answer
         nonlocal visited
-        if not rows:
-            rows[0] = 0
-            rest = alive
-            while rest:
-                low = rest & -rest
-                rows[low] = adj[low.bit_length() - 1]
-                rest ^= low
         k = comp.bit_count()
         movable = comp ^ odd if even else odd
         try:

@@ -225,7 +225,9 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 
 def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
     """Random bipartition of ``n`` vertices, then random edges across only."""
-    cut = rng.getrandbits(n) if n else 0
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    cut = rng.getrandbits(n)
     p = rng.choice(ER_EDGE_PROBS)
     rows = [0] * n
     for i, j in edge_slots(n):

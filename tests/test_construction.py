@@ -165,6 +165,11 @@ class TestWitnessTower:
         with pytest.raises(NodeBudgetExceeded):
             witness(4, node_budget=10)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5, True])
+    def test_a_budget_that_is_not_an_int_refused(self, budget):
+        with pytest.raises(TypeError, match=f"^node budget must be an int, got {budget!r}$"):
+            witness(2, node_budget=budget)
+
     def test_only_the_top_is_certified(self):
         # level 0 needs 6 nodes, but witness(1) certifies only the edge
         with pytest.raises(NodeBudgetExceeded):

@@ -35,7 +35,7 @@ def test_every_module_level_import_is_used():
         if path.name != "__init__.py"
         for name in unused_imports(path)
     }
-    assert unused <= ALLOWED.keys()
+    assert unused == ALLOWED.keys()
 
 
 # module -> the package modules it may import: the graph layer stands alone,

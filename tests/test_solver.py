@@ -244,6 +244,11 @@ class TestMemoTable:
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             MemoTable(node_budget=-1)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5, True])
+    def test_a_budget_that_is_not_an_int_refused(self, budget):
+        with pytest.raises(TypeError, match=f"^node budget must be an int, got {budget!r}$"):
+            MemoTable(node_budget=budget)
+
     def test_another_host_graph_refused(self):
         memo = MemoTable()
         assert grundy(path_graph(2), memo=memo).grundy == 1
@@ -890,38 +895,42 @@ def test_lattice_values_pinned():
     )
 
 
-def spread_mask(m, stride, offset=0):
-    """Bit ``i`` of ``m`` moved to bit ``stride * i + offset``."""
-    return sum(1 << stride * i + offset for i in iter_bits(m))
+def placed_mask(m, where):
+    """Bit ``i`` of ``m`` moved to bit ``where[i]``."""
+    return sum(1 << where[i] for i in iter_bits(m))
 
 
 @pytest.mark.parametrize("rule", [MoveRule.ODD, MoveRule.EVEN])
 def test_lattice_index_paths_agree(rule):
-    # one 9-vertex graph placed three ways in larger hosts: at vertices
-    # 0..8, at 5..13 (both consecutive, one run) and at the even vertices
-    # 0, 2, ..., 16 (nine runs of one vertex); the other host vertices have
-    # edges into it, which its rows must mask out
+    # one 9-vertex graph placed four ways in larger hosts: at vertices
+    # 0..8, at 5..13 (both consecutive, one run), at the even vertices
+    # 0, 2, ..., 16 (nine runs of one vertex) and at 0..3 and 7..11 (two runs
+    # of several vertices); the other host vertices have edges into it, which
+    # its rows must mask out
     g = random_graph(random.Random(21), 9)
     even = rule is MoveRule.EVEN
     table = naive_subset_table(g, rule)
 
-    def placed(stride, offset, n):
-        edges = {(stride * u + offset, stride * v + offset) for u, v in g.edges()}
-        inside = {stride * v + offset for v in range(9)}
+    def placed(where, n):
+        edges = {(where[u], where[v]) for u, v in g.edges()}
+        inside = set(where)
         edges |= {(min(u, v), max(u, v)) for u in inside for v in (u - 1, u + 1)
                   if 0 <= v < n and v not in inside}
         host = Graph(n, sorted(edges))
-        mask = spread_mask((1 << 9) - 1, stride, offset)
+        mask = placed_mask((1 << 9) - 1, where)
         return Lattice(mask, {1 << v: row for v, row in enumerate(host.adj)}, even)
 
-    compact, shifted, spread = placed(1, 0, 9), placed(1, 5, 20), placed(2, 0, 18)
-    assert compact.runs == [(0, (1 << 9) - 1, 0)]
-    assert shifted.runs == [(5, (1 << 9) - 1, 0)]
-    assert spread.runs == [(2 * i, 1, i) for i in range(9)]
-    for m in range(1 << 9):
-        assert compact.value(m) == table[m]
-        assert shifted.value(spread_mask(m, 1, 5)) == table[m]
-        assert spread.value(spread_mask(m, 2)) == table[m]
+    layouts = [
+        (range(9), 9, [(0, (1 << 9) - 1, 0)]),
+        (range(5, 14), 20, [(5, (1 << 9) - 1, 0)]),
+        (range(0, 18, 2), 18, [(2 * i, 1, i) for i in range(9)]),
+        ([0, 1, 2, 3, 7, 8, 9, 10, 11], 14, [(0, 0xF, 0), (7, 0x1F, 4)]),
+    ]
+    for where, n, runs in layouts:
+        lattice = placed(where, n)
+        assert lattice.runs == runs
+        for m in range(1 << 9):
+            assert lattice.value(placed_mask(m, where)) == table[m]
 
 
 def spy_graph(host, read):

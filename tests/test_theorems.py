@@ -168,6 +168,16 @@ class TestRandomGenerators:
         with pytest.raises(ValueError, match="got -1"):
             random_graph(random.Random(1), -1)
 
+    @pytest.mark.parametrize("generator", [random_graph, random_bipartite_graph])
+    def test_negative_order_is_refused_before_any_draw(self, generator):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(
+            ValueError, match="^vertex count must be nonnegative, got -1$"
+        ):
+            generator(rng, -1)
+        assert rng.getstate() == state
+
 
 class TestReachableMasks:
     def test_path_3(self):
@@ -613,6 +623,21 @@ def test_sweeping_suites_refuse_a_negative_budget_before_any_work(sweep, monkeyp
         monkeypatch.setattr(f"vertexnim.theorems.{builder}", never)
     with pytest.raises(ValueError, match="^node budget must be nonnegative, got -1$"):
         sweep(budget=-1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5, True])
+def test_even_even_refuses_a_budget_that_is_not_an_int_before_any_work(
+    budget, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("built a table before refusing")
+
+    for builder in ("exhaustive.edge_slots", "exhaustive._level_tables"):
+        monkeypatch.setattr(f"vertexnim.{builder}", never)
+    for builder in ("_degree_parities", "bipartite_table", "_cycle_space"):
+        monkeypatch.setattr(f"vertexnim.theorems.{builder}", never)
+    with pytest.raises(TypeError, match=f"^node budget must be an int, got {budget!r}$"):
+        check_even_even(budget=budget)
 
 
 class TestCheckSuites:
