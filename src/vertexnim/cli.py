@@ -1,7 +1,8 @@
 """Command-line interface: solve, generate, verify, census, convert.
 
-Exit codes: 0 success; 1 a check failed or a counterexample exists; 2 usage
-or input error, including a graph or witness above the vertex limit
+Exit codes: 0 success; 1 a check failed, a counterexample exists, or a
+solve contradicted a witness's certificate; 2 usage or input error, including
+a graph or witness above the vertex limit
 :data:`~vertexnim.formats.MAX_VERTICES`; 3 budget exhaustion. The library
 decides every input: :func:`~vertexnim.formats.load_graph` sniffs the format,
 and a bad scale or negative ``--budget`` exits 2 with the library's message.
@@ -26,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .construction import witness, witness_record
+from .construction import ConstructionSoundnessError, witness, witness_record
 from .exhaustive import SWEEP_MAX_N, census
 # from_graph6 and parse_graph go unused here: perfbench's span recorder rebinds them
 from .formats import (
@@ -327,6 +328,9 @@ def main(argv=None) -> int:
     except (NodeBudgetExceeded, TheoremBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ConstructionSoundnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -87,9 +87,6 @@ class CheckFailure:
     got: object
     note: str = ""
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TheoremCheckResult:
@@ -103,39 +100,40 @@ class TheoremCheckResult:
     def passed(self) -> bool:
         return not self.failures and self.instances_checked > 0
 
-    def add_failure(self, failure: CheckFailure) -> None:
-        if len(self.failures) < FAILURE_CAP:
-            self.failures.append(failure)
-        else:
-            self.truncated = True
-
     def fail(self, graph: Graph, expected, got, note: str = "", *graphs: Graph) -> None:
         """Record a counterexample without counting an instance, for loops that
-        compare inline so a passing instance encodes no graph6 for its note;
-        past :data:`FAILURE_CAP` none is encoded either. With ``graphs``,
-        ``note`` is a format string whose fields take their graph6."""
+        compare inline so a passing instance encodes no graph6 for its note.
+        Past :data:`FAILURE_CAP` failures the result is truncated instead, and
+        nothing is encoded. With ``graphs``, ``note`` is a format string whose
+        fields take their graph6."""
         if len(self.failures) >= FAILURE_CAP:
             self.truncated = True
             return
         if graphs:
             note = note.format(*map(to_graph6, graphs))
-        self.add_failure(CheckFailure(to_graph6(graph), expected, got, note))
+        self.failures.append(CheckFailure(to_graph6(graph), expected, got, note))
 
-    def check(self, graph: Graph, expected, got, note: str = "") -> None:
-        """Count one instance on ``graph``; record it if ``got != expected``."""
+    def check(
+        self, graph: Graph, expected, got, note: str = "", *graphs: Graph
+    ) -> None:
+        """Count one instance on ``graph``; record it if ``got != expected``,
+        passing ``note`` and ``graphs`` on to :meth:`fail`."""
         self.instances_checked += 1
         if got != expected:
-            self.fail(graph, expected, got, note)
+            self.fail(graph, expected, got, note, *graphs)
+
+    def until_truncated(self, items):
+        """Yield ``items`` until this result is truncated, checked before each
+        item is drawn, so a loop over failing instances builds nothing past
+        the cap."""
+        if not self.truncated:
+            for item in items:
+                yield item
+                if self.truncated:
+                    return
 
     def to_record(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "passed": self.passed,
-            "instances_checked": self.instances_checked,
-            "scale": self.scale,
-            "failures": [f.to_record() for f in self.failures],
-            "truncated": self.truncated,
-        }
+        return {**asdict(self), "theorem": self.theorem.value, "passed": self.passed}
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -369,11 +367,9 @@ def check_bipartite_parity(
         differ = int.from_bytes(table, "little") ^ int.from_bytes(parity, "little")
         # flags are 0/1 bytes, so 255 times them is 0xFF under each flag
         if differ & int.from_bytes(flags, "little") * 255:
-            for mask in compress(range(len(flags)), flags):
+            for mask in result.until_truncated(compress(range(len(flags)), flags)):
                 if table[mask] != parity[mask]:
                     result.fail(from_edge_mask(k, mask), parity[mask], table[mask])
-                    if result.truncated:
-                        break
         (bipartite,) = _bit_planes(flags, 1)
         levels.append(bipartite)
         graphs = bipartite.bit_count()
@@ -536,12 +532,10 @@ def _terminal_edge_parity(result: TheoremCheckResult, levels: list) -> None:
     for k, bipartite in enumerate(levels):
         level_start = result.instances_checked
         for alive, terminal, parity in _terminal_sweep(k, bipartite):
-            for mask in iter_bits(terminal & parity):
+            for mask in result.until_truncated(iter_bits(terminal & parity)):
                 g = from_edge_mask(k, mask)
                 edges = Position(g, alive).edge_count()
                 result.fail(g, "even edge count", edges, f"terminal alive set {alive:#x}")
-                if result.truncated:
-                    break
             count = terminal.bit_count()
             for rank in _strided(count, result.instances_checked - level_start):
                 crosscheck(k, _nth_bit(terminal, rank), alive)
@@ -759,20 +753,17 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
         terminals = _degree_parities(edge_slots(n)).translate(_EMPTY)
         full = (1 << n) - 1
         if terminals != flags:
-            for mask, (t, e) in enumerate(zip(terminals, flags)):
+            pairs = enumerate(zip(terminals, flags))
+            for mask, (t, e) in result.until_truncated(pairs):
                 if t != e:
                     mismatch(from_edge_mask(n, mask), full, bool(t), bool(e))
-                    if result.truncated:
-                        break
-        for mask, trails in _uncertified(n, flags, cycles):
+        for mask, trails in result.until_truncated(_uncertified(n, flags, cycles)):
             result.fail(
                 from_edge_mask(n, mask),
                 "closed trails using each edge once",
                 trails,
                 f"alive set {full:#x}",
             )
-            if result.truncated:
-                break
         for mask in _strided(len(flags)):
             crosscheck(
                 from_edge_mask(n, mask), full, bool(terminals[mask]), bool(flags[mask])
@@ -792,9 +783,8 @@ def check_euler_terminal(max_n: int = SWEEP_MAX_N) -> TheoremCheckResult:
             mask, alive = divmod(rank, subsets)
             found.append((mask, True, alive))
         # a host graph's mismatches by alive set, then its Position API checks
-        for mask, rows in groupby(sorted(found), key=lambda row: row[0]):
-            if result.truncated:
-                break
+        by_graph = groupby(sorted(found), key=lambda row: row[0])
+        for mask, rows in result.until_truncated(by_graph):
             g = from_edge_mask(n, mask)
             for _, api, alive in rows:
                 terminal, eulerian = (bits >> mask & 1 == 1 for bits in sets[alive])
@@ -823,11 +813,9 @@ def check_even_even(
         size = len(table)
         result.instances_checked += size
         if table.count(expected) != size:
-            for mask, got in enumerate(table):
+            for mask, got in result.until_truncated(enumerate(table)):
                 if got != expected:
                     result.fail(from_edge_mask(k, mask), expected, got)
-                    if result.truncated:
-                        break
         crosschecks += _engine_crosscheck(
             result, k, _strided(size), table, MoveRule.EVEN, budget
         )
@@ -867,9 +855,7 @@ def check_nim_sum(
             grundy_value(h, memo=MemoTable(budget)),
         )
         got = grundy_value(union, memo=memo)
-        result.instances_checked += 1
-        if got != expected:
-            result.fail(union, expected, got, "parts {} and {}", g, h)
+        result.check(union, expected, got, "parts {} and {}", g, h)
     return result
 
 
@@ -909,9 +895,7 @@ def check_isolated_substitution(
         memo = MemoTable(budget)
         expected = grundy_value(Position(replaced, (1 << g.n) - 1), memo=memo)
         got = grundy_value(replaced, memo=memo)
-        result.instances_checked += 1
-        if got != expected:
-            result.fail(g, expected, got, "replaced: {}", replaced)
+        result.check(g, expected, got, "replaced: {}", replaced)
     return result
 
 
@@ -921,19 +905,26 @@ def check_witness_construction(
 ) -> TheoremCheckResult:
     """Witness graphs certify to their target values, their apex children
     realize exactly the claimed component values, and the root value is the
-    mex of the child values."""
+    mex of the child values. A certificate that a solve contradicts is
+    recorded as the level's failure, on the witness graph, and the level's
+    other checks are skipped."""
     _check_scale("witness-construction", "max_k", max_k, 0)
-    from .construction import witness
+    from .construction import ConstructionSoundnessError, witness
 
     result = TheoremCheckResult(TheoremId.WITNESS_CONSTRUCTION, scale={"max_k": max_k})
     for k in range(max_k + 1):
-        w = witness(k, node_budget=budget)
-        g = w.graph
-        result.instances_checked += 1
-        if not w.certified:
-            result.fail(g, "certified", False, f"witness({k})")
+        try:
+            w = witness(k, node_budget=budget)
+        except ConstructionSoundnessError as exc:
+            part, note = exc.part, f"witness({k})"
+            claimed = exc.witness.k if part is None else part.claimed_grundy
+            if part is not None:
+                note += f" child of part {part.index}"
+            result.check(exc.witness.graph, claimed, exc.got, note)
             continue
-        result.instances_checked += 1
+        g = w.graph
+        # the certificate, then connectivity
+        result.instances_checked += 2
         if not g.is_connected():
             result.fail(g, "connected", False, f"witness({k})")
         if w.recipe is None:

@@ -22,6 +22,26 @@ def positions(draw, max_n=7):
 rules = st.sampled_from([MoveRule.ODD, MoveRule.EVEN])
 
 
+@pytest.fixture
+def witness_lie(monkeypatch):
+    """``plant(n, kind)`` flips the value that certification solves for every
+    ``kind`` on the ``n``-vertex witness graph: its root for ``Graph``, each
+    apex child for ``Position``."""
+    from vertexnim import construction
+
+    solve = construction.grundy_value
+
+    def plant(n, kind=Position):
+        def lie(position, **kwargs):
+            host = position.graph if isinstance(position, Position) else position
+            flip = isinstance(position, kind) and host.n == n
+            return solve(position, **kwargs) ^ flip
+
+        monkeypatch.setattr(construction, "grundy_value", lie)
+
+    return plant
+
+
 @pytest.fixture(scope="session")
 def odd_tables():
     return grundy_tables(7, MoveRule.ODD)

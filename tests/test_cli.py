@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from vertexnim import (
+    complete_graph,
     grid_graph,
     grundy_value,
     parse_graph,
@@ -548,11 +549,11 @@ class TestExitCodeOne:
     # suite is stubbed to report a failure
     def test_verify_reports_counterexample(self, capsys, monkeypatch):
         from vertexnim import cli as cli_module
-        from vertexnim.theorems import CheckFailure, TheoremCheckResult, TheoremId
+        from vertexnim.theorems import TheoremCheckResult
 
         def fake_verify(theorem, **kwargs):
             result = TheoremCheckResult(theorem, instances_checked=1)
-            result.add_failure(CheckFailure("A_", 1, 0, note="stubbed"))
+            result.fail(complete_graph(2), 1, 0, "stubbed")
             return result
 
         monkeypatch.setattr(cli_module, "verify_theorem", fake_verify)
@@ -560,6 +561,36 @@ class TestExitCodeOne:
         assert code == 1
         assert "FAIL" in out
         assert "counterexample: A_ expected 1 got 0 (stubbed)" in out
+
+    def test_verify_lists_five_counterexamples_then_counts_the_rest(
+        self, capsys, monkeypatch
+    ):
+        from vertexnim import theorems
+        from vertexnim.solver import grundy_even_even
+
+        flipped = lambda g: grundy_even_even(g) ^ 1
+        monkeypatch.setattr(theorems, "grundy_even_even", flipped)
+        code, out, _ = run_cli(capsys, "verify", "even-even", "--max-n", "3")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "even-even: FAIL (12 instances checked), 12 failures"
+        assert [line.split()[0] for line in lines[1:6]] == ["counterexample:"] * 5
+        assert lines[6:] == ["... and 7 more"]
+
+    def test_verify_reports_a_broken_certificate(self, capsys, witness_lie):
+        witness_lie(19)
+        code, out, err = run_cli(capsys, "verify", "witness-construction")
+        assert code == 1 and err == ""
+        assert "witness-construction: FAIL (19 instances checked), 1 failures" in out
+        assert "expected 0 got 1 (witness(3) child of part -1)" in out
+
+    def test_generate_reports_a_broken_certificate(self, capsys, witness_lie):
+        witness_lie(19)
+        code, out, err = run_cli(capsys, "generate", "3", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: the apex child of part -1 of the witness for value 3 solved to 1;"
+        )
 
     def test_solve_verify_mismatch(self, capsys, monkeypatch, p4_file):
         from vertexnim import cli as cli_module

@@ -198,6 +198,7 @@ class TestGraph6:
             (";Fa@x^", "sparse6 input is not supported"),
             ("&B\\o", "digraph6 input is not supported"),
             ("~~??????", "graph6 vertex counts above 258047 not supported"),
+            ("~??", "truncated graph6 vertex count"),
         ],
     )
     def test_refusal_messages_are_pinned(self, text, message):

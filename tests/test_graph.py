@@ -401,6 +401,25 @@ def test_from_edge_mask_negative_mask():
         from_edge_mask(3, -1)
 
 
+def test_from_edge_mask_too_large_mask():
+    with pytest.raises(ValueError, match="^edge mask 0x8 too large for n=3$"):
+        from_edge_mask(3, 1 << 3)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (cycle_graph, (2,), "cycle needs at least 3 vertices, got 2"),
+        (star_graph, (0,), "star needs at least 1 vertex, got 0"),
+        (grid_graph, (0, 3), "grid needs positive dimensions"),
+    ],
+)
+def test_family_refuses_too_few_vertices(build, args, message):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
 def test_position_alive_out_of_range():
     with pytest.raises(ValueError, match="alive"):
         Position(path_graph(3), 0b1000)

@@ -29,6 +29,7 @@ from vertexnim import (
     cycle_graph,
     disjoint_union,
     edge_slots,
+    from_graph6,
     grundy_value,
     path_graph,
     random_bipartite_graph,
@@ -47,7 +48,6 @@ from vertexnim.solver import solve
 from vertexnim.theorems import (
     FAILURE_CAP,
     SUITES,
-    CheckFailure,
     _alive_sets,
     _alive_subsets,
     _closed_trails,
@@ -729,7 +729,7 @@ class TestCheckSuites:
 
         result = terminal_part(4, with_triangles)
         assert not result.passed
-        assert [f.to_record() for f in result.failures] == [
+        assert [dataclasses.asdict(f) for f in result.failures] == [
             {
                 "graph6": graph6,
                 "expected": "even edge count",
@@ -876,6 +876,24 @@ class TestCheckSuites:
         result = check_witness_construction(max_k=2)
         assert result.passed
         assert result.instances_checked == 2 + 2 + 6
+
+    @pytest.mark.parametrize(
+        "n, kind, failure, instances",
+        [
+            # every apex child of witness(3): its padding part is checked first
+            (19, Position, (0, 1, "witness(3) child of part -1"), 2 + 2 + 6 + 1 + 8),
+            (7, Graph, (2, 3, "witness(2)"), 2 + 2 + 1 + 8 + 8),
+        ],
+    )
+    def test_witness_broken_certificate_is_recorded(
+        self, witness_lie, n, kind, failure, instances
+    ):
+        witness_lie(n, kind)
+        result = check_witness_construction()
+        assert [(f.expected, f.got, f.note) for f in result.failures] == [failure]
+        # recorded on the witness graph itself
+        assert [from_graph6(f.graph6).n for f in result.failures] == [n]
+        assert result.instances_checked == instances
 
 
 class TestVerifyTheorem:
@@ -1169,14 +1187,14 @@ class TestTheoremCheckResult:
     def test_failures_mean_fail(self):
         result = TheoremCheckResult(TheoremId.NIM_SUM, instances_checked=1)
         assert result.passed
-        result.add_failure(CheckFailure("A_", 1, 0))
+        result.fail(complete_graph(2), 1, 0)
         assert not result.passed
         assert "FAIL" in result.summary()
 
     def test_failure_cap(self):
         result = TheoremCheckResult(TheoremId.NIM_SUM, instances_checked=1)
         for i in range(1100):
-            result.add_failure(CheckFailure("A_", 1, 0, note=str(i)))
+            result.fail(complete_graph(2), 1, 0, str(i))
         assert len(result.failures) == 1000
         assert result.truncated
         assert "truncated" in result.summary()
