@@ -21,15 +21,14 @@ the memo answers costs its reads and, with the move search, the root's
 degree-parity vector. The search reads only the rows of alive vertices,
 filled when it is built. A component the memo cannot answer that has
 ``LATTICE_MIN_N`` to ``LATTICE_MAX_N`` vertices, a movable vertex and
-``2**k`` nodes left in the budget goes straight to :func:`lattice_values`,
+``2**k`` nodes left in the budget goes straight to a :class:`Lattice`,
 which values its subsets one Grundy value (a level) at a time, bit-sliced
-over its subset lattice in slabs of ``2**12`` subsets; the memo keeps the
-result as a :class:`Lattice`, which computes levels only as far as its
-reads need. A solve stops at its root's level, and later reads (the move
-search, ranking the root's children) extend the same lattice, so later
-solves read any subset's value as one bit, its index remapped run by run
-as the kernel's rows were, and a search on a memo that holds lattices reads
-them too. Any other component is searched. A lattice costs at most one
+over its subset lattice in slabs of ``2**12`` subsets, and only as far as
+its reads need; the memo keeps it. A solve stops at its root's level, and
+later reads (the move search, ranking the root's children) extend the same
+lattice, so later solves read any subset's value as one bit, its index
+remapped run by run as the kernel's rows were, and a search on a memo that
+holds lattices reads them too. Any other component is searched. A lattice costs at most one
 kernel run, where a search of a dense component visits many times ``2**k /
 64`` nodes (the kernel's measured cost in search nodes); only a path-like
 component, whose search visits few positions, is slower this way.
@@ -96,10 +95,12 @@ class MemoTable:
 
     ``entries`` maps an alive set to its value. ``lattices`` maps each vertex
     bit of a lattice-valued component to its :class:`Lattice`, which answers
-    every subset of that component. ``len`` counts the positions the table
-    can answer. ``nodes_visited`` accumulates across solves sharing the table
-    and is checked against ``node_budget``; a budget that is not an ``int``
-    is refused with ``TypeError``, a negative one with ``ValueError``.
+    every subset of that component. ``len`` counts the entries plus
+    ``2**k`` per lattice of ``k`` vertices, so on a reused memo a position
+    held as an entry before a lattice came to answer it counts twice.
+    ``nodes_visited`` accumulates across solves sharing the table and is
+    checked against ``node_budget``; a budget that is not an ``int`` is
+    refused with ``TypeError``, a negative one with ``ValueError``.
     ``graph`` and ``rule`` are the first solve's host graph and rule; a solve
     of another graph or rule is refused with ``ValueError``.
     """
@@ -146,70 +147,6 @@ def _subset_vectors(k: int) -> tuple:
     return vectors, tuple(nibbles)
 
 
-def lattice_values(rows: list, even: bool) -> "Levels":
-    """Value every subset of a graph on ``k = len(rows)`` vertices.
-
-    ``rows[i]`` is vertex ``i``'s neighbourhood. Returns the :class:`Levels`
-    of the subsets, one ``bytes`` per Grundy value ``g``, with bit ``m``
-    (bit ``m & 7`` of byte ``m >> 3``) set when the subset ``m`` has value
-    ``g``; each level is computed when first needed, and iterating the
-    result gives every level. The sets are bit-sliced over the subset
-    lattice (Biham, FSE 1997), one slab at a time. The ``w`` lowest
-    vertices, at most ``_SLAB_MAX_N``, are the low vertices, and slab ``h``
-    holds the ``2**w`` subsets ``h << w | l`` whose other (top) vertices are
-    the set ``h``. Bit ``l`` of ``alive[i]`` says that ``i`` is in ``l``;
-    the subsets in which ``i`` has an odd number of low neighbours are read
-    from cached tables, one lookup per group of four low vertices. The
-    subsets from which removing a low vertex ``i`` reaches a set ``s`` of
-    the slab are ``s << 2**i``, masked by the subsets in which ``i`` is
-    movable; that mask is one of two per vertex, picked once per slab by the
-    parity of ``i``'s top neighbours in ``h``. Removing top vertex ``t``
-    leads to slab ``h ^ 2**t < h``, so each level goes through the slabs in
-    increasing ``h`` and those exits read the level's finished slabs.
-    """
-    k = len(rows)
-    width = k if k <= _SLAB_MAX_N else _SLAB_MAX_N
-    size = 1 << width
-    full = (1 << size) - 1
-    alive, nibbles = _subset_vectors(width)
-    # a top vertex is in every subset of a slab that holds it
-    held_of = alive + (full,) * (k - width)
-    moves = []
-    for i, row in enumerate(rows):
-        # the subsets in which i has an odd number of low neighbours: the
-        # tables read the row's low w bits
-        odd = 0
-        for table in nibbles:
-            odd ^= table[row & 15]
-            row >>= 4
-        held = held_of[i]
-        # a ^ (a & b) is a & ~b without building ~b, about 4x faster at 2**18
-        # bits; so are the tests below
-        moves.append((1 << i, held ^ (held & odd) if even else held & odd))
-    if k == width:
-        # one slab, with no exits: its moves and its rest
-        return Levels(moves, None, full, (size + 7) >> 3)
-    # per vertex, its top neighbours and its movable subsets of a slab whose
-    # top part holds an even, then an odd, number of them
-    variants = [
-        (row >> width, (movable, held ^ movable))
-        for row, held, (_, movable) in zip(rows, held_of, moves)
-    ]
-    slab_moves = []
-    slab_exits = []
-    for h in range(1 << k - width):
-        slab_moves.append([
-            (1 << i, pair[(up & h).bit_count() & 1])
-            for i, (up, pair) in enumerate(variants[:width])
-        ])
-        exits = []
-        for t in iter_bits(h):
-            up, pair = variants[width + t]
-            exits.append((h ^ 1 << t, pair[(up & h).bit_count() & 1]))
-        slab_exits.append(exits)
-    return Levels(slab_moves, slab_exits, [full] * (1 << k - width), (size + 7) >> 3)
-
-
 def _fixpoint(base: int, moves: list) -> int:
     """The subsets of ``base`` with no move into the result: a slab's
     subsets of the value being computed, where ``base`` is its rest less the
@@ -227,42 +164,141 @@ def _fixpoint(base: int, moves: list) -> int:
         out = new
 
 
-class Levels:
-    """The value levels of one :func:`lattice_values` run, computed one
-    whole level at a time, and only as far as they are read.
+class Lattice:
+    """Every subset's value of one component, one bit per subset and value,
+    computed one whole Grundy value (a level) at a time, and only as far as
+    its reads need.
 
-    ``done`` lists the bytes of the levels computed so far, lowest value
-    first. Per slab the kernel keeps its moves (pairs of a shift and the
-    subsets in which that low vertex is movable), its exits (pairs of the
-    lower slab a top vertex's removal leads to and the subsets in which it
-    is movable) and its rest, the subsets whose value is not yet known; one
-    slab keeps its moves and rest alone, with ``exits`` None. All three are
-    dropped with the last level. The state is plain ints and lists, so a
-    memo holding a lattice of which only some levels are known pickles and
-    copies. Iterating computes every level.
+    Local subset ``m`` holds the component's ``i``-th lowest vertex when bit
+    ``i`` of ``m`` is set. A subset maps to ``m`` one run of consecutive
+    vertices at a time: ``runs`` holds each run's lowest vertex, bits shifted
+    down and first local bit, so the root of a connected graph is one run.
+    The kernel's rows are remapped the same way.
+    ``values`` lists the bytes of the levels computed so far, one per value
+    ``g`` from 0 up, with bit ``m`` (bit ``m & 7`` of byte ``m >> 3``) set
+    when subset ``m`` has value ``g``, so a read is one byte lookup per
+    level; a read that finds its subset in none of them has :meth:`more`
+    compute further levels until one holds it. A fresh solve reads the
+    root, so it computes the levels up to the root's value; later reads
+    extend them.
+
+    The levels are bit-sliced over the subset lattice (Biham, FSE 1997), one
+    slab at a time. The ``w`` lowest vertices, at most ``_SLAB_MAX_N``, are
+    the low vertices, and slab ``h`` holds the ``2**w`` subsets ``h << w |
+    l`` whose other (top) vertices are the set ``h``. Bit ``l`` of
+    ``alive[i]`` says that ``i`` is in ``l``; the subsets in which ``i`` has
+    an odd number of low neighbours are read from cached tables, one lookup
+    per group of four low vertices. The subsets from which removing a low
+    vertex ``i`` reaches a set ``s`` of the slab are ``s << 2**i``, masked by
+    the subsets in which ``i`` is movable; that mask is one of two per
+    vertex, picked once per slab by the parity of ``i``'s top neighbours in
+    ``h``. Removing top vertex ``t`` leads to slab ``h ^ 2**t < h``, so each
+    level goes through the slabs in increasing ``h`` and those exits read
+    the level's finished slabs.
+
+    Per slab the kernel keeps its moves (pairs of a shift and the subsets in
+    which that low vertex is movable), its exits (pairs of the lower slab a
+    top vertex's removal leads to and the subsets in which it is movable)
+    and its rest, the subsets whose value is not yet known; one slab keeps
+    its moves and rest alone, with ``exits`` None. All three are dropped
+    with the last level. The state is plain ints and lists, so a memo
+    holding a lattice of which only some levels are known pickles and
+    copies.
     """
 
-    __slots__ = ("done", "moves", "exits", "rests", "nbytes")
+    __slots__ = ("mask", "runs", "values", "moves", "exits", "rests", "nbytes")
 
-    def __init__(self, moves: list, exits: list | None, rests, nbytes: int):
-        self.done = []
-        self.moves = moves
-        self.exits = exits
-        self.rests = rests
-        self.nbytes = nbytes
+    def __init__(self, mask: int, rows: dict, even: bool):
+        self.mask = mask
+        self.runs = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            # adding its lowest bit carries through the lowest run
+            run = rest ^ (rest & rest + low)
+            shift = low.bit_length() - 1
+            self.runs.append((shift, run >> shift, (mask & low - 1).bit_count()))
+            rest ^= run
+        # the runs select only the component's bits, so a row needs no mask
+        local_rows = []
+        index = self._index
+        rest = mask
+        while rest:
+            low = rest & -rest
+            local_rows.append(index(rows[low]))
+            rest ^= low
+        self.values = []
+        k = len(local_rows)
+        width = k if k <= _SLAB_MAX_N else _SLAB_MAX_N
+        size = 1 << width
+        full = (1 << size) - 1
+        self.nbytes = (size + 7) >> 3
+        alive, nibbles = _subset_vectors(width)
+        # a top vertex is in every subset of a slab that holds it
+        held_of = alive + (full,) * (k - width)
+        moves = []
+        for i, row in enumerate(local_rows):
+            # the subsets in which i has an odd number of low neighbours: the
+            # tables read the row's low w bits
+            odd = 0
+            for table in nibbles:
+                odd ^= table[row & 15]
+                row >>= 4
+            held = held_of[i]
+            # a ^ (a & b) is a & ~b without building ~b, about 4x faster at
+            # 2**18 bits; so are the tests below
+            moves.append((1 << i, held ^ (held & odd) if even else held & odd))
+        if k == width:
+            # one slab, with no exits: its moves and its rest
+            self.moves, self.exits, self.rests = moves, None, full
+            return
+        # per vertex, its top neighbours and its movable subsets of a slab
+        # whose top part holds an even, then an odd, number of them
+        variants = [
+            (row >> width, (movable, held ^ movable))
+            for row, held, (_, movable) in zip(local_rows, held_of, moves)
+        ]
+        slab_moves = []
+        slab_exits = []
+        for h in range(1 << k - width):
+            slab_moves.append([
+                (1 << i, pair[(up & h).bit_count() & 1])
+                for i, (up, pair) in enumerate(variants[:width])
+            ])
+            exits = []
+            for t in iter_bits(h):
+                up, pair = variants[width + t]
+                exits.append((h ^ 1 << t, pair[(up & h).bit_count() & 1]))
+            slab_exits.append(exits)
+        self.moves, self.exits = slab_moves, slab_exits
+        self.rests = [full] * (1 << k - width)
 
-    def __iter__(self):
-        while self.rests is not None:
-            self.more()
-        return iter(self.done)
+    def _index(self, mask: int) -> int:
+        m = 0
+        for shift, bits, start in self.runs:
+            m |= (mask >> shift & bits) << start
+        return m
+
+    def value(self, mask: int) -> int:
+        """The value of ``mask``, a subset of the component."""
+        m = self._index(mask)
+        byte, bit = m >> 3, m & 7
+        for g, bits in enumerate(self.values):
+            if bits[byte] >> bit & 1:
+                return g
+        # in none of the levels so far: compute whole levels until one holds it
+        more = self.more
+        while not more()[byte] >> bit & 1:
+            pass
+        return len(self.values) - 1
 
     def more(self) -> bytes:
-        """Compute the next level, commit it to ``done`` and return it.
+        """Compute the next level, append it to ``values`` and return it.
 
-        In a slab, the subsets of value ``g = len(done)`` are the unique
+        In a slab, the subsets of value ``g = len(values)`` are the unique
         fixpoint of "value at least ``g``, no exit of value ``g`` and no low
         child of value ``g``". The level is committed only once every slab
-        has it, so an exception leaves the levels as they were."""
+        has it, so an exception leaves the lattice as it was."""
         nbytes = self.nbytes
         if self.exits is None:
             out = _fixpoint(self.rests, self.moves)
@@ -294,67 +330,8 @@ class Levels:
             self.moves = self.exits = self.rests = None
         else:
             self.rests = rests
-        self.done.append(bits)
+        self.values.append(bits)
         return bits
-
-
-class Lattice:
-    """Every subset's value of one component, one bit per subset and value.
-
-    Local subset ``m`` holds the component's ``i``-th lowest vertex when bit
-    ``i`` of ``m`` is set. A subset maps to ``m`` one run of consecutive
-    vertices at a time: ``runs`` holds each run's lowest vertex, bits shifted
-    down and first local bit, so the root of a connected graph is one run.
-    The kernel's rows are remapped the same way.
-    ``values`` lists the bytes of the value levels computed so far, so a
-    read is one byte lookup per level; a read that finds its subset in none
-    of them has ``levels``, the kernel run, compute further levels until
-    one holds it. A fresh solve reads the root, so it computes the levels
-    up to the root's value; later reads extend them.
-    """
-
-    __slots__ = ("mask", "runs", "values", "levels")
-
-    def __init__(self, mask: int, rows: dict, even: bool):
-        self.mask = mask
-        self.runs = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            # adding its lowest bit carries through the lowest run
-            run = rest ^ (rest & rest + low)
-            shift = low.bit_length() - 1
-            self.runs.append((shift, run >> shift, (mask & low - 1).bit_count()))
-            rest ^= run
-        # the runs select only the component's bits, so a row needs no mask
-        local_rows = []
-        index = self._index
-        rest = mask
-        while rest:
-            low = rest & -rest
-            local_rows.append(index(rows[low]))
-            rest ^= low
-        self.levels = lattice_values(local_rows, even)
-        self.values = self.levels.done
-
-    def _index(self, mask: int) -> int:
-        m = 0
-        for shift, bits, start in self.runs:
-            m |= (mask >> shift & bits) << start
-        return m
-
-    def value(self, mask: int) -> int:
-        """The value of ``mask``, a subset of the component."""
-        m = self._index(mask)
-        byte, bit = m >> 3, m & 7
-        for g, bits in enumerate(self.values):
-            if bits[byte] >> bit & 1:
-                return g
-        # in none of the levels so far: compute whole levels until one holds it
-        more = self.levels.more
-        while not more()[byte] >> bit & 1:
-            pass
-        return len(self.values) - 1
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,11 @@ class TestGraph6:
         assert to_graph6(Graph(1)) == "@"
         assert to_graph6(Graph(0)) == "?"
 
+    def test_encode_refuses_more_vertices_than_the_long_form_holds(self):
+        with pytest.raises(ValueError) as info:
+            to_graph6(Graph(258048))
+        assert str(info.value) == "graph6 encoding for n=258048 not supported (max 258047)"
+
     def test_decode_known_strings(self):
         assert from_graph6("Bw") == complete_graph(3)
         assert from_graph6("Ch") == path_graph(4)

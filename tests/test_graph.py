@@ -362,7 +362,7 @@ def test_used_memo_pickles_and_copies(clone):
     memo = MemoTable()
     assert grundy(g, memo=memo).grundy == 0
     (lattice,) = {id(lat): lat for lat in memo.lattices.values()}.values()
-    assert len(lattice.values) == 1 and lattice.levels.rests is not None
+    assert len(lattice.values) == 1 and lattice.rests is not None
     twin = clone(memo)
     assert not twin.entries and twin.nodes_visited == memo.nodes_visited == 2**13
     (copied,) = {id(lat): lat for lat in twin.lattices.values()}.values()
@@ -372,7 +372,7 @@ def test_used_memo_pickles_and_copies(clone):
     for alive in range(1 << g.n):
         position = Position(g, alive)
         assert grundy_value(position, memo=twin) == grundy_value(position, memo=reference)
-    assert len(copied.values) == 5 and copied.levels.rests is None
+    assert len(copied.values) == 5 and copied.rests is None
     assert twin.nodes_visited == 2**13 and not twin.entries
 
 
@@ -423,3 +423,7 @@ def test_family_refuses_too_few_vertices(build, args, message):
 def test_position_alive_out_of_range():
     with pytest.raises(ValueError, match="alive"):
         Position(path_graph(3), 0b1000)
+
+
+def test_position_repr():
+    assert repr(Position(path_graph(3), 5)) == "Position(Graph(n=3, m=2), alive=0x5)"

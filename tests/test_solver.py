@@ -32,7 +32,7 @@ from vertexnim import (
 )
 import vertexnim.solver
 from vertexnim.formats import MAX_VERTICES, from_graph6
-from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, Lattice, lattice_values
+from vertexnim.solver import LATTICE_MAX_N, LATTICE_MIN_N, Lattice
 from vertexnim.solver import _SLAB_MAX_N, _subset_vectors
 from vertexnim.theorems import random_graph
 
@@ -691,6 +691,15 @@ def test_value_only_skips_the_move_search():
     assert visited[grundy_value] <= visited[grundy]
 
 
+def every_level(g, even):
+    """The bytes of every level of ``g``'s whole lattice, each computed by
+    :meth:`Lattice.more`."""
+    lattice = Lattice((1 << g.n) - 1, {1 << v: row for v, row in enumerate(g.adj)}, even)
+    while lattice.rests is not None:
+        lattice.more()
+    return lattice.values
+
+
 def lattice_value(values, m):
     (value,) = [g for g, bits in enumerate(values) if bits[m >> 3] >> (m & 7) & 1]
     return value
@@ -701,7 +710,7 @@ def test_lattice_kernel_matches_naive_dp_exhaustively(rule):
     # every alive subset of every labeled graph on at most 5 vertices
     for n in range(6):
         for g in labeled_graphs(n):
-            values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+            values = every_level(g, rule is MoveRule.EVEN)
             table = naive_subset_table(g, rule)
             assert [lattice_value(values, m) for m in range(1 << n)] == table
 
@@ -711,7 +720,7 @@ def test_lattice_kernel_matches_naive_dp_sampled(rule):
     rng = random.Random(18)
     for _ in range(40):
         g = random_graph(rng, rng.randint(8, 12))
-        values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+        values = every_level(g, rule is MoveRule.EVEN)
         table = naive_subset_table(g, rule)
         assert [lattice_value(values, m) for m in range(1 << g.n)] == table
 
@@ -724,7 +733,7 @@ def test_lattice_kernel_across_slab_counts(rule, n):
     # 12 vertices fill one slab of 2**12 subsets; 13, 15 and 18 take 2, 8
     # and 64 slabs, whose top vertices exit into finished slabs
     g = random_graph(random.Random(2200 + n), n)
-    values = lattice_values(list(g.adj), rule is MoveRule.EVEN)
+    values = every_level(g, rule is MoveRule.EVEN)
     assert {len(bits) for bits in values} == {((1 << n) + 7) >> 3}
     table = naive_subset_table(g, rule)
     assert [lattice_value(values, m) for m in range(1 << n)] == table
@@ -753,28 +762,19 @@ def test_lattice_working_set_stays_near_what_it_keeps():
     # computing; every level forced, that stays within 4x what the lattice
     # keeps
     g = random_graph(random.Random(2218), 18)
-    rows = {1 << v: row for v, row in enumerate(g.adj)}
-
-    def forced():
-        lattice = Lattice((1 << 18) - 1, rows, False)
-        for _ in lattice.levels:
-            pass
-        return lattice
-
-    lattice, peak = traced_peak(forced)
-    kept = sum(map(len, lattice.values))
-    assert kept == len(lattice.values) * 2**15
+    values, peak = traced_peak(lambda: every_level(g, False))
+    kept = sum(map(len, values))
+    assert kept == len(values) * 2**15
     assert peak <= 4 * kept
 
 
 def test_root_only_solve_peaks_below_the_full_kernel():
     g = random_graph(random.Random(2218), 18)
-    rows = list(g.adj)
-    _, full = traced_peak(lambda: list(lattice_values(rows, False)))
+    _, full = traced_peak(lambda: every_level(g, False))
     memo = MemoTable()
     value, root_only = traced_peak(lambda: grundy_value(g, MoveRule.ODD, memo))
     (lattice,) = {id(lattice): lattice for lattice in memo.lattices.values()}.values()
-    assert len(lattice.values) == value + 1 < len(list(lattice_values(rows, False)))
+    assert len(lattice.values) == value + 1 < len(every_level(g, False))
     assert root_only < full
 
 
@@ -798,7 +798,7 @@ def test_lazy_levels_answer_every_read_order(rule, n):
     assert [lattice.value(m) for m in order] == [table[m] for m in order]
     assert len(lattice.values) == levels
     # the kernel's state goes with the last level
-    assert lattice.levels.rests is lattice.levels.moves is lattice.levels.exits is None
+    assert lattice.rests is lattice.moves is lattice.exits is None
     # at random from the first read: each read computes the levels up to
     # the largest value read so far, and no more
     lattice = Lattice((1 << n) - 1, rows, rule is MoveRule.EVEN)
@@ -808,7 +808,7 @@ def test_lazy_levels_answer_every_read_order(rule, n):
         highest = max(highest, table[m])
         assert len(lattice.values) == highest + 1
     # fully evaluated, the levels are the kernel's bytes
-    assert lattice.values == list(lattice_values(list(g.adj), rule is MoveRule.EVEN))
+    assert lattice.values == every_level(g, rule is MoveRule.EVEN)
 
 
 def test_an_interrupted_level_leaves_the_lattice_as_it_was():
@@ -816,24 +816,23 @@ def test_an_interrupted_level_leaves_the_lattice_as_it_was():
     # 0-4 have it, and the lattice keeps the levels and rests it had
     g = random_graph(random.Random(3215), 15)
     rows = {1 << v: row for v, row in enumerate(g.adj)}
-    expected = list(lattice_values(list(g.adj), False))
+    expected = every_level(g, False)
     lattice = Lattice((1 << 15) - 1, rows, False)
     assert lattice.value(0) == 0 and len(lattice.values) == 1
-    levels = lattice.levels
-    rests = levels.rests
+    rests = lattice.rests
 
     class Interrupt(int):
         def __xor__(self, other):
             raise KeyboardInterrupt
 
     assert rests[5]
-    levels.rests = rests[:5] + [Interrupt(rests[5])] + rests[6:]
-    interrupted = levels.rests
+    lattice.rests = rests[:5] + [Interrupt(rests[5])] + rests[6:]
+    interrupted = lattice.rests
     mask = next(m for m in range(1 << 15) if lattice_value(expected, m) == 1)
     with pytest.raises(KeyboardInterrupt):
         lattice.value(mask)
-    assert levels.rests is interrupted and lattice.values == expected[:1]
-    levels.rests = rests
+    assert lattice.rests is interrupted and lattice.values == expected[:1]
+    lattice.rests = rests
     assert [lattice.value(m) for m in range(1 << 15)] == [
         lattice_value(expected, m) for m in range(1 << 15)
     ]
@@ -855,7 +854,7 @@ def test_fresh_solve_computes_the_levels_up_to_its_root(rule):
             value = grundy_value(g, rule, memo)
             (lattice,) = {id(lat): lat for lat in memo.lattices.values()}.values()
             assert len(lattice.values) == value + 1
-            seen.add((value, lattice.levels.rests is None))
+            seen.add((value, lattice.rests is None))
     # roots below their lattice's top value stop early
     assert (0, False) in seen and any(value for value, _ in seen)
 
@@ -887,7 +886,7 @@ def test_lattice_values_pinned():
     for k in range(1, LATTICE_MAX_N + 1):
         g = random_graph(random.Random(3100 + k), k)
         for even in (False, True):
-            for bits in lattice_values(list(g.adj), even):
+            for bits in every_level(g, even):
                 digest.update(bits)
             digest.update(b"|")
     assert digest.hexdigest() == (
@@ -971,7 +970,7 @@ def spy_search(monkeypatch):
     """Count the calls that build or run a search: the search itself, the
     lattice kernel and the component split."""
     calls = []
-    for name in ("_search", "lattice_values", "_components"):
+    for name in ("_search", "Lattice", "_components"):
         real = getattr(vertexnim.solver, name)
 
         def spy(*args, real=real, name=name):
@@ -1133,6 +1132,18 @@ def test_search_on_a_reused_memo_reads_its_lattices(rule):
     # no position is stored twice
     assert not [key for key in memo.entries if key and not key & ~block_mask]
     assert len(memo) == memo.nodes_visited == 2**10 + report.nodes_visited
+
+
+def test_len_counts_entries_a_later_lattice_answers_twice():
+    # a connected 12-vertex graph; its first 7 vertices are searched, then
+    # the whole graph's lattice answers those 13 entries' positions too
+    rng = random.Random(5)
+    g = Graph(12, [(i, j) for j in range(12) for i in range(j) if rng.random() < 0.4])
+    assert g.is_connected()
+    memo = MemoTable()
+    assert grundy(Position(g, (1 << 7) - 1), MoveRule.ODD, memo).nodes_visited == 13
+    assert grundy(g, MoveRule.ODD, memo).nodes_visited == 2**12
+    assert len(memo) == len(memo.entries) + 2**12 == 13 + 2**12
 
 
 def dense_16():

@@ -43,7 +43,7 @@ from vertexnim import (
 from vertexnim import theorems
 from vertexnim.exhaustive import SWEEP_MAX_N, bipartite_table, census, grundy_tables
 from vertexnim.graph import from_edge_mask, iter_bits
-from vertexnim.solver import NodeBudgetExceeded, grundy, grundy_even_even, lattice_values
+from vertexnim.solver import Lattice, NodeBudgetExceeded, grundy, grundy_even_even
 from vertexnim.solver import solve
 from vertexnim.theorems import (
     FAILURE_CAP,
@@ -895,6 +895,33 @@ class TestCheckSuites:
         assert [from_graph6(f.graph6).n for f in result.failures] == [n]
         assert result.instances_checked == instances
 
+    def test_witness_with_a_stray_part_fails_connectivity_and_movable_set(
+        self, monkeypatch
+    ):
+        # witness(2) with a stray edge beside it: still the right value, but
+        # disconnected, its apex children off by the edge, and the edge's
+        # ends movable
+        from vertexnim import construction
+
+        real = construction.witness
+
+        def stray(k, node_budget):
+            w = real(k, node_budget)
+            if k != 2:
+                return w
+            return dataclasses.replace(w, graph=disjoint_union(w.graph, complete_graph(2)))
+
+        monkeypatch.setattr(construction, "witness", stray)
+        result = check_witness_construction(max_k=2)
+        assert result.instances_checked == 10
+        assert [(f.expected, f.got, f.note) for f in result.failures] == [
+            ("connected", False, "witness(2)"),
+            (0, 1, "witness(2) child at apex 5"),
+            (1, 0, "witness(2) child at apex 6"),
+            ("movable set 0x60", "0x1e0", "witness(2) root movable vertices"),
+        ]
+        assert {f.graph6 for f in result.failures} == {"HgE_w?@"}
+
 
 class TestVerifyTheorem:
     @pytest.mark.parametrize(
@@ -1072,11 +1099,11 @@ class TestSharedMemos:
         # one fresh memo per solve ran 18, 174 and 26 kernels
         calls = []
 
-        def counted(rows, even):
-            calls.append(len(rows))
-            return lattice_values(rows, even)
+        def counted(mask, rows, even):
+            calls.append(mask)
+            return Lattice(mask, rows, even)
 
-        monkeypatch.setattr("vertexnim.solver.lattice_values", counted)
+        monkeypatch.setattr("vertexnim.solver.Lattice", counted)
         assert suite().passed
         assert len(calls) == runs
 
